@@ -49,6 +49,12 @@ class TestBasics:
     def test_missing_data_file(self):
         assert run_cli(["profile", "/nonexistent.csv"]) == 1
 
+    def test_non_finite_cell_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Class\n1.0,0\n\n1e400,1\n")
+        assert run_cli(["profile", str(path)]) == 1
+        assert "line 4: non-finite numeric cell in column 'a'" in capsys.readouterr().err
+
 
 class TestProfileExplore:
     def test_profile_json(self, tiny_csv, capsys):

@@ -1,11 +1,16 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fraudkit.ingest import (
     ColumnSchema,
     Dataset,
+    MISSING_POLICIES,
     ParseError,
     SchemaError,
     drop_uninformative,
@@ -116,6 +121,51 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="missing"):
             load_csv(path, schema)
 
+    def test_ragged_row_names_file_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Class\n1.0,0\n\n\n2.0\n")
+        with pytest.raises(ParseError, match="line 5 has 1 cells, expected 2"):
+            load_csv(path, infer_schema(path, "Class"))
+
+    def test_missing_under_forbid_names_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Class\n1.0,0\n\n\n,1\n")
+        schema = [ColumnSchema("a", "numeric", "forbid"), ColumnSchema("Class", "label")]
+        with pytest.raises(ParseError, match="line 5: missing value in column 'a'"):
+            load_csv(path, schema)
+
+    def test_bad_label_names_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Class\n1.0,0\n\n2.0,7\n")
+        with pytest.raises(ParseError, match="line 4: label outside"):
+            load_csv(path, infer_schema(path, "Class"))
+
+    @pytest.mark.parametrize("cell", ["xyz", "inf", "-inf", "1e400", "-nan"])
+    def test_bad_numeric_cell_names_column_and_line(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,Class\n1.0,2.0,0\n\n1.0,{cell},1\n")
+        with pytest.raises(ParseError, match=f"line 4: .* in column 'b': '{cell}'"):
+            load_csv(path, infer_schema(path, "Class"))
+
+    def test_bad_cell_in_dropped_row_is_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,Class\n1.0,inf,0\n,xyz,1\n2.0,3.0,1\n")
+        schema = [
+            ColumnSchema("a", "numeric", "drop_row"),
+            ColumnSchema("b", "numeric"),
+            ColumnSchema("Class", "label"),
+        ]
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_csv(path, schema)
+        path.write_text("a,b,Class\n,inf,0\n1.0,2.0,1\n")
+        assert load_csv(path, schema).features.tolist() == [[1.0, 2.0]]
+
+    def test_duplicate_header_name(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,Class\n1,2,0\n")
+        with pytest.raises(SchemaError, match="duplicate"):
+            load_csv(path, [ColumnSchema("a", "numeric"), ColumnSchema("Class", "label")])
+
     def test_drop_kind_removed(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,a,Class\n7,1.5,0\n8,2.5,1\n")
@@ -130,6 +180,188 @@ class TestLoadCsv:
         ds2 = load_csv(out, infer_schema(out, "Class"))
         assert np.array_equal(ds.features, ds2.features)
         assert np.array_equal(ds.labels, ds2.labels)
+
+
+# Reader oracle: a row-major, cell-by-cell load_csv kept as the reference
+# for the column-wise reader. It spells out the contract: blank lines are
+# skipped; errors name the file line; missing cells are judged column by
+# column in header order before any cell is parsed; cells in dropped rows
+# are never parsed.
+ORACLE_MISSING = {"", "na", "nan", "null", "none"}
+
+
+def reference_load(path, schema):
+    by_name = {c.name: c for c in schema}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        records = [(reader.line_num, row) for row in reader if row]
+    for line, row in records:
+        if len(row) != len(header):
+            raise ParseError(f"{path}: line {line} has {len(row)} cells, expected {len(header)}")
+    names = [n for n in header if by_name[n].kind != "drop"]
+    dropped, bad_rows = set(), set()
+    for name in names:
+        j = header.index(name)
+        miss = [k for k, (_, row) in enumerate(records) if row[j].strip().lower() in ORACLE_MISSING]
+        if not miss:
+            continue
+        if by_name[name].missing_policy == "forbid":
+            raise ParseError(f"{path}: line {records[miss[0]][0]}: missing value in column {name!r}")
+        if by_name[name].missing_policy == "drop_column" or len(miss) == len(records):
+            if by_name[name].kind == "label":
+                raise ParseError(f"{path}: cannot drop label column {name!r}")
+            dropped.add(name)
+        else:
+            bad_rows.update(miss)
+    names = [n for n in names if n not in dropped]
+    kept = [rec for k, rec in enumerate(records) if k not in bad_rows]
+    columns, labels, categories = [], [], {}
+    for name in names:
+        j = header.index(name)
+        kind = by_name[name].kind
+        if kind == "categorical":
+            codes = {}
+            columns.append([float(codes.setdefault(row[j], len(codes))) for _, row in kept])
+            categories[name] = tuple(codes)
+            continue
+        values = []
+        for line, row in kept:
+            cell = row[j]
+            what = "numeric cell" if kind == "numeric" else "label"
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {line}: unparseable {what} in column {name!r}: {cell!r}"
+                ) from None
+            if kind == "numeric" and not np.isfinite(v):
+                raise ParseError(
+                    f"{path}: line {line}: non-finite numeric cell in column {name!r}: {cell!r}"
+                )
+            if kind == "label" and v not in (0.0, 1.0):
+                raise ParseError(
+                    f"{path}: line {line}: label outside {{0,1}} in column {name!r}: {cell!r}"
+                )
+            values.append(v)
+        if kind == "numeric":
+            columns.append(values)
+        else:
+            labels = values
+    features = np.array(columns, dtype=np.float64).reshape(len(columns), len(kept)).T
+    feature_names = [n for n in names if by_name[n].kind != "label"]
+    return feature_names, categories, features, np.array(labels, dtype=np.int64)
+
+
+CLEAN_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+ODD_NUMERIC = st.sampled_from(
+    ["", "NA", "nan", " NaN ", "null", "None", " ", " 1.5 ", '"2.25"', '"1,5"',
+     "1_0", "-0", "1e400", "inf", "-inf", "-nan", "xyz"]
+)
+LABEL_CELL = st.sampled_from(["0", "1", "0", "1", " 1 ", "1.0", "0e0", "2", "x", "", "nan"])
+CATEGORY_CELL = st.sampled_from(["AU", "US", "AU", " FR", '"a,b"', "", "na"])
+
+
+@st.composite
+def messy_files(draw):
+    """(text, schema) of a small file mixing every kind of cell."""
+    kinds = {"a": "numeric", "b": "numeric", "cat": "categorical", "id": "drop", "Class": "label"}
+    header = draw(st.permutations(list(kinds)))
+    schema = [
+        ColumnSchema(n, kinds[n], draw(st.sampled_from(MISSING_POLICIES))) for n in header
+    ]
+    numeric = st.one_of(CLEAN_CELL, CLEAN_CELL, CLEAN_CELL, ODD_NUMERIC)
+    cells = {"numeric": numeric, "drop": numeric, "categorical": CATEGORY_CELL, "label": LABEL_CELL}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        row = [draw(cells[kinds[n]]) for n in header]
+        if draw(st.integers(0, 30)) == 0:
+            row.pop()
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", schema
+
+
+class TestReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(messy_files())
+    def test_matches_cell_by_cell_reference(self, tmp_path_factory, file):
+        text, schema = file
+        path = tmp_path_factory.mktemp("oracle") / "messy.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            names, categories, X, y = reference_load(path, schema)
+        except (ParseError, SchemaError) as exc:
+            with pytest.raises(type(exc)) as got:
+                load_csv(path, schema)
+            assert str(got.value) == str(exc)
+            return
+        ds = load_csv(path, schema)
+        assert ds.feature_names == names
+        assert {c.name: c.categories for c in ds.schema if c.kind == "categorical"} == categories
+        assert ds.features.shape == X.shape
+        assert ds.features.tobytes() == X.tobytes()
+        assert ds.labels.tobytes() == y.tobytes()
+
+
+class TestWriteCsv:
+    def test_golden_bytes(self, tmp_path):
+        schema = [
+            ColumnSchema("amount", "numeric"),
+            ColumnSchema("a,b", "numeric"),
+            ColumnSchema('say "hi"', "numeric"),
+            ColumnSchema("Class", "label"),
+        ]
+        X = [
+            [0.1, 1e-05, 0.0001],
+            [1e16, -0.0, 5e-324],
+            [1.7976931348623157e308, 1.0, -2.5],
+        ]
+        path = tmp_path / "golden.csv"
+        write_csv(Dataset(schema, X, [0, 1, 0]), path)
+        assert path.read_bytes() == (
+            b'amount,"a,b","say ""hi""",Class\r\n'
+            b"0.1,1e-05,0.0001,0\r\n"
+            b"1e+16,-0.0,5e-324,1\r\n"
+            b"1.7976931348623157e+308,1.0,-2.5,0\r\n"
+        )
+
+    def test_golden_bytes_no_features(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_csv(make_dataset(np.empty((2, 0)), [1, 0]), path)
+        assert path.read_bytes() == b"Class\r\n1\r\n0\r\n"
+
+    def test_matches_csv_writer_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(5000, 3)) * 10.0 ** rng.integers(-8, 8, size=(5000, 3))
+        y = rng.integers(0, 2, size=5000)
+        path = tmp_path / "long.csv"
+        write_csv(make_dataset(X, y), path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["c0", "c1", "c2", "Class"])
+        for row, label in zip(X, y):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        )
+    )
+    def test_round_trip_bit_exact(self, tmp_path_factory, X):
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        ds = make_dataset(X, np.arange(X.shape[0]) % 2)
+        write_csv(ds, path)
+        back = load_csv(path, infer_schema(path, "Class"))
+        assert back.feature_names == ds.feature_names
+        assert back.features.shape == X.shape
+        assert back.features.tobytes() == np.ascontiguousarray(X).tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 class TestDropUninformative:
