@@ -11,7 +11,7 @@ Grammar (INI, parsed with configparser):
     [samplers]  methods = comma list of {none,rus,nearmiss,smote};
                 ratio, nearmiss_version, k_neighbors
     [sweep]     ratios = comma list of majority:minority ratios
-    [train]     lr, epochs_max, batch_size, patience
+    [train]     lr (finite, > 0), epochs_max, batch_size, patience (each >= 1)
 
 Command-line --set section.key=value overrides win over file values.
 Every run echoes its fully resolved config; rerunning from the echo
@@ -20,6 +20,7 @@ reproduces outputs byte-identically.
 
 import configparser
 import io
+import math
 
 from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig
 from fraudkit.resample import SamplerConfig
@@ -128,6 +129,11 @@ def plan_from_parser(cp):
             batch_size=sec.getint("batch_size", 256),
             patience=sec.getint("patience", 5),
         )
+        if not 0.0 < plan.train.lr < math.inf:
+            raise ConfigError(f"[train] lr must be finite and > 0, got {plan.train.lr!r}")
+        for key in ("epochs_max", "batch_size", "patience"):
+            if getattr(plan.train, key) < 1:
+                raise ConfigError(f"[train] {key} must be >= 1, got {getattr(plan.train, key)}")
     return plan
 
 

@@ -15,13 +15,14 @@ def _relu(x):
 
 
 def _sigmoid(x):
-    # Branch on sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Branch-free logistic: e = exp(-|x|) <= 1, so nothing overflows.
+
+    Per element the same float operations as a split by sign (1 / (1 + e)
+    for x >= 0, e / (1 + e) below), so equal to it bit for bit, at +-0.0
+    and NaN too: min(x, -x) keeps a NaN's sign where -|x| would flip it.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x):
@@ -140,7 +141,13 @@ def dense_forward(W, b, x):
 
 
 class Conv2D(Layer):
-    """Valid-padding stride-1 cross-correlation over [h, w, c_in] inputs."""
+    """Valid-padding stride-1 cross-correlation over [h, w, c_in] inputs.
+
+    im2col copies a sliding-window view once into [b, oh, ow, k*k*c_in]
+    columns ordered (di, dj, channel), as in K.reshape(-1, channels).
+    The 4-D stacked GEMMs and the (di, dj)-ordered col2im adds stay:
+    2-D GEMMs would round differently in the last bits.
+    """
 
     kind = "conv2d"
 
@@ -169,33 +176,25 @@ class Conv2D(Layer):
         self.zero_grads()
         return self.output_shape(in_shape)
 
-    def _im2col(self, x, oh, ow):
-        k = self.kernel_size
-        b, _h, _w, c = x.shape
-        cols = np.empty((b, oh, ow, k * k * c))
-        for di in range(k):
-            for dj in range(k):
-                patch = x[:, di : di + oh, dj : dj + ow, :]
-                cols[:, :, :, (di * k + dj) * c : (di * k + dj + 1) * c] = patch
-        return cols
-
     def forward(self, x, train=False, rng=None):
         k = self.kernel_size
-        oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
+        b, h, w, c = x.shape
+        oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"kernel {k}x{k} larger than input {x.shape[1:3]}")
         self._x_shape = x.shape
-        self._cols = self._im2col(x, oh, ow)
-        wmat = self.params["K"].reshape(-1, self.channels)
-        return self._cols @ wmat + self.params["b"]
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+        self._cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, oh, ow, k * k * c)
+        out = self._cols @ self.params["K"].reshape(-1, self.channels)
+        out += self.params["b"]
+        return out
 
     def backward(self, grad):
         k = self.kernel_size
         b, oh, ow, _ = grad.shape
         wmat = self.params["K"].reshape(-1, self.channels)
-        self.grads["K"] += np.tensordot(self._cols, grad, axes=([0, 1, 2], [0, 1, 2])).reshape(
-            self.params["K"].shape
-        )
+        dK = self._cols.reshape(-1, wmat.shape[0]).T @ grad.reshape(-1, self.channels)
+        self.grads["K"] += dK.reshape(self.params["K"].shape)
         self.grads["b"] += grad.sum(axis=(0, 1, 2))
         dcols = grad @ wmat.T
         dx = np.zeros(self._x_shape)
@@ -313,6 +312,8 @@ class MaxPool1D(Layer):
         b, length, c = x.shape
         if p > length:
             raise ValueError(f"pool {p} larger than input length {length}")
+        if p == 1:
+            return x
         n_win = length // p
         windows = x[:, : n_win * p, :].reshape(b, n_win, p, c)
         self._x_shape = x.shape
@@ -322,6 +323,8 @@ class MaxPool1D(Layer):
     def backward(self, grad):
         b, n_win, c = grad.shape
         p = self.pool
+        if p == 1:
+            return grad
         dwin = np.zeros((b, n_win, p, c))
         bi, wi, ci = np.ogrid[:b, :n_win, :c]
         dwin[bi, wi, self._argmax, ci] = grad
@@ -373,7 +376,7 @@ class Flatten(Layer):
 
     def forward(self, x, train=False, rng=None):
         self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, grad):
         return grad.reshape(self._x_shape)

@@ -12,6 +12,7 @@ from fraudkit.nn.optim import Adam
 from fraudkit.rng import derive_seed, generator
 
 FORMAT_VERSION = 1
+PREDICT_BLOCK = 4096  # rows per forward pass in predict_proba
 
 
 class TrainingError(FraudkitError):
@@ -85,7 +86,12 @@ class Network:
         return out
 
     def predict_proba(self, X):
-        return self.forward(X, train=False).reshape(len(X))
+        """Forward passes over PREDICT_BLOCK rows at a time, so memory is bounded.
+        Up to one block this is one forward pass, bit for bit; beyond it BLAS
+        may round a row's last bits differently, by the row count of its call."""
+        starts = range(0, max(len(X), 1), PREDICT_BLOCK)
+        out = np.concatenate([self.forward(X[s : s + PREDICT_BLOCK]) for s in starts])
+        return out.reshape(len(X))
 
     def zero_grads(self):
         for layer in self.layers:

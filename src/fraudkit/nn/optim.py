@@ -27,6 +27,10 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g**2
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # lr * m_hat / (sqrt(v_hat) + eps) in place, in that order.
+            denom = np.sqrt(v / (1.0 - self.beta2**t))
+            denom += self.eps
+            upd = m / (1.0 - self.beta1**t)
+            upd *= self.lr
+            upd /= denom
+            p -= upd

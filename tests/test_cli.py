@@ -136,6 +136,24 @@ class TestPlanCommands:
         text = (out / "cells.csv").read_text()
         assert ",none," in text and ",rus," in text
 
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ("train.lr=-1", "lr"),
+            ("train.lr=0", "lr"),
+            ("train.lr=nan", "lr"),
+            ("train.lr=inf", "lr"),
+            ("train.epochs_max=-3", "epochs_max"),
+            ("train.epochs_max=0", "epochs_max"),
+            ("train.batch_size=0", "batch_size"),
+            ("train.patience=0", "patience"),
+        ],
+    )
+    def test_bad_train_value_exits_one(self, plan_file, tmp_path, capsys, override, key):
+        assert run_cli(["run", str(plan_file), "--set", override]) == 1
+        assert f"[train] {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cells.csv").exists()
+
     def test_bad_config_exits_one(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("[plan]\nseed = 1\n")  # no dataset section

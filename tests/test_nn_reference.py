@@ -1,0 +1,273 @@
+"""Bit-identity of the network engine against straightforward reference code.
+
+The reference layers below are the plain forms the engine's fast paths
+replace: a loop im2col/col2im Conv2D, a sign-masked sigmoid, the argmax
+MaxPool1D path at every pool size, and the textbook Adam step. The
+engine must agree with them exactly (np.array_equal), not just to a
+tolerance: the fast paths keep every float operation and its order.
+"""
+
+import numpy as np
+import pytest
+
+from fraudkit import models
+from fraudkit.models import build_cnn1d, build_cnn2d, build_logreg, build_lstm
+from fraudkit.nn import layers, network
+from fraudkit.nn.layers import Activation, Conv2D, Dense, Flatten, MaxPool1D, _sigmoid
+from fraudkit.nn.network import PREDICT_BLOCK, Network, fit
+from fraudkit.nn.optim import Adam
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class RefConv2D(Conv2D):
+    """k*k slice copies into the im2col buffer, tensordot for dK."""
+
+    def forward(self, x, train=False, rng=None):
+        k = self.kernel_size
+        b, h, w, c = x.shape
+        oh, ow = h - k + 1, w - k + 1
+        cols = np.empty((b, oh, ow, k * k * c))
+        for di in range(k):
+            for dj in range(k):
+                cols[:, :, :, (di * k + dj) * c : (di * k + dj + 1) * c] = x[
+                    :, di : di + oh, dj : dj + ow, :
+                ]
+        self._x_shape = x.shape
+        self._cols = cols
+        return cols @ self.params["K"].reshape(-1, self.channels) + self.params["b"]
+
+    def backward(self, grad):
+        k = self.kernel_size
+        _b, oh, ow, _ = grad.shape
+        wmat = self.params["K"].reshape(-1, self.channels)
+        self.grads["K"] += np.tensordot(
+            self._cols, grad, axes=([0, 1, 2], [0, 1, 2])
+        ).reshape(self.params["K"].shape)
+        self.grads["b"] += grad.sum(axis=(0, 1, 2))
+        dcols = grad @ wmat.T
+        dx = np.zeros(self._x_shape)
+        c = self._x_shape[3]
+        for di in range(k):
+            for dj in range(k):
+                sl = dcols[:, :, :, (di * k + dj) * c : (di * k + dj + 1) * c]
+                dx[:, di : di + oh, dj : dj + ow, :] += sl
+        return dx
+
+
+class RefMaxPool1D(MaxPool1D):
+    """Window argmax and gradient scatter, also at pool=1."""
+
+    def forward(self, x, train=False, rng=None):
+        p = self.pool
+        b, length, c = x.shape
+        n_win = length // p
+        windows = x[:, : n_win * p, :].reshape(b, n_win, p, c)
+        self._x_shape = x.shape
+        self._argmax = windows.argmax(axis=2)
+        return windows.max(axis=2)
+
+    def backward(self, grad):
+        b, n_win, c = grad.shape
+        p = self.pool
+        dwin = np.zeros((b, n_win, p, c))
+        bi, wi, ci = np.ogrid[:b, :n_win, :c]
+        dwin[bi, wi, self._argmax, ci] = grad
+        dx = np.zeros(self._x_shape)
+        dx[:, : n_win * p, :] = dwin.reshape(b, n_win * p, c)
+        return dx
+
+
+class RefAdam(Adam):
+    def step(self, named_params, named_grads):
+        self.step_count += 1
+        t = self.step_count
+        for key, p in named_params.items():
+            g = named_grads[key]
+            m = self._m.setdefault(key, np.zeros_like(p))
+            v = self._v.setdefault(key, np.zeros_like(p))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g**2
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def ref_predict_proba(self, X):
+    return self.forward(X, train=False).reshape(len(X))
+
+
+@pytest.fixture
+def reference_engine(monkeypatch):
+    """Swap every fast path for its reference form, where callers look it up."""
+
+    def use():
+        monkeypatch.setattr(layers, "_sigmoid", ref_sigmoid)
+        monkeypatch.setattr(models, "Conv2D", RefConv2D)
+        monkeypatch.setattr(models, "MaxPool1D", RefMaxPool1D)
+        monkeypatch.setattr(network, "Adam", RefAdam)
+        monkeypatch.setattr(Network, "predict_proba", ref_predict_proba)
+
+    return use
+
+
+def assert_same(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestSigmoid:
+    def test_random(self):
+        x = np.random.default_rng(0).normal(scale=20.0, size=(300, 7))
+        assert_same(_sigmoid(x), ref_sigmoid(x))
+
+    def test_edge_values(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.array(
+            [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf,
+             tiny, -tiny, 5e-324, -5e-324, tiny / 3, -tiny / 3, np.nan]
+        )
+        got, want = _sigmoid(x), ref_sigmoid(x)
+        assert_same(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isnan(got[-1])
+
+
+class TestConv2D:
+    @pytest.mark.parametrize("shape,k,channels", [((5, 6, 1), 3, 64), ((5, 6, 3), 2, 4), ((4, 4, 2), 4, 3)])
+    def test_forward_and_backward(self, shape, k, channels):
+        rng = np.random.default_rng(1)
+        fast, ref = Conv2D(channels, k), RefConv2D(channels, k)
+        fast.init_params(shape, np.random.default_rng(2))
+        ref.init_params(shape, np.random.default_rng(2))
+        x = rng.normal(size=(9, *shape))
+        out = fast.forward(x)
+        assert_same(out, ref.forward(x))
+        grad = rng.normal(size=out.shape)
+        for _ in range(2):  # gradients accumulate across calls
+            assert_same(fast.backward(grad), ref.backward(grad))
+        for name in ("K", "b"):
+            assert_same(fast.grads[name], ref.grads[name])
+
+
+class TestMaxPool1D:
+    def test_pool_one_is_pass_through(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(8, 1, 64))
+        x[0, 0, :3] = [-0.0, np.nan, 0.0]
+        fast, ref = MaxPool1D(1), RefMaxPool1D(1)
+        assert_same(fast.forward(x), ref.forward(x))
+        grad = rng.normal(size=x.shape)
+        assert_same(fast.backward(grad), ref.backward(grad))
+
+    def test_pool_two_unchanged(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 7, 3))
+        fast, ref = MaxPool1D(2), RefMaxPool1D(2)
+        assert_same(fast.forward(x), ref.forward(x))
+        grad = rng.normal(size=(5, 3, 3))
+        assert_same(fast.backward(grad), ref.backward(grad))
+
+
+class TestAdam:
+    def test_steps_match_textbook(self):
+        rng = np.random.default_rng(5)
+        shapes = {"W": (4, 6), "b": (4,), "K": (3, 3, 1, 8)}
+        fast_p = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref_p = {k: v.copy() for k, v in fast_p.items()}
+        fast, ref = Adam(lr=0.003), RefAdam(lr=0.003)
+        for _ in range(25):
+            grads = {k: rng.normal(scale=10.0, size=s) for k, s in shapes.items()}
+            grads["b"][0] = 0.0
+            fast.step(fast_p, {k: g.copy() for k, g in grads.items()})
+            ref.step(ref_p, grads)
+        for k in shapes:
+            assert_same(fast_p[k], ref_p[k])
+            assert_same(fast._m[k], ref._m[k])
+            assert_same(fast._v[k], ref._v[k])
+
+
+BUILDERS = {
+    "cnn2d": lambda: build_cnn2d(30),
+    "cnn1d": lambda: build_cnn1d(30),
+    "lstm": lambda: build_lstm(30),
+    "lstm-tanh": lambda: build_lstm(30, hidden=6, inner_act="tanh"),
+    "logreg": lambda: build_logreg(30),
+}
+
+
+def _train(kind):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(300, 30))
+    y = (X[:, 0] + rng.normal(size=300) > 1.0).astype(np.int64)
+    net = BUILDERS[kind]()
+    history = fit(net, X[:240], y[:240], X[240:], y[240:], epochs_max=3, batch_size=32, seed=8)
+    return net.get_weights(), history.to_dict(), net.predict_proba(X)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_fit_matches_reference_engine(kind, reference_engine):
+    weights, history, proba = _train(kind)
+    reference_engine()
+    ref_weights, ref_history, ref_proba = _train(kind)
+    assert weights.keys() == ref_weights.keys()
+    for name in weights:
+        assert_same(weights[name], ref_weights[name])
+    assert history == ref_history
+    assert_same(proba, ref_proba)
+
+
+def test_multichannel_conv2d_stack_matches_reference(reference_engine):
+    def stack():
+        return Network(
+            [models.Conv2D(4, 2), Activation("relu"), models.Conv2D(3, 2), Activation("tanh"),
+             Flatten(), Dense(1), Activation("sigmoid")],
+            input_shape=(4, 5, 2),
+        )
+
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(120, 40))
+    y = (rng.random(120) < 0.4).astype(np.int64)
+    runs = []
+    for swap in (None, reference_engine):
+        if swap:
+            swap()
+        net = stack()
+        fit(net, X, y, epochs_max=3, batch_size=16, seed=2)
+        runs.append(net.get_weights())
+    for name in runs[0]:
+        assert_same(runs[0][name], runs[1][name])
+
+
+class TestPredictBlocks:
+    @pytest.fixture(scope="class")
+    def nets(self):
+        return {kind: build().initialize(11) for kind, build in BUILDERS.items()}
+
+    @pytest.mark.parametrize("n_rows", [0, 1, PREDICT_BLOCK])
+    def test_one_block_is_one_forward(self, nets, n_rows):
+        X = np.random.default_rng(12).normal(size=(n_rows, 30))
+        for net in nets.values():
+            assert_same(net.predict_proba(X), net.forward(X).reshape(n_rows))
+
+    def test_rows_are_scored_per_block(self, nets):
+        X = np.random.default_rng(13).normal(size=(PREDICT_BLOCK + 1, 30))
+        for net in nets.values():
+            p = net.predict_proba(X)
+            head, tail = X[:PREDICT_BLOCK], X[PREDICT_BLOCK:]
+            assert_same(p, np.concatenate([net.forward(head), net.forward(tail)]).ravel())
+            # BLAS may round a row's dot products differently when a call
+            # holds another number of rows: last-bit differences only.
+            np.testing.assert_allclose(p, net.forward(X).ravel(), rtol=0, atol=1e4 * EPS)
