@@ -18,13 +18,15 @@ from fraudkit.config import ConfigError, load_plan, load_schema_config, plan_to_
 from fraudkit.experiments import (
     compare_sampling,
     emit_report,
+    prepare,
+    run_cell,
     run_experiment,
     sweep_imbalance,
 )
-from fraudkit.ingest import infer_schema, load_csv, profile, write_csv
+from fraudkit.ingest import SchemaError, infer_schema, load_csv, profile, write_csv
 from fraudkit.metrics import evaluate_predictions
-from fraudkit.models import classify, model_from_dict, model_to_dict
-from fraudkit.preprocess import StandardScaler, correlation_matrix
+from fraudkit.models import classify, load_bundle
+from fraudkit.preprocess import correlation_matrix
 from fraudkit.svg import heatmap
 from fraudkit.synth import SyntheticSpec, gen_synthetic
 
@@ -76,10 +78,15 @@ def _plan_overrides(args):
     return overrides
 
 
-def _echo_resolved(plan, out):
-    text = plan_to_config_text(plan)
-    (out / "resolved.cfg").write_text(text)
+def _resolve_plan(args):
+    """Load and validate the plan, settle its output dir, echo resolved.cfg."""
+    plan = load_plan(args.config, _plan_overrides(args))
+    plan.validate()
+    out = _output_dir(args, default=plan.output_dir)
+    plan.output_dir = str(out)
+    (out / "resolved.cfg").write_text(plan_to_config_text(plan))
     print(f"resolved config -> {out / 'resolved.cfg'}", file=sys.stderr)
+    return plan, out
 
 
 def cmd_profile(args):
@@ -115,86 +122,37 @@ def cmd_gen_synth(args):
 
 
 def cmd_train(args):
-    """Train the plan's first model with its first sampler; save a bundle."""
-    from fraudkit.experiments import load_dataset
-    from fraudkit.models import make_model
-    from fraudkit.preprocess import split
-    from fraudkit.rng import derive_seed
-
-    plan = load_plan(args.config, _plan_overrides(args))
-    plan.validate()
-    out = _output_dir(args, default=plan.output_dir)
-    plan.output_dir = str(out)
-    _echo_resolved(plan, out)
-
-    ds = load_dataset(plan)
-    idx = split(ds.n_rows, plan.test_frac, plan.val_frac, seed=derive_seed(plan.seed, "split"))
-    scaler = StandardScaler().fit(ds.features[idx.train])
-    X_train = scaler.transform(ds.features[idx.train])
-    y_train = ds.labels[idx.train]
-    X_val = scaler.transform(ds.features[idx.validation])
-    y_val = ds.labels[idx.validation]
-    X_test = scaler.transform(ds.features[idx.test])
-    y_test = ds.labels[idx.test]
-
-    sampler = plan.samplers[0].build()
-    if sampler is not None:
-        if hasattr(sampler, "seed"):
-            sampler.seed = derive_seed(plan.seed, "sampler")
-        X_train, y_train = sampler.fit_resample(X_train, y_train)
-
-    spec = plan.models[0]
-    model = make_model(
-        spec.kind,
-        lr=plan.train.lr,
-        epochs_max=plan.train.epochs_max,
-        batch_size=plan.train.batch_size,
-        patience=plan.train.patience,
-        seed=derive_seed(plan.seed, "model"),
-        **spec.params,
+    """Run the plan's first cell (first model, first sampler); save its bundle."""
+    plan, out = _resolve_plan(args)
+    model_path = out / "trained.model"
+    cells, history = run_cell(
+        prepare(plan), plan, plan.models[0], plan.samplers[0], model_path=model_path
     )
-    if hasattr(model, "history_"):
-        model.fit(X_train, y_train, X_val, y_val)
-        (out / "history.json").write_text(json.dumps(model.history_.to_dict(), indent=2))
-    else:
-        model.fit(X_train, y_train)
-
-    for name, X_eval, y_eval in (("validation", X_val, y_val), ("test", X_test, y_test)):
-        report = evaluate_predictions(y_eval, classify(model, X_eval, plan.threshold))
-        print(f"{name}: {json.dumps(report.to_dict())}")
-
-    bundle = {
-        "format_version": 1,
-        "model": model_to_dict(model),
-        "scaler": {"mean": scaler.mean_.tolist(), "std": scaler.std_.tolist()},
-        "threshold": plan.threshold,
-    }
-    (out / "trained.model").write_text(json.dumps(bundle))
-    print(f"model -> {out / 'trained.model'}")
+    if cells[0].status != "ok":
+        raise ValueError(cells[0].status)
+    if history is not None:
+        (out / "history.json").write_text(json.dumps(history, indent=2))
+    for cell in cells:
+        print(f"{cell.partition}: {json.dumps(cell.report.to_dict())}")
+    print(f"model -> {model_path}")
     return 0
 
 
 def cmd_evaluate(args):
-    bundle = json.loads(Path(args.model).read_text())
-    model = model_from_dict(bundle["model"])
-    scaler = StandardScaler()
-    import numpy as np
-
-    scaler.mean_ = np.array(bundle["scaler"]["mean"])
-    scaler.std_ = np.array(bundle["scaler"]["std"])
+    """Score a bundle on a dataset whose feature columns match it by name."""
+    model, scaler, threshold, features = load_bundle(args.model)
     ds = _load_dataset(args)
-    X = scaler.transform(ds.features)
-    y_pred = classify(model, X, bundle.get("threshold", 0.5))
+    names = ds.feature_names
+    if sorted(names) != sorted(features):
+        raise SchemaError(f"dataset features {names} do not match the model's {features}")
+    X = scaler.transform(ds.features[:, [names.index(f) for f in features]])
+    y_pred = classify(model, X, threshold)
     print(json.dumps(evaluate_predictions(ds.labels, y_pred).to_dict(), indent=2))
     return 0
 
 
 def _run_plan_command(args, runner, chart_name):
-    plan = load_plan(args.config, _plan_overrides(args))
-    plan.validate()
-    out = _output_dir(args, default=plan.output_dir)
-    plan.output_dir = str(out)
-    _echo_resolved(plan, out)
+    plan, out = _resolve_plan(args)
     record = runner(plan)
     emit_report(record, out, chart_name=chart_name)
     n_ok = sum(1 for c in record.cells if c.status == "ok")

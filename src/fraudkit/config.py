@@ -4,7 +4,8 @@ Grammar (INI, parsed with configparser):
 
     [plan]      name, seed, output_dir, test_frac, val_frac, threshold, jobs
     [dataset]   type = synthetic | csv
-                synthetic: n_rows, n_features, fraud_fraction, separation
+                synthetic: n_rows, n_features, fraud_fraction, separation,
+                           seed (defaults to [plan] seed)
                 csv: path, label, categorical (comma list), drop (comma list)
     [models]    kinds = comma list of {cnn2d,cnn1d,lstm,logreg,dtree,forest};
                 optional hidden, inner_act, n_trees, max_depth, min_leaf
@@ -13,7 +14,8 @@ Grammar (INI, parsed with configparser):
     [sweep]     ratios = comma list of majority:minority ratios
     [train]     lr (finite, > 0), epochs_max, batch_size, patience (each >= 1)
 
-Command-line --set section.key=value overrides win over file values.
+These are the only sections and keys: any other is a ConfigError naming
+it. Command-line --set section.key=value overrides win over file values.
 Every run echoes its fully resolved config; rerunning from the echo
 reproduces outputs byte-identically.
 """
@@ -29,6 +31,17 @@ from fraudkit.synth import SyntheticSpec
 
 class ConfigError(ValueError):
     pass
+
+
+PLAN_KEYS = {
+    "plan": {"name", "seed", "output_dir", "test_frac", "val_frac", "threshold", "jobs"},
+    "dataset": {"type", "n_rows", "n_features", "fraud_fraction", "separation", "seed",
+                "path", "label", "categorical", "drop"},
+    "models": {"kinds", "hidden", "inner_act", "n_trees", "max_depth", "min_leaf"},
+    "samplers": {"methods", "nearmiss_version", "k_neighbors", "ratio"},
+    "sweep": {"ratios"},
+    "train": {"lr", "epochs_max", "batch_size", "patience"},
+}
 
 
 def _parser():
@@ -63,6 +76,12 @@ def load_plan(path, overrides=()):
 
 
 def plan_from_parser(cp):
+    for section in cp.sections():
+        if section not in PLAN_KEYS:
+            raise ConfigError(f"unknown plan section [{section}]")
+        for key in cp[section]:
+            if key not in PLAN_KEYS[section]:
+                raise ConfigError(f"unknown plan key [{section}] {key}")
     plan = ExperimentPlan()
     if cp.has_section("plan"):
         sec = cp["plan"]

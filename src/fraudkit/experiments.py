@@ -12,15 +12,14 @@ import concurrent.futures
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from fraudkit.ingest import infer_schema, load_csv
-from fraudkit.metrics import evaluate_predictions, format_metric
-from fraudkit.models import classify, make_model
-from fraudkit.nn.network import save_network
+from fraudkit.metrics import evaluate_predictions
+from fraudkit.models import classify, make_model, save_bundle
 from fraudkit.preprocess import StandardScaler, split
 from fraudkit.resample import SamplerConfig, round_half_away
 from fraudkit.rng import derive_seed
@@ -132,6 +131,8 @@ class Prepared:
     y_val: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
+    scaler: StandardScaler
+    features: list  # feature column names, in matrix order
 
 
 def load_dataset(plan):
@@ -160,6 +161,8 @@ def prepare(plan, ds=None):
         y_val=y[idx.validation],
         X_test=scaler.transform(X[idx.test]),
         y_test=y[idx.test],
+        scaler=scaler,
+        features=ds.feature_names,
     )
 
 
@@ -189,17 +192,22 @@ def _cell_seed(plan, model_name, sampler_name, ratio):
     return derive_seed(plan.seed, f"cell/{plan.dataset_name}/{model_name}/{sampler_name}/{ratio}")
 
 
-def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_dir=None):
+def _cell_names(sampler_cfg, ratio):
+    """(sampler name, ratio label) that name a grid cell."""
+    method = sampler_cfg.method
+    name = f"nearmiss{sampler_cfg.nearmiss_version}" if method == "nearmiss" else method
+    return name, ratio if ratio is not None else sampler_cfg.ratio
+
+
+def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=None):
     """Train one grid cell and evaluate it on validation and test.
 
     Precondition violations (unsuitable model shape, unreachable sampler
-    target) become skipped cells, never grid aborts. Returns
+    target) become skipped cells, never grid aborts. An ok cell saves
+    its bundle to model_path when one is given. Returns
     (cells, history-or-None).
     """
-    sampler_name = sampler_cfg.method
-    if sampler_cfg.method == "nearmiss":
-        sampler_name = f"nearmiss{sampler_cfg.nearmiss_version}"
-    ratio_label = ratio if ratio is not None else sampler_cfg.ratio
+    sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
     seed = _cell_seed(plan, model_spec.name, sampler_name, ratio_label)
     started = time.perf_counter()
 
@@ -213,15 +221,8 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_dir=None
 
     # `ratio` is only a display label (e.g. the pre-cap sweep ratio);
     # the sampler always uses the ratio carried by its config.
-    cfg = SamplerConfig(
-        method=sampler_cfg.method,
-        nearmiss_version=sampler_cfg.nearmiss_version,
-        k_neighbors=sampler_cfg.k_neighbors,
-        ratio=sampler_cfg.ratio,
-        seed=derive_seed(seed, "sampler"),
-    )
     try:
-        sampler = cfg.build()
+        sampler = replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
         if sampler is None:
             X_fit, y_fit = prepared.X_train, prepared.y_train
         else:
@@ -257,24 +258,11 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_dir=None
             Cell(prepared.name, model_spec.name, sampler_name, ratio_label, part,
                  report, "ok", time.perf_counter() - started)
         )
-    if model_dir is not None:
-        _save_model(model, model_dir, f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}")
+    if model_path is not None:
+        Path(model_path).parent.mkdir(parents=True, exist_ok=True)
+        save_bundle(model_path, model, prepared.scaler, plan.threshold, prepared.features)
     history = model.history_.to_dict() if getattr(model, "history_", None) else None
     return cells, history
-
-
-def _save_model(model, model_dir, stem):
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    path = model_dir / f"{stem}.model"
-    if hasattr(model, "network_"):
-        save_network(model.network_, path)
-    elif hasattr(model, "root_"):
-        path.write_text(json.dumps({"kind": "dtree", "root": model.root_.to_dict()}))
-    elif hasattr(model, "trees_"):
-        path.write_text(
-            json.dumps({"kind": "forest", "trees": [t.root_.to_dict() for t in model.trees_]})
-        )
 
 
 def _run_grid(plan, prepared, points, model_dir=None):
@@ -284,7 +272,12 @@ def _run_grid(plan, prepared, points, model_dir=None):
 
     def work(point):
         model_spec, sampler_cfg, ratio = point
-        return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_dir)
+        model_path = None
+        if model_dir is not None:
+            sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
+            stem = f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}"
+            model_path = model_dir / f"{stem}.model"
+        return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_path)
 
     if plan.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=plan.jobs) as pool:

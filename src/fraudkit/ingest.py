@@ -117,10 +117,6 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.schema, self.features[indices], self.labels[indices])
 
-    def with_rows(self, features, labels):
-        """New Dataset with the same schema but replaced rows."""
-        return Dataset(self.schema, features, labels)
-
     def __repr__(self):
         return (
             f"Dataset(n_rows={self.n_rows}, n_features={self.n_features}, "

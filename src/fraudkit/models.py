@@ -1,18 +1,23 @@
-"""Model architectures and a uniform train/predict interface.
+"""Model architectures, a uniform train/predict interface, and bundles.
 
 Builders assemble the three deep architectures (2DCNN, 1DCNN, LSTM);
 classifier wrappers expose fit/predict_proba/predict for every model
-kind, deep or classical.
+kind, deep or classical. A bundle is the one saved form of a fitted
+pipeline: feature order, scaler statistics, model and threshold.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, NotFittedError
+from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError
 from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Dropout, Flatten, MaxPool1D
 from fraudkit.nn.network import Network, fit as fit_network
+from fraudkit.preprocess import StandardScaler
 from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier
 
-MODEL_KINDS = ("cnn2d", "cnn1d", "lstm", "logreg", "dtree", "forest")
+BUNDLE_FORMAT_VERSION = 1
 
 
 def cnn2d_grid(input_features):
@@ -224,21 +229,35 @@ def model_from_dict(payload):
     raise ValueError(f"unknown serialized model kind {kind!r}")
 
 
-def train_logreg(ds, lr=0.001, epochs=100, batch_size=256, seed=0, val=None):
-    """Gradient-descent logistic regression on a standardized Dataset."""
-    clf = NeuralNetClassifier(kind="logreg", lr=lr, epochs_max=epochs, batch_size=batch_size, seed=seed)
-    X_val = val.features if val is not None else None
-    y_val = val.labels if val is not None else None
-    return clf.fit(ds.features, ds.labels, X_val, y_val)
+def save_bundle(path, model, scaler, threshold, features):
+    """Write a fitted pipeline as one JSON bundle."""
+    payload = {
+        "format_version": BUNDLE_FORMAT_VERSION,
+        "features": list(features),
+        "model": model_to_dict(model),
+        "scaler": {"mean": scaler.mean_.tolist(), "std": scaler.std_.tolist()},
+        "threshold": threshold,
+    }
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def train_dtree(ds, max_depth=None, min_leaf=1):
-    return DecisionTreeClassifier(max_depth=max_depth, min_leaf=min_leaf).fit(
-        ds.features, ds.labels
-    )
+def load_bundle(path):
+    """Read a bundle -> (model, scaler, threshold, features).
 
-
-def train_forest(ds, n_trees=50, max_depth=None, seed=0):
-    return RandomForestClassifier(n_trees=n_trees, max_depth=max_depth, seed=seed).fit(
-        ds.features, ds.labels
-    )
+    A file that is not JSON, lacks a key or has another format_version
+    raises FraudkitError naming the file.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if payload["format_version"] != BUNDLE_FORMAT_VERSION:
+            raise FraudkitError(
+                f"{path}: unsupported bundle format_version {payload['format_version']!r}"
+            )
+        scaler = StandardScaler()
+        scaler.mean_ = np.asarray(payload["scaler"]["mean"], dtype=np.float64)
+        scaler.std_ = np.asarray(payload["scaler"]["std"], dtype=np.float64)
+        return model_from_dict(payload["model"]), scaler, payload["threshold"], payload["features"]
+    except KeyError as exc:
+        raise FraudkitError(f"{path}: not a model bundle: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FraudkitError(f"{path}: not a model bundle: {exc}") from None

@@ -12,7 +12,7 @@ from fraudkit.nn.layers import (
     lstm_step,
 )
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
-from fraudkit.nn.network import Network, TrainingHistory, fit, load_network, save_network
+from fraudkit.nn.network import Network, TrainingHistory, fit
 from fraudkit.nn.optim import Adam
 
 __all__ = [
@@ -32,7 +32,5 @@ __all__ = [
     "bce_loss",
     "bce_loss_grad",
     "fit",
-    "load_network",
     "lstm_step",
-    "save_network",
 ]

@@ -1,6 +1,5 @@
 """Sequential network container, training loop, and model serialization."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,13 +241,3 @@ def network_from_dict(payload):
     network = Network(layers, payload["input_shape"])
     network.initialized = True
     return network
-
-
-def save_network(network, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(network), fh)
-
-
-def load_network(path):
-    with open(path, encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))

@@ -42,17 +42,6 @@ class StandardScaler(BaseEstimator):
         out[:, self.std_ == 0] = 0.0
         return out
 
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
-
-
-def fit_scaler(ds):
-    return StandardScaler().fit(ds.features)
-
-
-def apply_scaler(ds, scaler):
-    return ds.with_rows(scaler.transform(ds.features), ds.labels)
-
 
 @dataclass
 class CorrelationResult:
@@ -155,9 +144,3 @@ def split(n_rows, test_frac=0.035, val_frac=0.2, seed=0, labels=None, stratify=F
             f"too few rows ({n_rows}) for each partition to get at least one element"
         )
     return SplitIndices(test=test, train=train, validation=val, seed=seed)
-
-
-def split_dataset(ds, test_frac=0.035, val_frac=0.2, seed=0, stratify=False):
-    return split(
-        ds.n_rows, test_frac, val_frac, seed, labels=ds.labels, stratify=stratify
-    )

@@ -207,20 +207,3 @@ class SamplerConfig:
         if self.method == "smote":
             return Smote(ratio=self.ratio, k=self.k_neighbors or 5, seed=self.seed)
         raise ValueError(f"unknown sampler method {self.method!r}")
-
-
-def _apply(sampler, ds):
-    X, y = sampler.fit_resample(ds.features, ds.labels)
-    return ds.with_rows(X, y)
-
-
-def rus(ds, ratio, seed=0):
-    return _apply(RandomUnderSampler(ratio=ratio, seed=seed), ds)
-
-
-def nearmiss(ds, version=1, k=3, ratio=1.0):
-    return _apply(NearMiss(version=version, k=k, ratio=ratio), ds)
-
-
-def smote(ds, ratio, k=5, seed=0):
-    return _apply(Smote(ratio=ratio, k=k, seed=seed), ds)

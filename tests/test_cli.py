@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
 from fraudkit.cli import run_cli
+from fraudkit.experiments import METRIC_NAMES
+from fraudkit.metrics import format_metric
 
 PLAN_TEXT = """\
 [plan]
@@ -154,6 +157,15 @@ class TestPlanCommands:
         assert f"[train] {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "cells.csv").exists()
 
+    @pytest.mark.parametrize(
+        "override,named",
+        [("models.max_dept=2", "[models] max_dept"), ("modles.kinds=dtree", "[modles]")],
+    )
+    def test_unknown_plan_key_exits_one(self, plan_file, tmp_path, capsys, override, named):
+        assert run_cli(["run", str(plan_file), "--set", override]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cells.csv").exists()
+
     def test_bad_config_exits_one(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("[plan]\nseed = 1\n")  # no dataset section
@@ -182,3 +194,85 @@ class TestTrainEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert set(report) >= {"accuracy", "precision", "recall", "f1"}
         assert report["accuracy"] >= 0.8
+
+    def _eval_data(self, tmp_path, capsys):
+        """Scoring rows drawn like the plan's (same seed and geometry)."""
+        data = tmp_path / "eval.csv"
+        assert run_cli(
+            ["gen-synth", str(data), "--n-rows", "200", "--n-features", "6",
+             "--fraud-fraction", "0.2", "--separation", "4.0", "--seed", "7"]
+        ) == 0
+        capsys.readouterr()
+        return data
+
+    def _evaluate(self, capsys, *argv):
+        code = run_cli(["evaluate", *map(str, argv), "--label", "is_fraud"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", ["dtree", "lstm"])
+    def test_train_is_the_first_cell_of_run(self, plan_file, tmp_path, capsys, kind):
+        overrides = ["--set", f"models.kinds={kind}", "--set", "samplers.methods=rus, none",
+                     "--set", "train.epochs_max=3"]
+        assert run_cli(["train", str(plan_file), "--output-dir", str(tmp_path / "t"), *overrides]) == 0
+        printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:2])
+        assert run_cli(["run", str(plan_file), "--output-dir", str(tmp_path / "r"), *overrides]) == 0
+        trained = (tmp_path / "t" / "trained.model").read_bytes()
+        assert trained == (tmp_path / "r" / "models" / f"synthetic__{kind}__rus__1.0.model").read_bytes()
+        with open(tmp_path / "r" / "cells.csv", newline="") as fh:
+            first = {r["partition"]: r for r in list(csv.DictReader(fh))[:2]}
+        for part in ("validation", "test"):
+            report = json.loads(printed[part])
+            assert {m: format_metric(report[m]) for m in METRIC_NAMES} == {
+                m: first[part][m] for m in METRIC_NAMES
+            }
+
+    def test_evaluate_scores_every_model_run_writes(self, plan_file, tmp_path, capsys):
+        assert run_cli(["run", str(plan_file), "--set", "models.kinds=logreg, dtree",
+                        "--set", "samplers.methods=none, rus"]) == 0
+        data = self._eval_data(tmp_path, capsys)
+        saved = sorted((tmp_path / "out" / "models").glob("*.model"))
+        assert len(saved) == 4
+        for path in saved:
+            code, captured = self._evaluate(capsys, path, data)
+            assert code == 0, captured.err
+            assert json.loads(captured.out)["accuracy"] >= 0.8
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("{not json", "not a model bundle"),
+            ('{"kind": "dtree", "root": {"prob": 0.5}}', "missing key 'format_version'"),
+            ('{"format_version": 1, "features": [], "model": {}, "threshold": 0.5}',
+             "missing key 'scaler'"),
+            ('{"format_version": 2, "features": [], "model": {}, "scaler": {}, "threshold": 0.5}',
+             "unsupported bundle format_version 2"),
+        ],
+        ids=["not-json", "bare-tree", "no-scaler", "version-2"],
+    )
+    def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.model"
+        path.write_text(content)
+        code, captured = self._evaluate(capsys, path, self._eval_data(tmp_path, capsys))
+        assert code == 1
+        assert f"{path}: " in captured.err and message in captured.err
+
+    def test_evaluate_aligns_columns_by_name(self, plan_file, tmp_path, capsys):
+        assert run_cli(["train", str(plan_file), "--set", "models.kinds=dtree"]) == 0
+        bundle = tmp_path / "out" / "trained.model"
+        data = self._eval_data(tmp_path, capsys)
+        with open(data, newline="") as fh:
+            rows = [row[-2::-1] + row[-1:] for row in csv.reader(fh)]
+        assert rows[0] == ["f5", "f4", "f3", "f2", "f1", "f0", "is_fraud"]
+        swapped = tmp_path / "swapped.csv"
+        with open(swapped, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code, original = self._evaluate(capsys, bundle, data)
+        assert code == 0
+        code, reordered = self._evaluate(capsys, bundle, swapped)
+        assert code == 0
+        assert json.loads(reordered.out) == json.loads(original.out)
+
+        code, captured = self._evaluate(capsys, bundle, data, "--drop", "f3")
+        assert code == 1
+        assert "['f0', 'f1', 'f2', 'f4', 'f5']" in captured.err
+        assert "['f0', 'f1', 'f2', 'f3', 'f4', 'f5']" in captured.err

@@ -92,6 +92,12 @@ class TestLoadPlan:
         with pytest.raises(ConfigError, match="path"):
             load_plan(path)
 
+    def test_unknown_key_in_file(self, tmp_path):
+        path = tmp_path / "p.cfg"
+        path.write_text("[dataset]\ntype = synthetic\nn_row = 50\n")
+        with pytest.raises(ConfigError, match=r"\[dataset\] n_row"):
+            load_plan(path)
+
     def test_csv_dataset_fields(self, tmp_path):
         path = tmp_path / "p.cfg"
         path.write_text(
@@ -109,6 +115,17 @@ class TestEcho:
     def test_round_trip_is_fixed_point(self, plan_file, tmp_path):
         plan = load_plan(plan_file)
         echo = plan_to_config_text(plan)
+        echoed_file = tmp_path / "resolved.cfg"
+        echoed_file.write_text(echo)
+        assert plan_to_config_text(load_plan(echoed_file)) == echo
+
+    def test_csv_round_trip_is_fixed_point(self, tmp_path):
+        path = tmp_path / "p.cfg"
+        path.write_text(
+            "[dataset]\ntype = csv\npath = data.csv\nlabel = isFraud\n"
+            "categorical = country, declined\ndrop = id\n"
+        )
+        echo = plan_to_config_text(load_plan(path))
         echoed_file = tmp_path / "resolved.cfg"
         echoed_file.write_text(echo)
         assert plan_to_config_text(load_plan(echoed_file)) == echo

@@ -4,13 +4,21 @@ tests/golden/nets.cfg trains every network builder and a CART baseline
 with and without random under-sampling; cells.csv and resolved.cfg next
 to it are its committed outputs. A change that moves any metric of any
 cell, or the resolved plan echo, fails here and has to re-baseline the
-files openly.
+files openly. Every saved model must be a bundle that reproduces its
+cell's test row of the committed cells.csv.
 """
 
+import csv
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 from fraudkit.cli import OUTPUT_DIR_ENV, run_cli
+from fraudkit.config import load_plan
+from fraudkit.experiments import METRIC_NAMES, prepare
+from fraudkit.metrics import evaluate_predictions, format_metric
+from fraudkit.models import classify, load_bundle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,3 +30,19 @@ def test_golden_nets_plan(tmp_path, monkeypatch):
     assert run_cli(["run", "nets.cfg"]) == 0
     for name in ("cells.csv", "resolved.cfg"):
         assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    plan = load_plan(GOLDEN / "nets.cfg")
+    prep = prepare(plan)
+    with open(GOLDEN / "cells.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["partition"] == "test" and r["status"] == "ok"]
+    names = [f"{r['dataset']}__{r['model']}__{r['sampler']}__{r['ratio']}.model" for r in rows]
+    models = tmp_path / "out" / "models"
+    assert sorted(p.name for p in models.glob("*.model")) == sorted(names)
+    for name, row in zip(names, rows):
+        model, scaler, threshold, features = load_bundle(models / name)
+        assert features == prep.features, name
+        assert np.array_equal(scaler.mean_, prep.scaler.mean_), name
+        assert np.array_equal(scaler.std_, prep.scaler.std_), name
+        report = evaluate_predictions(prep.y_test, classify(model, prep.X_test, threshold))
+        got = {m: format_metric(getattr(report, m)) for m in METRIC_NAMES}
+        assert got == {m: row[m] for m in METRIC_NAMES}, name

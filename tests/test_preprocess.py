@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from fraudkit.ingest import ColumnSchema, Dataset
 from fraudkit.preprocess import (
     StandardScaler,
-    apply_scaler,
     correlation_matrix,
-    fit_scaler,
     split,
 )
 
@@ -58,11 +56,6 @@ class TestScaler:
         s = StandardScaler().fit([[1.0, 2.0]])
         with pytest.raises(ValueError):
             s.transform([[1.0]])
-
-    def test_dataset_wrappers(self):
-        ds = column_dataset([1, 2, 3])
-        out = apply_scaler(ds, fit_scaler(ds))
-        assert out.features[:, 0] == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
 
 
 class TestCorrelation:
