@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import fraudkit
@@ -48,7 +49,9 @@ def _dataset_args(sub):
     sub.add_argument("--drop", default="", help="comma list of columns to drop")
 
 
-def _load_dataset(args):
+def _load_dataset(args, categories=None):
+    """Load the data file; categories (name -> stored mapping) makes those
+    feature columns categorical and encodes them with that mapping."""
     if args.schema:
         schema = load_schema_config(args.schema)
     else:
@@ -58,6 +61,12 @@ def _load_dataset(args):
             categorical=[c for c in args.categorical.split(",") if c],
             drop=[c for c in args.drop.split(",") if c],
         )
+    if categories:
+        schema = [
+            replace(c, kind="categorical", categories=categories[c.name])
+            if c.name in categories and c.kind in ("numeric", "categorical") else c
+            for c in schema
+        ]
     return load_csv(args.data, schema)
 
 
@@ -139,9 +148,10 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    """Score a bundle on a dataset whose feature columns match it by name."""
-    model, scaler, threshold, features = load_bundle(args.model)
-    ds = _load_dataset(args)
+    """Score a bundle on a dataset whose feature columns match it by name,
+    encoding categorical columns with the bundle's stored mappings."""
+    model, scaler, threshold, features, categories = load_bundle(args.model)
+    ds = _load_dataset(args, categories)
     names = ds.feature_names
     if sorted(names) != sorted(features):
         raise SchemaError(f"dataset features {names} do not match the model's {features}")

@@ -10,7 +10,8 @@ Grammar (INI, parsed with configparser):
     [models]    kinds = comma list of {cnn2d,cnn1d,lstm,logreg,dtree,forest};
                 optional hidden, inner_act, n_trees, max_depth, min_leaf
     [samplers]  methods = comma list of {none,rus,nearmiss,smote};
-                ratio, nearmiss_version, k_neighbors
+                ratio (finite, > 0), nearmiss_version (1, 2 or 3),
+                k_neighbors (>= 0; 0 picks the method's default)
     [sweep]     ratios = comma list of majority:minority ratios
     [train]     lr (finite, > 0), epochs_max, batch_size, patience (each >= 1)
 
@@ -25,7 +26,7 @@ import io
 import math
 
 from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig
-from fraudkit.resample import SamplerConfig
+from fraudkit.resample import SAMPLER_METHODS, SamplerConfig
 from fraudkit.synth import SyntheticSpec
 
 
@@ -127,14 +128,23 @@ def plan_from_parser(cp):
 
     if cp.has_section("samplers"):
         sec = cp["samplers"]
+        methods = _csv_list(sec.get("methods", "none"))
+        ratio = sec.getfloat("ratio", 1.0)
+        version = sec.getint("nearmiss_version", 1)
+        k = sec.getint("k_neighbors", 0)
+        for method in methods:
+            if method not in SAMPLER_METHODS:
+                raise ConfigError(f"[samplers] methods: unknown method {method!r}, "
+                                  f"expected one of {', '.join(SAMPLER_METHODS)}")
+        if not 0.0 < ratio < math.inf:
+            raise ConfigError(f"[samplers] ratio must be finite and > 0, got {ratio!r}")
+        if version not in (1, 2, 3):
+            raise ConfigError(f"[samplers] nearmiss_version must be 1, 2 or 3, got {version}")
+        if k < 0:
+            raise ConfigError(f"[samplers] k_neighbors must be >= 0, got {k}")
         plan.samplers = [
-            SamplerConfig(
-                method=method,
-                nearmiss_version=sec.getint("nearmiss_version", 1),
-                k_neighbors=sec.getint("k_neighbors", 0),
-                ratio=sec.getfloat("ratio", 1.0),
-            )
-            for method in _csv_list(sec.get("methods", "none"))
+            SamplerConfig(method=method, nearmiss_version=version, k_neighbors=k, ratio=ratio)
+            for method in methods
         ]
 
     if cp.has_section("sweep"):

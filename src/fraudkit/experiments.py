@@ -133,6 +133,7 @@ class Prepared:
     y_test: np.ndarray
     scaler: StandardScaler
     features: list  # feature column names, in matrix order
+    categories: dict  # categorical feature name -> categories in code order
 
 
 def load_dataset(plan):
@@ -163,6 +164,7 @@ def prepare(plan, ds=None):
         y_test=y[idx.test],
         scaler=scaler,
         features=ds.feature_names,
+        categories={c.name: c.categories for c in ds.schema if c.kind == "categorical"},
     )
 
 
@@ -260,7 +262,8 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
         )
     if model_path is not None:
         Path(model_path).parent.mkdir(parents=True, exist_ok=True)
-        save_bundle(model_path, model, prepared.scaler, plan.threshold, prepared.features)
+        save_bundle(model_path, model, prepared.scaler, plan.threshold, prepared.features,
+                    prepared.categories)
     history = model.history_.to_dict() if getattr(model, "history_", None) else None
     return cells, history
 

@@ -167,7 +167,9 @@ def load_csv(path, schema):
 
     Header must contain exactly the schema's column names (any order).
     Columns with kind=drop are removed; missing values are handled per
-    column policy; categorical columns are ordinally encoded. Numeric
+    column policy; categorical columns are ordinally encoded, by first
+    appearance or, where the schema stores categories, by that mapping
+    (an unseen value is then an error). Numeric
     and label cells are read with float(), so padding whitespace, `1_0`
     and `inf` parse as they do in Python; a non-finite numeric cell or a
     label other than 0 or 1 is an error. Blank lines are skipped.
@@ -257,7 +259,15 @@ def load_csv(path, schema):
         col_schema = by_name[name]
         cells = columns[name]
         if col_schema.kind == "categorical":
-            codes, categories = encode_categoricals(cells)
+            try:
+                codes, categories = encode_categoricals(cells, col_schema.categories)
+            except ParseError:
+                known = set(col_schema.categories)
+                i = next(i for i, cell in enumerate(cells) if cell not in known)
+                raise ParseError(
+                    f"{path}: line {lines[i]}: category {cells[i]!r} in column {name!r} "
+                    "is not in its stored mapping"
+                ) from None
             out_schema.append(
                 ColumnSchema(name, "categorical", col_schema.missing_policy, categories)
             )

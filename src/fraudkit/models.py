@@ -3,7 +3,8 @@
 Builders assemble the three deep architectures (2DCNN, 1DCNN, LSTM);
 classifier wrappers expose fit/predict_proba/predict for every model
 kind, deep or classical. A bundle is the one saved form of a fitted
-pipeline: feature order, scaler statistics, model and threshold.
+pipeline: feature order, categorical mappings, scaler statistics, model
+and threshold.
 """
 
 import json
@@ -229,11 +230,16 @@ def model_from_dict(payload):
     raise ValueError(f"unknown serialized model kind {kind!r}")
 
 
-def save_bundle(path, model, scaler, threshold, features):
-    """Write a fitted pipeline as one JSON bundle."""
+def save_bundle(path, model, scaler, threshold, features, categories):
+    """Write a fitted pipeline as one JSON bundle.
+
+    categories maps each categorical feature to its categories in code
+    order, so scoring can re-apply the training encoding.
+    """
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "features": list(features),
+        "categories": categories,
         "model": model_to_dict(model),
         "scaler": {"mean": scaler.mean_.tolist(), "std": scaler.std_.tolist()},
         "threshold": threshold,
@@ -242,10 +248,11 @@ def save_bundle(path, model, scaler, threshold, features):
 
 
 def load_bundle(path):
-    """Read a bundle -> (model, scaler, threshold, features).
+    """Read a bundle -> (model, scaler, threshold, features, categories).
 
     A file that is not JSON, lacks a key or has another format_version
-    raises FraudkitError naming the file.
+    raises FraudkitError naming the file. A bundle written before
+    categories were stored loads with none.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -256,7 +263,9 @@ def load_bundle(path):
         scaler = StandardScaler()
         scaler.mean_ = np.asarray(payload["scaler"]["mean"], dtype=np.float64)
         scaler.std_ = np.asarray(payload["scaler"]["std"], dtype=np.float64)
-        return model_from_dict(payload["model"]), scaler, payload["threshold"], payload["features"]
+        categories = {name: tuple(v) for name, v in payload.get("categories", {}).items()}
+        return (model_from_dict(payload["model"]), scaler, payload["threshold"],
+                payload["features"], categories)
     except KeyError as exc:
         raise FraudkitError(f"{path}: not a model bundle: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

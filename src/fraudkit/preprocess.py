@@ -100,45 +100,23 @@ class SplitIndices:
     seed: int
 
 
-def split(n_rows, test_frac=0.035, val_frac=0.2, seed=0, labels=None, stratify=False):
+def split(n_rows, test_frac=0.035, val_frac=0.2, seed=0):
     """Random test/train/validation partition of range(n_rows).
 
     Test takes floor(test_frac * n) rows; of the remainder, validation
     takes floor(val_frac * m) and training the rest. Deterministic per
-    seed. With stratify, class proportions are preserved per partition
-    (labels required).
+    seed.
     """
     if not (0 < test_frac < 1 and 0 < val_frac < 1):
         raise ValueError("fractions must lie in (0, 1)")
     if n_rows < 3:
         raise ValueError("need at least 3 rows to split")
-    rng = generator(seed)
-
-    def _sizes(n):
-        n_test = math.floor(test_frac * n)
-        n_val = math.floor(val_frac * (n - n_test))
-        return n_test, n_val, n - n_test - n_val
-
-    if stratify:
-        if labels is None:
-            raise ValueError("stratified split requires labels")
-        labels = np.asarray(labels)
-        test, val, train = [], [], []
-        for cls in (0, 1):
-            idx = np.flatnonzero(labels == cls)
-            perm = idx[rng.permutation(idx.size)]
-            n_test, n_val, _ = _sizes(idx.size)
-            test.append(perm[:n_test])
-            val.append(perm[n_test : n_test + n_val])
-            train.append(perm[n_test + n_val :])
-        test, val, train = (np.sort(np.concatenate(p)) for p in (test, val, train))
-    else:
-        perm = rng.permutation(n_rows)
-        n_test, n_val, _ = _sizes(n_rows)
-        test = np.sort(perm[:n_test])
-        val = np.sort(perm[n_test : n_test + n_val])
-        train = np.sort(perm[n_test + n_val :])
-
+    perm = generator(seed).permutation(n_rows)
+    n_test = math.floor(test_frac * n_rows)
+    n_val = math.floor(val_frac * (n_rows - n_test))
+    test = np.sort(perm[:n_test])
+    val = np.sort(perm[n_test : n_test + n_val])
+    train = np.sort(perm[n_test + n_val :])
     if min(test.size, val.size, train.size) == 0:
         raise ValueError(
             f"too few rows ({n_rows}) for each partition to get at least one element"

@@ -4,6 +4,16 @@ Under-samplers take ratio = desired majority/minority count (>= 1);
 SMOTE takes ratio = desired minority/majority count (in (0, 1]).
 Neighbor searches are exact Euclidean with ties broken by lower row
 index. All samplers are deterministic per seed.
+
+NearMiss and SMOTE share one blocked k-nearest kernel. Distances are
+computed for BLOCK_ROWS rows at a time against every minority row, so
+memory is O(BLOCK_ROWS * n_pos) rather than a full n_neg x n_pos matrix.
+Each block gives per-row scores (the mean of a row's k smallest or
+largest distances, picked with np.partition and added in ascending
+order, as after a full sort) and is merged into a running k nearest rows
+per minority column. With one BLAS thread the blocks hold the full
+matrix's distances bit for bit, so every selection is the one the full
+matrix gives.
 """
 
 import math
@@ -34,10 +44,67 @@ def pairwise_distances(a, b):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _k_nearest(dist_row, k):
-    """Indices of the k smallest entries, ties by lower index."""
-    order = np.argsort(dist_row, kind="stable")
-    return order[:k]
+# Rows per distance block. A multiple of 3 * 2**10, so every block but
+# the last covers whole tiles of OpenBLAS's GEMM kernels: with one BLAS
+# thread each block's distances are then bit-identical to the same rows
+# of the full matrix. Blocks of 4,096 rows, not a multiple of 3, change
+# the last bits of some distances (seen at 50,001 x 301 and 219,495 x 377).
+BLOCK_ROWS = 3072
+
+
+def _distance_blocks(A, B):
+    """Yield (start, distances from A[start:stop] to every row of B) over
+    consecutive row blocks of A.
+
+    A single trailing row joins the block before it: a one-row product
+    takes another BLAS path and would round differently.
+    """
+    starts = list(range(0, len(A), BLOCK_ROWS))
+    if len(starts) > 1 and len(A) - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [len(A)]):
+        yield start, pairwise_distances(A[start:stop], B)
+
+
+def _row_kmean(dist, k, largest=False):
+    """Mean of each row's k smallest (or largest) entries.
+
+    np.partition selects them and np.sort orders only those k, so the
+    mean adds the same values in the same order as a full sort's
+    np.sort(dist, axis=1)[:, :k].mean(axis=1).
+    """
+    kth = dist.shape[1] - k if largest else k - 1
+    part = np.partition(dist, kth, axis=1)
+    return np.sort(part[:, kth:] if largest else part[:, :k], axis=1).mean(axis=1)
+
+
+# The running k nearest before any block: (column, distance, row).
+_NO_NEAREST = (np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp))
+
+
+def _merge_nearest(nearest, start, dist, k):
+    """Merge a distance block into the running k nearest rows per column.
+
+    nearest holds (column, distance, row) arrays sorted by column, then
+    distance, then row: each column's k nearest rows so far, ties to the
+    lower row. dist holds rows start, start+1, ... of the row set. Every
+    block row at or below a column's kth smallest block distance enters
+    the sort, so no tied row is lost.
+    """
+    j = min(k, len(dist)) - 1
+    row, col = np.nonzero(dist <= np.partition(dist, j, axis=0)[j])
+    merged = [np.concatenate(pair) for pair in zip(nearest, (col, dist[row, col], row + start))]
+    order = np.lexsort(merged[::-1])
+    col, dist, row = (a[order] for a in merged)
+    keep = np.arange(col.size) - np.searchsorted(col, col) < k  # rank within its column
+    return col[keep], dist[keep], row[keep]
+
+
+def _check_params(ratio, k=1):
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and > 0, got {ratio!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 class RandomUnderSampler(BaseEstimator):
@@ -49,6 +116,7 @@ class RandomUnderSampler(BaseEstimator):
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)
+        _check_params(self.ratio)
         pos = np.flatnonzero(y == 1)
         neg = np.flatnonzero(y == 0)
         if pos.size < 1:
@@ -82,6 +150,7 @@ class NearMiss(BaseEstimator):
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)
+        _check_params(self.ratio, self.k)
         if self.version not in (1, 2, 3):
             raise ValueError(f"unknown NearMiss version {self.version}")
         pos = np.flatnonzero(y == 1)
@@ -92,26 +161,24 @@ class NearMiss(BaseEstimator):
         if target > neg.size:
             raise ValueError(f"target {target} exceeds majority count {neg.size}")
 
-        dist = pairwise_distances(X[neg], X[pos])  # [n_neg, n_pos]
+        score = np.empty(neg.size)
+        nearest = _NO_NEAREST
+        for start, dist in _distance_blocks(X[neg], X[pos]):
+            score[start : start + len(dist)] = _row_kmean(dist, self.k, largest=self.version == 2)
+            if self.version == 3:
+                nearest = _merge_nearest(nearest, start, dist, self.k)
         if self.version in (1, 2):
-            part = np.sort(dist, axis=1)
-            if self.version == 1:
-                score = part[:, : self.k].mean(axis=1)
-            else:
-                score = part[:, -self.k :].mean(axis=1)
             order = np.argsort(score, kind="stable")  # ties -> lower row index
             kept_neg = neg[order[:target]]
         else:
-            candidate_mask = np.zeros(neg.size, dtype=bool)
-            for j in range(pos.size):
-                candidate_mask[_k_nearest(dist[:, j], self.k)] = True
-            candidates = np.flatnonzero(candidate_mask)
+            # Shortlist: each minority row's k nearest majority rows; the
+            # shortlisted rows' score is the mean of their k nearest distances.
+            candidates = np.unique(nearest[2])
             if target > candidates.size:
                 raise ValueError(
                     f"NearMiss v3 shortlist has {candidates.size} rows, target {target}"
                 )
-            score = np.sort(dist[candidates], axis=1)[:, : self.k].mean(axis=1)
-            order = np.argsort(-score, kind="stable")
+            order = np.argsort(-score[candidates], kind="stable")
             kept_neg = neg[candidates[order[:target]]]
 
         idx = np.sort(np.concatenate([pos, kept_neg]))
@@ -145,6 +212,7 @@ class Smote(BaseEstimator):
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)
+        _check_params(self.ratio, self.k)
         pos = np.flatnonzero(y == 1)
         neg = np.flatnonzero(y == 0)
         if pos.size < 2:
@@ -159,9 +227,15 @@ class Smote(BaseEstimator):
             )
 
         Xp = X[pos]
-        dist = pairwise_distances(Xp, Xp)
-        np.fill_diagonal(dist, np.inf)
-        neighbors = np.stack([_k_nearest(dist[i], self.k) for i in range(pos.size)])
+        # Distances are symmetric (bit for bit while the minority fits one
+        # block: numpy then computes Xp @ Xp.T with syrk), so the k nearest
+        # rows of column i are row i's k nearest neighbors, in order.
+        nearest = _NO_NEAREST
+        for start, dist in _distance_blocks(Xp, Xp):
+            rows = np.arange(len(dist))
+            dist[rows, start + rows] = np.inf  # a row is not its own neighbor
+            nearest = _merge_nearest(nearest, start, dist, self.k)
+        neighbors = nearest[2].reshape(pos.size, self.k)
 
         rng = generator(self.seed)
         parents = rng.integers(0, pos.size, size=n_syn)
@@ -187,9 +261,12 @@ class Smote(BaseEstimator):
                 fh.write(f"{p.parent},{p.neighbor},{p.lam!r}\n")
 
 
+SAMPLER_METHODS = ("none", "rus", "nearmiss", "smote")
+
+
 @dataclass
 class SamplerConfig:
-    method: str = "none"  # none | rus | nearmiss | smote
+    method: str = "none"  # one of SAMPLER_METHODS
     nearmiss_version: int = 1
     k_neighbors: int = 0  # 0 -> method default (3 for NearMiss, 5 for SMOTE)
     ratio: float = 1.0

@@ -1,4 +1,13 @@
-"""CART decision tree and bagged-tree forest baselines."""
+"""CART decision tree and bagged-tree forest baselines.
+
+Split search is exact and presorted (SLIQ, Mehta, Agrawal & Rissanen
+1996): a fit argsorts each feature once, and each split partitions
+those index lists, keeping their order, instead of re-sorting every
+feature at every node. The search reads class counts only where the
+sorted value changes, so the order of rows with equal values never
+matters, and the trees, ties included, are the ones a per-node sort
+gives.
+"""
 
 import math
 from dataclasses import dataclass
@@ -49,16 +58,21 @@ def _gini_part(pos, n):
     return n - (pos * pos + neg * neg) / n
 
 
-def _best_split(X, y, features, min_leaf):
+def _best_split(X, y, sorted_idx, features, min_leaf):
     """Best (feature, threshold) by Gini over midpoints of sorted distinct
-    values; ties broken by lower feature index, then lower threshold."""
-    n = len(y)
-    total_pos = int(y.sum())
+    values; ties broken by lower feature index, then lower threshold.
+
+    sorted_idx[j] lists the node's rows in ascending order of feature j;
+    rows with equal values may come in any order, because class counts
+    are only read where the value changes.
+    """
+    n = sorted_idx.shape[1]
+    total_pos = int(y[sorted_idx[0]].sum())
     parent = _gini_part(total_pos, n)
     best = (None, None, parent)
     sizes_l = np.arange(1, n, dtype=np.float64)
     for j in features:
-        order = np.argsort(X[:, j], kind="stable")
+        order = sorted_idx[j]
         xs = X[order, j]
         pos_l = np.cumsum(y[order])[:-1].astype(np.float64)
         valid = (xs[:-1] != xs[1:]) & (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
@@ -68,32 +82,63 @@ def _best_split(X, y, features, min_leaf):
         score[~valid] = np.inf
         i = int(np.argmin(score))  # argmin keeps the lowest threshold on ties
         if score[i] < best[2]:
-            best = (j, (xs[i] + xs[i + 1]) / 2.0, score[i])
+            best = (j, _midpoint(xs[i], xs[i + 1]), score[i])
     return best[0], best[1]
 
 
-def _grow(X, y, depth, max_depth, min_leaf, max_features, rng):
-    node = TreeNode(prob=float(y.mean()))
-    if (
-        len(y) < 2 * min_leaf
-        or (max_depth is not None and depth >= max_depth)
-        or node.prob in (0.0, 1.0)
-    ):
-        return node
+def _midpoint(a, b):
+    """Threshold between sorted neighbours a < b: their midpoint, or a where
+    the midpoint rounds up to b (0.3 and 0.1 + 0.2) or overflows. A split
+    then always sends a left and b right."""
+    a, b = float(a), float(b)  # Python floats overflow to inf without a warning
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
+def _grow(X, y, max_depth, min_leaf, max_features, rng):
+    """Grow a tree depth-first, left child first, from presorted index lists.
+
+    Each feature is argsorted once; a split partitions every list with one
+    gather, keeping each list's order, so every node's lists are sorted by
+    their feature. A node's lists are dropped when the next node is taken,
+    and the pending nodes hold disjoint rows, so index memory stays
+    O(features * rows) at any depth. Nodes are grown in the order recursion
+    would grow them, so the forest's feature draws come in the same order.
+    """
     n_features = X.shape[1]
-    if max_features is None or max_features >= n_features:
-        features = range(n_features)
-    else:
-        features = np.sort(rng.choice(n_features, size=max_features, replace=False))
-    feature, threshold = _best_split(X, y, features, min_leaf)
-    if feature is None:
-        return node
-    mask = X[:, feature] <= threshold
-    node.feature = int(feature)
-    node.threshold = float(threshold)
-    node.left = _grow(X[mask], y[mask], depth + 1, max_depth, min_leaf, max_features, rng)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, max_depth, min_leaf, max_features, rng)
-    return node
+    if n_features == 0:
+        return TreeNode(prob=float(y.mean()))
+    goes_left = np.zeros(len(y), dtype=bool)
+    root = TreeNode()
+    pending = [(root, np.argsort(X, axis=0).T, 0)]
+    while pending:
+        node, sorted_idx, depth = pending.pop()
+        rows = sorted_idx[0]
+        node.prob = float(y[rows].mean())
+        if (
+            len(rows) < 2 * min_leaf
+            or (max_depth is not None and depth >= max_depth)
+            or node.prob in (0.0, 1.0)
+        ):
+            continue
+        if max_features is None or max_features >= n_features:
+            features = range(n_features)
+        else:
+            features = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        feature, threshold = _best_split(X, y, sorted_idx, features, min_leaf)
+        if feature is None:
+            continue
+        node.feature = int(feature)
+        node.threshold = float(threshold)
+        node.left, node.right = TreeNode(), TreeNode()
+        goes_left[rows] = X[rows, feature] <= threshold
+        left = goes_left[sorted_idx]
+        n_left = int(left[0].sum())
+        right_idx = sorted_idx[~left].reshape(n_features, len(rows) - n_left)
+        left_idx = sorted_idx[left].reshape(n_features, n_left)
+        pending.append((node.right, right_idx, depth + 1))
+        pending.append((node.left, left_idx, depth + 1))
+    return root
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -111,7 +156,7 @@ class DecisionTreeClassifier(BaseEstimator):
         if len(y) < self.min_leaf:
             raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
         rng = generator(self.seed)
-        self.root_ = _grow(X, y, 0, self.max_depth, self.min_leaf, self.max_features, rng)
+        self.root_ = _grow(X, y, self.max_depth, self.min_leaf, self.max_features, rng)
         return self
 
     def predict_proba(self, X):

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fraudkit
 from fraudkit.cli import run_cli
 from fraudkit.experiments import METRIC_NAMES
 from fraudkit.metrics import format_metric
@@ -48,6 +54,14 @@ class TestBasics:
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert capsys.readouterr().out.startswith("fraudkit ")
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(fraudkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-m", "fraudkit", "--version"],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"fraudkit {fraudkit.__version__}")
 
     def test_missing_data_file(self):
         assert run_cli(["profile", "/nonexistent.csv"]) == 1
@@ -155,6 +169,23 @@ class TestPlanCommands:
     def test_bad_train_value_exits_one(self, plan_file, tmp_path, capsys, override, key):
         assert run_cli(["run", str(plan_file), "--set", override]) == 1
         assert f"[train] {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cells.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override,named",
+        [
+            ("samplers.k_neighbors=-1", "[samplers] k_neighbors must be >= 0"),
+            ("samplers.ratio=-2", "[samplers] ratio must be finite and > 0"),
+            ("samplers.ratio=inf", "[samplers] ratio must be finite and > 0"),
+            ("samplers.nearmiss_version=7", "[samplers] nearmiss_version must be 1, 2 or 3"),
+            ("samplers.methods=nearmis", "[samplers] methods: unknown method 'nearmis'"),
+        ],
+    )
+    def test_bad_sampler_value_exits_one(self, plan_file, tmp_path, capsys, override, named):
+        argv = ["run", str(plan_file), "--set", "models.kinds=dtree",
+                "--set", "samplers.methods=nearmiss", "--set", override]
+        assert run_cli(argv) == 1
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "cells.csv").exists()
 
     @pytest.mark.parametrize(
@@ -276,3 +307,70 @@ class TestTrainEvaluate:
         assert code == 1
         assert "['f0', 'f1', 'f2', 'f4', 'f5']" in captured.err
         assert "['f0', 'f1', 'f2', 'f3', 'f4', 'f5']" in captured.err
+
+
+class TestCategoricalBundle:
+    """A bundle stores each categorical column's mapping; evaluate re-applies it."""
+
+    def _write(self, path, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["amount", "country", "Class"])
+            writer.writerows(rows)
+
+    def _train(self, tmp_path, capsys):
+        # Fraud depends on the country alone, so the tree splits on its codes.
+        rng = np.random.default_rng(3)
+        countries = ["AU", "US", "FR", "DE"]
+        rows = []
+        for i in range(400):
+            country = countries[int(rng.integers(0, 4))]
+            fraud = int(country in ("FR", "DE") and rng.random() < 0.9)
+            rows.append([repr(float(rng.normal())), country, fraud])
+        data = tmp_path / "data.csv"
+        self._write(data, rows)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(
+            f"[plan]\nseed = 3\noutput_dir = {tmp_path / 'out'}\n\n"
+            f"[dataset]\ntype = csv\npath = {data}\nlabel = Class\ncategorical = country\n\n"
+            "[models]\nkinds = dtree\nmax_depth = 4\n"
+        )
+        assert run_cli(["train", str(plan)]) == 0
+        capsys.readouterr()
+        return tmp_path / "out" / "trained.model", data, rows
+
+    def _evaluate(self, capsys, bundle, data):
+        code = run_cli(["evaluate", str(bundle), str(data), "--categorical", "country"])
+        captured = capsys.readouterr()
+        return code, captured
+
+    def test_scoring_order_does_not_change_codes(self, tmp_path, capsys):
+        bundle, data, rows = self._train(tmp_path, capsys)
+        assert json.loads(bundle.read_text())["categories"] == {"country": ["DE", "AU", "US", "FR"]}
+        resorted = tmp_path / "resorted.csv"
+        self._write(resorted, sorted(rows, key=lambda r: r[1] != "FR"))
+        code, original = self._evaluate(capsys, bundle, data)
+        assert code == 0
+        code, reordered = self._evaluate(capsys, bundle, resorted)
+        assert code == 0
+        assert json.loads(reordered.out) == json.loads(original.out)
+        assert json.loads(original.out)["accuracy"] > 0.9
+
+    def test_unseen_category_exits_one(self, tmp_path, capsys):
+        bundle, data, rows = self._train(tmp_path, capsys)
+        unseen = tmp_path / "unseen.csv"
+        self._write(unseen, rows[:5] + [["1.0", "NZ", 0]] + rows[5:])
+        code, captured = self._evaluate(capsys, bundle, unseen)
+        assert code == 1
+        assert "line 7: category 'NZ' in column 'country'" in captured.err
+
+    def test_bundle_without_categories_still_loads(self, plan_file, tmp_path, capsys):
+        assert run_cli(["train", str(plan_file), "--set", "models.kinds=dtree"]) == 0
+        bundle = tmp_path / "out" / "trained.model"
+        payload = json.loads(bundle.read_text())
+        assert payload.pop("categories") == {}
+        bundle.write_text(json.dumps(payload))
+        data = tmp_path / "eval.csv"
+        assert run_cli(["gen-synth", str(data), "--n-rows", "50", "--n-features", "6",
+                        "--seed", "7", "--separation", "4.0", "--fraud-fraction", "0.2"]) == 0
+        assert run_cli(["evaluate", str(bundle), str(data), "--label", "is_fraud"]) == 0

@@ -1,11 +1,14 @@
-"""Golden plan: `fraudkit run` must reproduce the committed outputs byte for byte.
+"""Golden plans: `fraudkit run` must reproduce the committed outputs byte for byte.
 
 tests/golden/nets.cfg trains every network builder and a CART baseline
 with and without random under-sampling; cells.csv and resolved.cfg next
-to it are its committed outputs. A change that moves any metric of any
-cell, or the resolved plan echo, fails here and has to re-baseline the
-files openly. Every saved model must be a bundle that reproduces its
-cell's test row of the committed cells.csv.
+to it are its committed outputs. tests/golden/samplers.cfg trains CART
+and a 3-tree forest on NearMiss v1-v3, SMOTE and random under-sampling;
+samplers/nearmissN/ holds the outputs of its run with each NearMiss
+version. A change that moves any metric of any cell, or the resolved
+plan echo, fails here and has to re-baseline the files openly. Every
+saved model must be a bundle that reproduces its cell's test row of the
+committed cells.csv.
 """
 
 import csv
@@ -13,6 +16,7 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fraudkit.cli import OUTPUT_DIR_ENV, run_cli
 from fraudkit.config import load_plan
@@ -39,10 +43,23 @@ def test_golden_nets_plan(tmp_path, monkeypatch):
     models = tmp_path / "out" / "models"
     assert sorted(p.name for p in models.glob("*.model")) == sorted(names)
     for name, row in zip(names, rows):
-        model, scaler, threshold, features = load_bundle(models / name)
+        model, scaler, threshold, features, categories = load_bundle(models / name)
+        assert categories == {}, name
         assert features == prep.features, name
         assert np.array_equal(scaler.mean_, prep.scaler.mean_), name
         assert np.array_equal(scaler.std_, prep.scaler.std_), name
         report = evaluate_predictions(prep.y_test, classify(model, prep.X_test, threshold))
         got = {m: format_metric(getattr(report, m)) for m in METRIC_NAMES}
         assert got == {m: row[m] for m in METRIC_NAMES}, name
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_golden_samplers_plan(tmp_path, monkeypatch, version):
+    shutil.copy(GOLDEN / "samplers.cfg", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    out = f"samplers/nearmiss{version}"
+    overrides = ["--set", f"samplers.nearmiss_version={version}", "--output-dir", out]
+    assert run_cli(["run", "samplers.cfg", *overrides]) == 0
+    for name in ("cells.csv", "resolved.cfg"):
+        assert (tmp_path / out / name).read_bytes() == (GOLDEN / out / name).read_bytes(), name

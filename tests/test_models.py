@@ -178,6 +178,21 @@ class TestDecisionTree:
             DecisionTreeClassifier().predict_proba(np.zeros((1, 1)))
 
 
+    @pytest.mark.parametrize(
+        "values",
+        [[0.3, 0.1 + 0.2], [1e308, 1.5e308], [-1.5e308, -1e308]],
+        ids=["midpoint-rounds-up", "sum-overflows", "sum-overflows-negative"],
+    )
+    def test_threshold_separates_neighbouring_values(self, values):
+        # The midpoint of these neighbours rounds to the upper value or
+        # overflows; the threshold must still send the lower value left.
+        X = np.array(values).reshape(-1, 1)
+        y = np.array([0, 1])
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.root_.threshold == values[0]
+        assert tree.predict(X).tolist() == [0, 1]
+
+
 class TestForest:
     def test_reduces_to_single_tree(self, blobs):
         X, y = blobs.features, blobs.labels

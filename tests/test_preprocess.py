@@ -131,10 +131,3 @@ class TestSplit:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             split(10)  # floor(0.035 * 10) = 0 test rows
-
-    def test_stratified_preserves_counts(self):
-        labels = np.array([1] * 100 + [0] * 900)
-        idx = split(1000, test_frac=0.1, val_frac=0.2, seed=2, labels=labels, stratify=True)
-        assert int(labels[idx.test].sum()) == 10
-        merged = np.concatenate([idx.test, idx.train, idx.validation])
-        assert np.array_equal(np.sort(merged), np.arange(1000))

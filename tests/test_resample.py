@@ -26,6 +26,54 @@ def nearmiss_v1_oracle(X, y, k, target):
     return sorted(i for _, i in scored[:target])
 
 
+def nearmiss_v2_oracle(X, y, k, target):
+    """Exhaustive mean-of-k-farthest-minority ranking; ties by lower index."""
+    pos = [i for i in range(len(y)) if y[i] == 1]
+    neg = [i for i in range(len(y)) if y[i] == 0]
+    scored = []
+    for i in neg:
+        dists = sorted(math.dist(X[i], X[j]) for j in pos)
+        scored.append((sum(dists[-k:]) / k, i))
+    scored.sort()
+    return sorted(i for _, i in scored[:target])
+
+
+def nearmiss_v3_oracle(X, y, k, target):
+    """Exhaustive v3: shortlist every minority row's k nearest majority rows
+    (ties by lower index), then keep the shortlisted rows with the largest
+    mean distance to their k nearest minority rows (ties by lower index).
+    None when the shortlist is shorter than target."""
+    pos = [i for i in range(len(y)) if y[i] == 1]
+    neg = [i for i in range(len(y)) if y[i] == 0]
+    shortlist = set()
+    for j in pos:
+        shortlist.update(i for _, i in sorted((math.dist(X[i], X[j]), i) for i in neg)[:k])
+    if len(shortlist) < target:
+        return None
+    scored = []
+    for i in shortlist:
+        dists = sorted(math.dist(X[i], X[j]) for j in pos)
+        scored.append((-sum(dists[:k]) / k, i))
+    scored.sort()
+    return sorted(i for _, i in scored[:target])
+
+
+def _oracle_cases(seed):
+    """Small sets, a third on an integer grid that forces distance ties."""
+    for case in range(100):
+        rng = np.random.default_rng(seed + case)
+        n_pos = int(rng.integers(3, 7))
+        n_neg = int(rng.integers(3, 13))
+        if case % 3 == 0:
+            X = rng.integers(0, 3, size=(n_pos + n_neg, 2)).astype(float)
+        else:
+            X = rng.normal(size=(n_pos + n_neg, 2))
+        y = np.array([1] * n_pos + [0] * n_neg)
+        target = int(rng.integers(1, n_neg + 1))
+        if round_half_away(target / n_pos * n_pos) == target:
+            yield case, X, y, target, target / n_pos
+
+
 class TestRoundHalfAway:
     def test_half_up(self):
         assert round_half_away(2.5) == 3
@@ -110,6 +158,22 @@ class TestNearMiss:
             kept = sorted(Xr[i].tobytes() for i in range(len(yr)) if yr[i] == 0)
             expected = nearmiss_v1_oracle(X, y, k=3, target=target)
             assert kept == sorted(X[i].tobytes() for i in expected), f"case {case}"
+
+    @pytest.mark.parametrize("version,oracle", [(2, nearmiss_v2_oracle), (3, nearmiss_v3_oracle)])
+    def test_v2_v3_oracle_sweep_with_ties(self, version, oracle):
+        checked = 0
+        for case, X, y, target, ratio in _oracle_cases(2000 * version):
+            expected = oracle(X, y, k=3, target=target)
+            sampler = NearMiss(version=version, k=3, ratio=ratio)
+            if expected is None:
+                with pytest.raises(ValueError, match="shortlist"):
+                    sampler.fit_resample(X, y)
+                continue
+            Xr, yr = sampler.fit_resample(X, y)
+            kept = sorted(Xr[i].tobytes() for i in range(len(yr)) if yr[i] == 0)
+            assert kept == sorted(X[i].tobytes() for i in expected), f"case {case}"
+            checked += 1
+        assert checked >= 50
 
     def test_full_target_is_noop(self):
         rng = np.random.default_rng(6)
@@ -217,6 +281,31 @@ class TestSmote:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "parent,neighbor,lambda"
         assert len(lines) == 1 + len(sampler.provenance_)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda **kw: RandomUnderSampler(**kw),
+        lambda **kw: NearMiss(version=1, **kw),
+        lambda **kw: Smote(**kw),
+    ],
+    ids=["rus", "nearmiss", "smote"],
+)
+@pytest.mark.parametrize("ratio", [0.0, -2.0, math.inf, math.nan])
+def test_ratio_must_be_finite_and_positive(make, ratio):
+    rng = np.random.default_rng(15)
+    X, y = random_imbalanced(rng, n_pos=10, n_neg=40, n_features=2)
+    with pytest.raises(ValueError, match="ratio must be finite and > 0"):
+        make(ratio=ratio).fit_resample(X, y)
+
+
+@pytest.mark.parametrize("sampler", [NearMiss(version=1, k=0), Smote(k=0), NearMiss(version=3, k=-1)])
+def test_k_must_be_positive(sampler):
+    rng = np.random.default_rng(16)
+    X, y = random_imbalanced(rng, n_pos=10, n_neg=40, n_features=2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sampler.fit_resample(X, y)
 
 
 class TestSamplerConfig:
