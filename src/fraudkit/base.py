@@ -46,7 +46,7 @@ def check_X_y(X, y):
 
 
 class BaseEstimator:
-    """get_params/set_params support in the scikit-learn style.
+    """get_params and repr in the scikit-learn style.
 
     Parameters are discovered from the subclass __init__ signature, so
     estimators must store each constructor argument under its own name.
@@ -63,14 +63,6 @@ class BaseEstimator:
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

@@ -16,14 +16,7 @@ from pathlib import Path
 import fraudkit
 from fraudkit.base import FraudkitError
 from fraudkit.config import ConfigError, load_plan, load_schema_config, plan_to_config_text
-from fraudkit.experiments import (
-    compare_sampling,
-    emit_report,
-    prepare,
-    run_cell,
-    run_experiment,
-    sweep_imbalance,
-)
+from fraudkit.experiments import emit_report, imbalance_points, prepare, run_cell, run_experiment
 from fraudkit.ingest import SchemaError, infer_schema, load_csv, profile, write_csv
 from fraudkit.metrics import evaluate_predictions
 from fraudkit.models import classify, load_bundle
@@ -161,9 +154,13 @@ def cmd_evaluate(args):
     return 0
 
 
-def _run_plan_command(args, runner, chart_name):
+def _run_plan_command(args, chart_name, points=None):
+    """Run the grid points that points(plan, prepared) lists (every model x
+    sampler when None) and write the reports; every ok cell saves its
+    bundle in models/."""
     plan, out = _resolve_plan(args)
-    record = runner(plan)
+    prepared = prepare(plan)
+    record = run_experiment(plan, prepared, points(plan, prepared) if points else None)
     emit_report(record, out, chart_name=chart_name)
     n_ok = sum(1 for c in record.cells if c.status == "ok")
     n_skip = len(record.cells) - n_ok
@@ -172,15 +169,18 @@ def _run_plan_command(args, runner, chart_name):
 
 
 def cmd_sweep_imbalance(args):
-    return _run_plan_command(args, sweep_imbalance, "imbalance_sweep")
+    return _run_plan_command(args, "imbalance_sweep", imbalance_points)
 
 
 def cmd_compare_sampling(args):
-    return _run_plan_command(args, compare_sampling, "sampling_comparison")
+    """The plan's first model against every sampler config."""
+    return _run_plan_command(
+        args, "sampling_comparison", lambda plan, _: [(plan.models[0], s, None) for s in plan.samplers]
+    )
 
 
 def cmd_run(args):
-    return _run_plan_command(args, run_experiment, "experiment")
+    return _run_plan_command(args, "experiment")
 
 
 def build_parser():

@@ -1,31 +1,23 @@
 """Plan and schema config files: flat key/value text with section headers.
 
-Grammar (INI, parsed with configparser):
-
-    [plan]      name, seed, output_dir, test_frac, val_frac, threshold, jobs
-    [dataset]   type = synthetic | csv
-                synthetic: n_rows, n_features, fraud_fraction, separation,
-                           seed (defaults to [plan] seed)
-                csv: path, label, categorical (comma list), drop (comma list)
-    [models]    kinds = comma list of {cnn2d,cnn1d,lstm,logreg,dtree,forest};
-                optional hidden, inner_act, n_trees, max_depth, min_leaf
-    [samplers]  methods = comma list of {none,rus,nearmiss,smote};
-                ratio (finite, > 0), nearmiss_version (1, 2 or 3),
-                k_neighbors (>= 0; 0 picks the method's default)
-    [sweep]     ratios = comma list of majority:minority ratios
-    [train]     lr (finite, > 0), epochs_max, batch_size, patience (each >= 1)
-
-These are the only sections and keys: any other is a ConfigError naming
-it. Command-line --set section.key=value overrides win over file values.
-Every run echoes its fully resolved config; rerunning from the echo
-reproduces outputs byte-identically.
+A plan is an INI file (parsed with configparser) whose sections and keys
+are the rows of PLAN_TABLE below: each row gives a key's section, name,
+type, default and check. The unknown-key check, parsing, the value
+checks and the resolved.cfg echo all read those rows, so the table is
+the whole plan format. Any other section or key, any value that does not
+parse and any value that fails its check is a ConfigError naming
+[section] key. Command-line --set section.key=value overrides win over
+file values. Every run echoes its fully resolved config; rerunning from
+the echo reproduces outputs byte-identically.
 """
 
 import configparser
 import io
 import math
+from dataclasses import dataclass
 
-from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig
+from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig, sweep_ratios_ok
+from fraudkit.models import MODEL_KINDS
 from fraudkit.resample import SAMPLER_METHODS, SamplerConfig
 from fraudkit.synth import SyntheticSpec
 
@@ -34,30 +26,102 @@ class ConfigError(ValueError):
     pass
 
 
-PLAN_KEYS = {
-    "plan": {"name", "seed", "output_dir", "test_frac", "val_frac", "threshold", "jobs"},
-    "dataset": {"type", "n_rows", "n_features", "fraud_fraction", "separation", "seed",
-                "path", "label", "categorical", "drop"},
-    "models": {"kinds", "hidden", "inner_act", "n_trees", "max_depth", "min_leaf"},
-    "samplers": {"methods", "nearmiss_version", "k_neighbors", "ratio"},
-    "sweep": {"ratios"},
-    "train": {"lr", "epochs_max", "batch_size", "patience"},
-}
+def _csv_list(value):
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _numbers(value):
+    """Comma list of numbers; integral values become ints (1, not 1.0)."""
+    return [int(f) if f.is_integer() else f for f in map(float, _csv_list(value))]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", _numbers: "a comma list of numbers"}
+
+
+def _holds(test, text):
+    """Check that value passes test, described as 'must be <text>'."""
+    return lambda value: None if test(value) else f" must be {text}, got {value!r}"
+
+
+def _members(choices, what):
+    """Check that every item of a list value is one of choices."""
+    def check(values):
+        for v in values:
+            if v not in choices:
+                return f": unknown {what} {v!r}, expected one of {', '.join(choices)}"
+        return None
+    return check
+
+
+def _at_least(n):
+    return _holds(lambda v: v >= n, f">= {n}")
+
+
+_FINITE_POSITIVE = _holds(lambda v: 0.0 < v < math.inf, "finite and > 0")
+_FRACTION = _holds(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+@dataclass(frozen=True)
+class Key:
+    """One plan key. type parses the text. A default of None leaves the key
+    unset unless given, and the echo omits it. check returns a problem
+    (the text after '[section] key') or None. when names the [dataset]
+    type the key belongs to; keys of the other type are ignored."""
+
+    section: str
+    name: str
+    type: object
+    default: object
+    check: object = None
+    when: str | None = None
+
+
+# Rows in echo order. [dataset] seed defaults to [plan] seed. Each
+# [models] key after kinds applies to every model kind, and [samplers]
+# ratio, nearmiss_version and k_neighbors apply to every method.
+PLAN_TABLE = (
+    Key("plan", "name", str, "experiment"),
+    Key("plan", "seed", int, 0),
+    Key("plan", "output_dir", str, "out"),
+    Key("plan", "test_frac", float, 0.035, _FRACTION),
+    Key("plan", "val_frac", float, 0.2, _FRACTION),
+    Key("plan", "threshold", float, 0.5, _holds(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+    Key("plan", "jobs", int, 1, _at_least(1)),
+    Key("dataset", "type", str, "synthetic",
+        _holds(lambda v: v in ("synthetic", "csv"), "synthetic or csv")),
+    Key("dataset", "n_rows", int, 1000, when="synthetic"),
+    Key("dataset", "n_features", int, 10, when="synthetic"),
+    Key("dataset", "fraud_fraction", float, 0.1, when="synthetic"),
+    Key("dataset", "separation", float, 2.0, when="synthetic"),
+    Key("dataset", "seed", int, None, when="synthetic"),
+    Key("dataset", "path", str, "", _holds(bool, "given for type = csv"), when="csv"),
+    Key("dataset", "label", str, "Class", when="csv"),
+    Key("dataset", "categorical", _csv_list, (), when="csv"),
+    Key("dataset", "drop", _csv_list, (), when="csv"),
+    Key("models", "kinds", _csv_list, ("logreg",), _members(MODEL_KINDS, "model kind")),
+    Key("models", "hidden", int, None, _at_least(1)),
+    Key("models", "n_trees", int, None, _at_least(1)),
+    Key("models", "max_depth", int, None, _at_least(0)),
+    Key("models", "min_leaf", int, None, _at_least(1)),
+    Key("models", "inner_act", str, None,
+        _holds(lambda v: v in ("tanh", "relu"), "tanh or relu")),
+    Key("samplers", "methods", _csv_list, ("none",), _members(SAMPLER_METHODS, "method")),
+    Key("samplers", "ratio", float, 1.0, _FINITE_POSITIVE),
+    Key("samplers", "nearmiss_version", int, 1, _holds(lambda v: v in (1, 2, 3), "1, 2 or 3")),
+    Key("samplers", "k_neighbors", int, 0, _at_least(0)),
+    Key("sweep", "ratios", _numbers, (1, 2, 5, 10, 25, 50, 100),
+        _holds(sweep_ratios_ok, "finite, >= 1 and ascending")),
+    Key("train", "lr", float, 0.001, _FINITE_POSITIVE),
+    Key("train", "epochs_max", int, 100, _at_least(1)),
+    Key("train", "batch_size", int, 256, _at_least(1)),
+    Key("train", "patience", int, 5, _at_least(1)),
+)
 
 
 def _parser():
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # column names are case-sensitive
     return cp
-
-
-def _csv_list(value):
-    return [v.strip() for v in value.split(",") if v.strip()]
-
-
-def _number(value):
-    f = float(value)
-    return int(f) if f == int(f) else f
 
 
 def load_plan(path, overrides=()):
@@ -67,154 +131,90 @@ def load_plan(path, overrides=()):
     for item in overrides:
         try:
             key, value = item.split("=", 1)
-            section, option = key.split(".", 1)
+            section, option = (part.strip() for part in key.split(".", 1))
         except ValueError:
             raise ConfigError(f"override must look like section.key=value: {item!r}") from None
         if not cp.has_section(section):
             cp.add_section(section)
-        cp.set(section.strip(), option.strip(), value.strip())
-    return plan_from_parser(cp)
+        cp.set(section, option, value.strip())
 
-
-def plan_from_parser(cp):
+    values = {row.section: {} for row in PLAN_TABLE}
     for section in cp.sections():
-        if section not in PLAN_KEYS:
+        if section not in values:
             raise ConfigError(f"unknown plan section [{section}]")
         for key in cp[section]:
-            if key not in PLAN_KEYS[section]:
+            if not any(row.section == section and row.name == key for row in PLAN_TABLE):
                 raise ConfigError(f"unknown plan key [{section}] {key}")
-    plan = ExperimentPlan()
-    if cp.has_section("plan"):
-        sec = cp["plan"]
-        plan.name = sec.get("name", plan.name)
-        plan.seed = sec.getint("seed", plan.seed)
-        plan.output_dir = sec.get("output_dir", plan.output_dir)
-        plan.test_frac = sec.getfloat("test_frac", plan.test_frac)
-        plan.val_frac = sec.getfloat("val_frac", plan.val_frac)
-        plan.threshold = sec.getfloat("threshold", plan.threshold)
-        plan.jobs = sec.getint("jobs", plan.jobs)
-
     if not cp.has_section("dataset"):
         raise ConfigError("config needs a [dataset] section")
-    sec = cp["dataset"]
-    kind = sec.get("type", "synthetic")
-    if kind == "synthetic":
-        plan.synthetic = SyntheticSpec(
-            n_rows=sec.getint("n_rows", 1000),
-            n_features=sec.getint("n_features", 10),
-            fraud_fraction=sec.getfloat("fraud_fraction", 0.1),
-            separation=sec.getfloat("separation", 2.0),
-            seed=sec.getint("seed", plan.seed),
-        )
-    elif kind == "csv":
-        plan.dataset_path = sec.get("path")
-        if not plan.dataset_path:
-            raise ConfigError("[dataset] type=csv needs a path")
-        plan.label = sec.get("label", plan.label)
-        plan.categorical = tuple(_csv_list(sec.get("categorical", "")))
-        plan.drop = tuple(_csv_list(sec.get("drop", "")))
+    for row in PLAN_TABLE:
+        if row.when not in (None, values["dataset"].get("type")):
+            continue
+        text = cp.get(row.section, row.name, fallback=None)
+        try:
+            value = row.default if text is None else row.type(text)
+        except (ValueError, OverflowError):
+            raise ConfigError(
+                f"[{row.section}] {row.name} must be {_TYPE_NAMES[row.type]}, got {text!r}"
+            ) from None
+        if value is None:
+            continue
+        problem = row.check and row.check(value)
+        if problem:
+            raise ConfigError(f"[{row.section}] {row.name}{problem}")
+        values[row.section][row.name] = value
+    return _plan_from_values(values)
+
+
+def _plan_from_values(values):
+    """Build the plan from {section: {key: value}}; inverse of _plan_values."""
+    dataset, models, samplers = values["dataset"], values["models"], values["samplers"]
+    kinds, methods = models.pop("kinds"), samplers.pop("methods")
+    if dataset.pop("type") == "synthetic":
+        source = {"synthetic": SyntheticSpec(**{"seed": values["plan"]["seed"], **dataset})}
     else:
-        raise ConfigError(f"unknown dataset type {kind!r}")
+        source = {"dataset_path": dataset["path"], "label": dataset["label"],
+                  "categorical": tuple(dataset["categorical"]), "drop": tuple(dataset["drop"])}
+    return ExperimentPlan(
+        **values["plan"],
+        **source,
+        models=[ModelSpec(kind, dict(models)) for kind in kinds],
+        samplers=[SamplerConfig(method, **samplers) for method in methods],
+        ratios=list(values["sweep"]["ratios"]),
+        train=TrainConfig(**values["train"]),
+    )
 
-    if cp.has_section("models"):
-        sec = cp["models"]
-        shared = {}
-        for key in ("hidden", "n_trees", "max_depth", "min_leaf"):
-            if key in sec:
-                shared[key] = sec.getint(key)
-        if "inner_act" in sec:
-            shared["inner_act"] = sec.get("inner_act")
-        plan.models = [ModelSpec(kind, dict(shared)) for kind in _csv_list(sec.get("kinds", "logreg"))]
 
-    if cp.has_section("samplers"):
-        sec = cp["samplers"]
-        methods = _csv_list(sec.get("methods", "none"))
-        ratio = sec.getfloat("ratio", 1.0)
-        version = sec.getint("nearmiss_version", 1)
-        k = sec.getint("k_neighbors", 0)
-        for method in methods:
-            if method not in SAMPLER_METHODS:
-                raise ConfigError(f"[samplers] methods: unknown method {method!r}, "
-                                  f"expected one of {', '.join(SAMPLER_METHODS)}")
-        if not 0.0 < ratio < math.inf:
-            raise ConfigError(f"[samplers] ratio must be finite and > 0, got {ratio!r}")
-        if version not in (1, 2, 3):
-            raise ConfigError(f"[samplers] nearmiss_version must be 1, 2 or 3, got {version}")
-        if k < 0:
-            raise ConfigError(f"[samplers] k_neighbors must be >= 0, got {k}")
-        plan.samplers = [
-            SamplerConfig(method=method, nearmiss_version=version, k_neighbors=k, ratio=ratio)
-            for method in methods
-        ]
-
-    if cp.has_section("sweep"):
-        plan.ratios = [_number(v) for v in _csv_list(cp["sweep"].get("ratios", ""))] or plan.ratios
-
-    if cp.has_section("train"):
-        sec = cp["train"]
-        plan.train = TrainConfig(
-            lr=sec.getfloat("lr", 0.001),
-            epochs_max=sec.getint("epochs_max", 100),
-            batch_size=sec.getint("batch_size", 256),
-            patience=sec.getint("patience", 5),
-        )
-        if not 0.0 < plan.train.lr < math.inf:
-            raise ConfigError(f"[train] lr must be finite and > 0, got {plan.train.lr!r}")
-        for key in ("epochs_max", "batch_size", "patience"):
-            if getattr(plan.train, key) < 1:
-                raise ConfigError(f"[train] {key} must be >= 1, got {getattr(plan.train, key)}")
-    return plan
+def _plan_values(plan):
+    """The plan as {section: {key: value}}; keys outside the table are ignored."""
+    if plan.synthetic is not None:
+        dataset = {"type": "synthetic", **vars(plan.synthetic)}
+    else:
+        dataset = {"type": "csv", "path": plan.dataset_path, "label": plan.label,
+                   "categorical": plan.categorical, "drop": plan.drop}
+    params = {k: v for m in plan.models for k, v in m.params.items()}
+    return {
+        "plan": vars(plan),
+        "dataset": dataset,
+        "models": {"kinds": [m.kind for m in plan.models], **params},
+        "samplers": {"methods": [s.method for s in plan.samplers], **vars(plan.samplers[0])},
+        "sweep": {"ratios": plan.ratios},
+        "train": vars(plan.train),
+    }
 
 
 def plan_to_config_text(plan):
-    """Canonical config echo: fixed section/key order, normalized values."""
+    """Canonical config echo: every set key, in table order."""
+    values = _plan_values(plan)
+    text = {}
+    for row in PLAN_TABLE:
+        value = values[row.section].get(row.name)
+        if value is not None:
+            text.setdefault(row.section, {})[row.name] = (
+                ", ".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+            )
     cp = _parser()
-    cp["plan"] = {
-        "name": plan.name,
-        "seed": str(plan.seed),
-        "output_dir": plan.output_dir,
-        "test_frac": repr(plan.test_frac),
-        "val_frac": repr(plan.val_frac),
-        "threshold": repr(plan.threshold),
-        "jobs": str(plan.jobs),
-    }
-    if plan.synthetic is not None:
-        s = plan.synthetic
-        cp["dataset"] = {
-            "type": "synthetic",
-            "n_rows": str(s.n_rows),
-            "n_features": str(s.n_features),
-            "fraud_fraction": repr(s.fraud_fraction),
-            "separation": repr(s.separation),
-            "seed": str(s.seed),
-        }
-    else:
-        cp["dataset"] = {
-            "type": "csv",
-            "path": plan.dataset_path,
-            "label": plan.label,
-            "categorical": ", ".join(plan.categorical),
-            "drop": ", ".join(plan.drop),
-        }
-    models = {"kinds": ", ".join(m.kind for m in plan.models)}
-    for m in plan.models:
-        for k, v in m.params.items():
-            models[k] = str(v)
-    cp["models"] = models
-    s0 = plan.samplers[0]
-    cp["samplers"] = {
-        "methods": ", ".join(s.method for s in plan.samplers),
-        "ratio": repr(s0.ratio),
-        "nearmiss_version": str(s0.nearmiss_version),
-        "k_neighbors": str(s0.k_neighbors),
-    }
-    cp["sweep"] = {"ratios": ", ".join(str(r) for r in plan.ratios)}
-    cp["train"] = {
-        "lr": repr(plan.train.lr),
-        "epochs_max": str(plan.train.epochs_max),
-        "batch_size": str(plan.train.batch_size),
-        "patience": str(plan.train.patience),
-    }
+    cp.read_dict(text)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -1,4 +1,4 @@
-"""Experiment harness: plans, grid runs, sweeps, and report emission.
+"""Experiment harness: plans, grid runs, and report emission.
 
 A plan fixes a dataset source, preprocessing, a sampler grid, a model
 grid, and seeds; running it produces one result cell per grid point,
@@ -11,6 +11,7 @@ the plan plus its global seed.
 import concurrent.futures
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from fraudkit.ingest import infer_schema, load_csv
-from fraudkit.metrics import evaluate_predictions
+from fraudkit.metrics import evaluate_predictions, format_metric
 from fraudkit.models import classify, make_model, save_bundle
 from fraudkit.preprocess import StandardScaler, split
 from fraudkit.resample import SamplerConfig, round_half_away
@@ -95,15 +96,7 @@ class Cell:
 
     def to_row(self):
         m = self.report.to_dict() if self.report else {}
-        return {
-            "dataset": self.dataset,
-            "model": self.model,
-            "sampler": self.sampler,
-            "ratio": self.ratio,
-            "partition": self.partition,
-            **{k: m.get(k) for k in METRIC_NAMES},
-            "status": self.status,
-        }
+        return {c: m.get(c) if c in METRIC_NAMES else getattr(self, c) for c in CSV_COLUMNS}
 
 
 @dataclass
@@ -169,24 +162,8 @@ def prepare(plan, ds=None):
 
 
 def _plan_hash(plan):
-    blob = repr(
-        (
-            plan.name,
-            plan.dataset_path,
-            plan.label,
-            tuple(plan.categorical),
-            tuple(plan.drop),
-            plan.synthetic,
-            plan.test_frac,
-            plan.val_frac,
-            plan.seed,
-            plan.threshold,
-            [(m.kind, sorted(m.params.items())) for m in plan.models],
-            [(s.method, s.nearmiss_version, s.k_neighbors, s.ratio, s.seed) for s in plan.samplers],
-            list(plan.ratios),
-            plan.train,
-        )
-    ).encode()
+    """Hash of every plan field that decides the cells (not jobs or output_dir)."""
+    blob = repr(replace(plan, jobs=1, output_dir="")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -268,19 +245,48 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
     return cells, history
 
 
-def _run_grid(plan, prepared, points, model_dir=None):
-    """points: list of (model_spec, sampler_cfg, ratio-or-None); results are
-    assembled in point order regardless of execution order."""
+def sweep_ratios_ok(ratios):
+    """Sweep ratios must be finite, at least 1 and ascending."""
+    return all(1 <= r < math.inf for r in ratios) and sorted(ratios) == list(ratios)
+
+
+def imbalance_points(plan, prepared):
+    """Grid points of the imbalance sweep: the plan's first model on the
+    training partition random-under-sampled to each of plan.ratios.
+    A ratio beyond the majority count is capped; its cells keep the
+    requested ratio as their label."""
+    ratios = list(plan.ratios)
+    if not sweep_ratios_ok(ratios):
+        raise ValueError("ratios must be finite, >= 1 and ascending")
+    n_pos = int(np.sum(prepared.y_train == 1))
+    n_neg = int(np.sum(prepared.y_train == 0))
+    points = []
+    for r in ratios:
+        capped = r if round_half_away(r * n_pos) <= n_neg else n_neg / n_pos
+        points.append((plan.models[0], SamplerConfig(method="rus", ratio=capped), r))
+    return points
+
+
+def run_experiment(plan, prepared=None, points=None):
+    """Run grid points and assemble their cells in point order.
+
+    points are (model_spec, sampler_cfg, ratio label or None) triples;
+    the default is every model against every sampler config. Each ok
+    cell saves its bundle in <output_dir>/models/.
+    """
+    plan.validate()
+    if prepared is None:
+        prepared = prepare(plan)
+    if points is None:
+        points = [(m, s, None) for m in plan.models for s in plan.samplers]
+    model_dir = Path(plan.output_dir) / "models"
     record = RunRecord(plan_hash=_plan_hash(plan))
 
     def work(point):
         model_spec, sampler_cfg, ratio = point
-        model_path = None
-        if model_dir is not None:
-            sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
-            stem = f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}"
-            model_path = model_dir / f"{stem}.model"
-        return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_path)
+        sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
+        stem = f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}"
+        return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_dir / f"{stem}.model")
 
     if plan.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=plan.jobs) as pool:
@@ -288,61 +294,11 @@ def _run_grid(plan, prepared, points, model_dir=None):
     else:
         results = [work(p) for p in points]
 
-    for (model_spec, sampler_cfg, ratio), (cells, history) in zip(points, results):
+    for (model_spec, _, _), (cells, history) in zip(points, results):
         record.cells.extend(cells)
         if history is not None:
-            key = f"{model_spec.name}/{cells[0].sampler}/{cells[0].ratio}"
-            record.histories[key] = history
+            record.histories[f"{model_spec.name}/{cells[0].sampler}/{cells[0].ratio}"] = history
     return record
-
-
-def sweep_imbalance(plan, model_spec=None, ratios=None, prepared=None):
-    """RUS the training partition to each majority:minority ratio, train,
-    and evaluate. Ratios beyond the available majority count are capped."""
-    plan.validate()
-    if prepared is None:
-        prepared = prepare(plan)
-    model_spec = model_spec or plan.models[0]
-    ratios = list(ratios or plan.ratios)
-    if sorted(ratios) != ratios or min(ratios) < 1:
-        raise ValueError("ratios must be >= 1 and ascending")
-    n_pos = int(np.sum(prepared.y_train == 1))
-    n_neg = int(np.sum(prepared.y_train == 0))
-    points = []
-    for r in ratios:
-        capped = r
-        if round_half_away(r * n_pos) > n_neg:
-            capped = n_neg / n_pos
-        points.append((model_spec, SamplerConfig(method="rus", ratio=capped), r))
-    return _run_grid(plan, prepared, points)
-
-
-def compare_sampling(plan, model_spec=None, prepared=None):
-    """Side-by-side sampler comparison at the plan's configured ratios."""
-    plan.validate()
-    if prepared is None:
-        prepared = prepare(plan)
-    model_spec = model_spec or plan.models[0]
-    points = [(model_spec, cfg, None) for cfg in plan.samplers]
-    return _run_grid(plan, prepared, points)
-
-
-def run_experiment(plan, prepared=None):
-    """Full grid product: every model against every sampler config."""
-    plan.validate()
-    if prepared is None:
-        prepared = prepare(plan)
-    model_dir = Path(plan.output_dir) / "models"
-    points = [(m, s, None) for m in plan.models for s in plan.samplers]
-    return _run_grid(plan, prepared, points, model_dir=model_dir)
-
-
-def _csv_value(v):
-    if v is None:
-        return "undef"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 def emit_report(record, output_dir, formats=("json", "csv", "svg"), chart_name="experiment"):
@@ -363,7 +319,9 @@ def emit_report(record, output_dir, formats=("json", "csv", "svg"), chart_name="
         lines = [",".join(CSV_COLUMNS)]
         for cell in record.cells:
             row = cell.to_row()
-            lines.append(",".join(_csv_value(row[c]) for c in CSV_COLUMNS))
+            lines.append(",".join(
+                format_metric(row[c]) if c in METRIC_NAMES else str(row[c]) for c in CSV_COLUMNS
+            ))
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
         tpath = out / "timings.csv"

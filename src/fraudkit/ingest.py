@@ -7,7 +7,6 @@ binary label (0 = non-fraud, 1 = fraud).
 """
 
 import csv
-import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
@@ -15,7 +14,6 @@ from itertools import compress
 import numpy as np
 
 from fraudkit.base import FraudkitError, check_array, check_labels
-from fraudkit.rng import generator
 
 KINDS = ("numeric", "categorical", "label", "drop")
 MISSING_POLICIES = ("forbid", "drop_column", "drop_row")
@@ -111,11 +109,6 @@ class Dataset:
     @property
     def label_name(self):
         return self.schema[-1].name
-
-    def take(self, indices):
-        """New Dataset restricted to the given row indices (order preserved)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.schema, self.features[indices], self.labels[indices])
 
     def __repr__(self):
         return (
@@ -348,19 +341,6 @@ def write_csv(ds, path):
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def drop_uninformative(ds, column):
-    """Remove one feature column (e.g. an all-distinct identifier)."""
-    if column == ds.label_name:
-        raise SchemaError(f"cannot drop label column {column!r}")
-    names = ds.feature_names
-    if column not in names:
-        raise SchemaError(f"no such column {column!r}")
-    j = names.index(column)
-    schema = [c for c in ds.schema if c.name != column]
-    features = np.delete(ds.features, j, axis=1)
-    return Dataset(schema, features, ds.labels)
-
-
 def profile(ds):
     """Exact row/feature/fraud counts and per-column summary statistics."""
     if ds.n_rows < 1:
@@ -380,34 +360,6 @@ def profile(ds):
         fraud_fraction=ds.n_pos / ds.n_rows,
         columns=columns,
     )
-
-
-def subsample(ds, n, preserve_fraction=True, seed=0, n_pos=None):
-    """Uniform random subsample of n rows, deterministic per seed.
-
-    With preserve_fraction, positive count = floor(n * fraud_fraction)
-    and the remainder goes to the majority class; an explicit n_pos
-    target overrides the proportional count.
-    """
-    if n > ds.n_rows:
-        raise ValueError(f"requested {n} rows from a {ds.n_rows}-row dataset")
-    rng = generator(seed)
-    if not preserve_fraction and n_pos is None:
-        idx = rng.choice(ds.n_rows, size=n, replace=False)
-        return ds.take(np.sort(idx))
-    if n_pos is None:
-        n_pos = math.floor(n * ds.n_pos / ds.n_rows)
-    if n_pos > ds.n_pos or n - n_pos > ds.n_neg:
-        raise ValueError(f"cannot draw {n_pos} positives / {n - n_pos} negatives")
-    pos_idx = np.flatnonzero(ds.labels == 1)
-    neg_idx = np.flatnonzero(ds.labels == 0)
-    chosen = np.concatenate(
-        [
-            rng.choice(pos_idx, size=n_pos, replace=False),
-            rng.choice(neg_idx, size=n - n_pos, replace=False),
-        ]
-    )
-    return ds.take(np.sort(chosen))
 
 
 def infer_schema(path, label, categorical=(), drop=(), missing_policy="drop_row"):

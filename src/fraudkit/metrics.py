@@ -5,7 +5,7 @@ carried as None and rendered "undef"; they are never coerced to 0.
 The one exception is F1 with precision = recall = 0, whose limit is 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,7 @@ class MetricReport:
     support_neg: int
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support_pos": self.support_pos,
-            "support_neg": self.support_neg,
-        }
+        return asdict(self)
 
 
 def format_metric(value):

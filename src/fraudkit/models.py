@@ -21,25 +21,16 @@ from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier
 BUNDLE_FORMAT_VERSION = 1
 
 
-def cnn2d_grid(input_features):
-    """The 5x6 feature-image grid; only 30-feature inputs reshape to it."""
+def build_cnn2d(input_features=30):
+    """conv2d(64,3x3,relu) -> conv2d(32,3x3,relu) -> flatten -> dense(1,sigmoid).
+
+    Rows fill the 5x6 feature image row-major in dataset column order,
+    so only 30-feature inputs fit.
+    """
     if input_features != 30:
         raise ValueError(
             f"not reshapeable to 5x6: {input_features} features (expected 30)"
         )
-    return (5, 6)
-
-
-def build_cnn2d(input_features=30, grid=None):
-    """conv2d(64,3x3,relu) -> conv2d(32,3x3,relu) -> flatten -> dense(1,sigmoid).
-
-    Rows fill the grid row-major in dataset column order.
-    """
-    if grid is None:
-        grid = cnn2d_grid(input_features)
-    h, w = grid
-    if h * w != input_features:
-        raise ValueError(f"grid {h}x{w} does not hold {input_features} features")
     net = Network(
         [
             Conv2D(64, 3, init="he"),
@@ -50,11 +41,10 @@ def build_cnn2d(input_features=30, grid=None):
             Dense(1, init="glorot"),
             Activation("sigmoid"),
         ],
-        input_shape=(h, w, 1),
+        input_shape=(5, 6, 1),
     )
-    if grid == (5, 6):
-        flat = net.shapes[5][0]
-        assert flat == 64, f"flatten width {flat} != 64 for the 5x6 grid"
+    flat = net.shapes[5][0]
+    assert flat == 64, f"flatten width {flat} != 64 for the 5x6 grid"
     return net
 
 
@@ -104,11 +94,14 @@ def build_logreg(input_features):
 
 
 _NETWORK_BUILDERS = {
-    "cnn2d": lambda f, p: build_cnn2d(f, grid=p.get("grid")),
+    "cnn2d": lambda f, p: build_cnn2d(f),
     "cnn1d": lambda f, p: build_cnn1d(f),
     "lstm": lambda f, p: build_lstm(f, hidden=p.get("hidden", 50), inner_act=p.get("inner_act", "relu")),
     "logreg": lambda f, p: build_logreg(f),
 }
+
+
+MODEL_KINDS = (*_NETWORK_BUILDERS, "dtree", "forest")
 
 
 class NeuralNetClassifier(BaseEstimator):
@@ -117,7 +110,6 @@ class NeuralNetClassifier(BaseEstimator):
     def __init__(
         self,
         kind="cnn1d",
-        grid=None,
         hidden=50,
         inner_act="relu",
         lr=0.001,
@@ -127,7 +119,6 @@ class NeuralNetClassifier(BaseEstimator):
         seed=0,
     ):
         self.kind = kind
-        self.grid = grid
         self.hidden = hidden
         self.inner_act = inner_act
         self.lr = lr
@@ -142,7 +133,7 @@ class NeuralNetClassifier(BaseEstimator):
         if self.kind not in _NETWORK_BUILDERS:
             raise ValueError(f"unknown network kind {self.kind!r}")
         X = np.asarray(X, dtype=np.float64)
-        params = {"grid": self.grid, "hidden": self.hidden, "inner_act": self.inner_act}
+        params = {"hidden": self.hidden, "inner_act": self.inner_act}
         self.network_ = _NETWORK_BUILDERS[self.kind](X.shape[1], params)
         self.history_ = fit_network(
             self.network_,
@@ -170,7 +161,7 @@ class NeuralNetClassifier(BaseEstimator):
 def make_model(kind, **params):
     """Uniform factory over every model kind."""
     if kind in _NETWORK_BUILDERS:
-        allowed = ("grid", "hidden", "inner_act", "lr", "epochs_max", "batch_size", "patience", "seed")
+        allowed = ("hidden", "inner_act", "lr", "epochs_max", "batch_size", "patience", "seed")
         kwargs = {k: v for k, v in params.items() if k in allowed}
         return NeuralNetClassifier(kind=kind, **kwargs)
     if kind == "dtree":

@@ -6,10 +6,7 @@ from fraudkit.nn.layers import (
     Dense,
     Dropout,
     Flatten,
-    LSTMParams,
-    LSTMState,
     MaxPool1D,
-    lstm_step,
 )
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.network import Network, TrainingHistory, fit
@@ -24,13 +21,10 @@ __all__ = [
     "Dropout",
     "Flatten",
     "LSTM",
-    "LSTMParams",
-    "LSTMState",
     "MaxPool1D",
     "Network",
     "TrainingHistory",
     "bce_loss",
     "bce_loss_grad",
     "fit",
-    "lstm_step",
 ]

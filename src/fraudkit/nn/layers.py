@@ -5,8 +5,6 @@ stride 1. Every layer caches what its backward pass needs during
 forward and exposes params/grads dicts for the optimizer.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -127,19 +125,6 @@ class Dense(Layer):
         return {"units": self.units, "init": self.init}
 
 
-def dense_forward(W, b, x):
-    """y = Wx + b for a single vector (shape-checked)."""
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if W.shape != (b.shape[0], x.shape[0]):
-        raise ValueError(f"shape mismatch: W {W.shape}, b {b.shape}, x {x.shape}")
-    y = W @ x + b
-    if not np.all(np.isfinite(y)):
-        raise FloatingPointError("non-finite dense output")
-    return y
-
-
 class Conv2D(Layer):
     """Valid-padding stride-1 cross-correlation over [h, w, c_in] inputs.
 
@@ -209,16 +194,6 @@ class Conv2D(Layer):
         return {"channels": self.channels, "kernel_size": self.kernel_size, "init": self.init}
 
 
-def conv2d_forward(x, kernels, bias):
-    """Single-sample conv2d: [h,w,c_in] x [k,k,c_in,c_out] -> [oh,ow,c_out]."""
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    layer = Conv2D(kernels.shape[3], kernels.shape[0])
-    layer.params = {"K": kernels, "b": bias}
-    return layer.forward(x[None])[0]
-
-
 class Conv1D(Layer):
     """Valid-padding stride-1 cross-correlation over [length, c_in] inputs."""
 
@@ -279,15 +254,6 @@ class Conv1D(Layer):
 
     def hyperparams(self):
         return {"channels": self.channels, "kernel_size": self.kernel_size, "init": self.init}
-
-
-def conv1d_forward(x, kernels, bias):
-    """Single-sample conv1d: [len,c_in] x [k,c_in,c_out] -> [ol,c_out]."""
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    layer = Conv1D(kernels.shape[2], kernels.shape[0])
-    layer.params = {"K": kernels, "b": np.asarray(bias, dtype=np.float64)}
-    return layer.forward(x[None])[0]
 
 
 class MaxPool1D(Layer):
@@ -418,50 +384,12 @@ class Activation(Layer):
         return {"activation": self.activation}
 
 
-@dataclass
-class LSTMParams:
-    """Gate weights [hidden x (hidden + input)] and biases [hidden]."""
-
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_g: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
-
-
-@dataclass
-class LSTMState:
-    h: np.ndarray
-    c: np.ndarray
-
-
 def _inner(x, kind):
     if kind == "tanh":
         return np.tanh(x)
     if kind == "relu":
         return _relu(x)
     raise ValueError(f"unknown inner activation {kind!r}")
-
-
-def lstm_step(p, s, x, inner_act="tanh"):
-    """One gate-equation step: returns the new LSTMState.
-
-    z = [h_{t-1}, x_t]; f/i/o = sigmoid gates; g = phi(W_g z + b_g);
-    c_t = f*c + i*g; h_t = o * phi(c_t).
-    """
-    h, c = np.asarray(s.h, dtype=np.float64), np.asarray(s.c, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    z = np.concatenate([h, x], axis=-1)
-    f = _sigmoid(z @ p.W_f.T + p.b_f)
-    i = _sigmoid(z @ p.W_i.T + p.b_i)
-    g = _inner(z @ p.W_g.T + p.b_g, inner_act)
-    o = _sigmoid(z @ p.W_o.T + p.b_o)
-    c_t = f * c + i * g
-    h_t = o * _inner(c_t, inner_act)
-    return LSTMState(h=h_t, c=c_t)
 
 
 class LSTM(Layer):

@@ -63,9 +63,6 @@ class Network:
             for name, arr in layer.grads.items()
         }
 
-    def n_params(self):
-        return sum(arr.size for arr in self.named_params().values())
-
     def _reshape(self, X):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_inputs:

@@ -252,14 +252,6 @@ class Smote(BaseEstimator):
         y_out = np.concatenate([y, np.ones(n_syn, dtype=np.int64)])
         return X_out, y_out
 
-    def write_provenance(self, path):
-        if self.provenance_ is None:
-            raise ValueError("no provenance: call fit_resample first")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("parent,neighbor,lambda\n")
-            for p in self.provenance_:
-                fh.write(f"{p.parent},{p.neighbor},{p.lam!r}\n")
-
 
 SAMPLER_METHODS = ("none", "rus", "nearmiss", "smote")
 

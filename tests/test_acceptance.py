@@ -7,6 +7,7 @@ gate's verdict is visible in any pytest run, then asserts.
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ from fraudkit.cli import run_cli
 from fraudkit.experiments import (
     ExperimentPlan,
     ModelSpec,
-    compare_sampling,
+    imbalance_points,
     prepare,
-    sweep_imbalance,
+    run_experiment,
 )
 from fraudkit.metrics import evaluate_predictions
 from fraudkit.models import build_cnn1d, build_cnn2d, classify, make_model
@@ -233,13 +234,14 @@ def test_sampler_oracles():
 
 
 @pytest.fixture(scope="module")
-def trend_prepared():
+def trend_prepared(tmp_path_factory):
     plan = ExperimentPlan(
         synthetic=SyntheticSpec(
             n_rows=50_000, n_features=10, fraud_fraction=0.01, separation=2.0, seed=17
         ),
         models=[ModelSpec("logreg")],
         seed=17,
+        output_dir=str(tmp_path_factory.mktemp("trend")),
     )
     return plan, prepare(plan)
 
@@ -247,7 +249,8 @@ def trend_prepared():
 def test_imbalance_ratio_trend(trend_prepared):
     plan, prepared = trend_prepared
     started = time.monotonic()
-    record = sweep_imbalance(plan, ratios=[1, 100], prepared=prepared)
+    plan = replace(plan, ratios=[1, 100])
+    record = run_experiment(plan, prepared, imbalance_points(plan, prepared))
     elapsed = time.monotonic() - started
     by_ratio = {
         c.ratio: c.report for c in record.cells if c.partition == "test" and c.status == "ok"
@@ -268,8 +271,9 @@ def test_smote_tradeoff_trend(trend_prepared):
         models=[ModelSpec("logreg")],
         samplers=[SamplerConfig("none"), SamplerConfig("smote", ratio=1.0)],
         seed=plan.seed,
+        output_dir=plan.output_dir,
     )
-    record = compare_sampling(cmp_plan, prepared=prepared)
+    record = run_experiment(cmp_plan, prepared=prepared)
     by_sampler = {
         c.sampler: c.report for c in record.cells if c.partition == "test" and c.status == "ok"
     }

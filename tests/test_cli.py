@@ -135,6 +135,11 @@ class TestPlanCommands:
         assert run_cli(["run", str(plan_file), "--set", "plan.seed=99"]) == 0
         assert "seed = 99" in (out / "resolved.cfg").read_text()
 
+    def test_set_strips_section_and_key(self, plan_file, tmp_path, capsys):
+        # the plan has no [sweep] section, so the override must add it
+        assert run_cli(["run", str(plan_file), "--set", " sweep . ratios = 1, 3"]) == 0
+        assert "ratios = 1, 3\n" in (tmp_path / "out" / "resolved.cfg").read_text()
+
     def test_sweep_imbalance(self, plan_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(
@@ -143,6 +148,8 @@ class TestPlanCommands:
         assert code == 0
         lines = (out / "cells.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 4  # two ratios x validation/test
+        saved = sorted(p.name for p in (out / "models").glob("*.model"))
+        assert saved == ["synthetic__logreg__rus__1.model", "synthetic__logreg__rus__2.model"]
 
     def test_compare_sampling(self, plan_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -164,6 +171,7 @@ class TestPlanCommands:
             ("train.epochs_max=0", "epochs_max"),
             ("train.batch_size=0", "batch_size"),
             ("train.patience=0", "patience"),
+            ("train.lr=fast", "lr"),
         ],
     )
     def test_bad_train_value_exits_one(self, plan_file, tmp_path, capsys, override, key):
@@ -179,6 +187,20 @@ class TestPlanCommands:
             ("samplers.ratio=inf", "[samplers] ratio must be finite and > 0"),
             ("samplers.nearmiss_version=7", "[samplers] nearmiss_version must be 1, 2 or 3"),
             ("samplers.methods=nearmis", "[samplers] methods: unknown method 'nearmis'"),
+            ("plan.threshold=nan", "[plan] threshold must be in [0, 1]"),
+            ("plan.threshold=2", "[plan] threshold must be in [0, 1]"),
+            ("plan.jobs=0", "[plan] jobs must be >= 1"),
+            ("plan.jobs=-3", "[plan] jobs must be >= 1"),
+            ("plan.test_frac=1.5", "[plan] test_frac must be in (0, 1)"),
+            ("models.kinds=bogus", "[models] kinds: unknown model kind 'bogus'"),
+            ("models.n_trees=0", "[models] n_trees must be >= 1"),
+            ("models.max_depth=-1", "[models] max_depth must be >= 0"),
+            ("models.min_leaf=0", "[models] min_leaf must be >= 1"),
+            ("models.hidden=0", "[models] hidden must be >= 1"),
+            ("models.inner_act=bogus", "[models] inner_act must be tanh or relu"),
+            ("plan.seed=abc", "[plan] seed must be an integer, got 'abc'"),
+            ("plan.jobs=1.5", "[plan] jobs must be an integer, got '1.5'"),
+            ("sweep.ratios=abc", "[sweep] ratios must be a comma list of numbers, got 'abc'"),
         ],
     )
     def test_bad_sampler_value_exits_one(self, plan_file, tmp_path, capsys, override, named):

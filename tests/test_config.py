@@ -1,11 +1,15 @@
 import pytest
 
+from fraudkit.cli import run_cli
 from fraudkit.config import (
+    PLAN_TABLE,
     ConfigError,
     load_plan,
     load_schema_config,
     plan_to_config_text,
 )
+from fraudkit.experiments import ExperimentPlan
+from fraudkit.synth import SyntheticSpec
 
 PLAN_TEXT = """\
 [plan]
@@ -98,6 +102,11 @@ class TestLoadPlan:
         with pytest.raises(ConfigError, match=r"\[dataset\] n_row"):
             load_plan(path)
 
+    def test_table_defaults_match_library_defaults(self, tmp_path):
+        path = tmp_path / "p.cfg"
+        path.write_text("[dataset]\n")
+        assert load_plan(path) == ExperimentPlan(synthetic=SyntheticSpec())
+
     def test_csv_dataset_fields(self, tmp_path):
         path = tmp_path / "p.cfg"
         path.write_text(
@@ -129,6 +138,100 @@ class TestEcho:
         echoed_file = tmp_path / "resolved.cfg"
         echoed_file.write_text(echo)
         assert plan_to_config_text(load_plan(echoed_file)) == echo
+
+
+# One value per table row that differs from the row's default and passes
+# its check, and one value that fails each checked row's check.
+GOOD = {
+    ("plan", "name"): "other",
+    ("plan", "seed"): "12",
+    ("plan", "output_dir"): "elsewhere",
+    ("plan", "test_frac"): "0.1",
+    ("plan", "val_frac"): "0.3",
+    ("plan", "threshold"): "0.25",
+    ("plan", "jobs"): "3",
+    ("dataset", "type"): "csv",
+    ("dataset", "n_rows"): "700",
+    ("dataset", "n_features"): "4",
+    ("dataset", "fraud_fraction"): "0.3",
+    ("dataset", "separation"): "1.5",
+    ("dataset", "seed"): "8",
+    ("dataset", "path"): "other.csv",
+    ("dataset", "label"): "isFraud",
+    ("dataset", "categorical"): "country,  declined",
+    ("dataset", "drop"): "id",
+    ("models", "kinds"): "dtree, forest, cnn1d",
+    ("models", "hidden"): "8",
+    ("models", "n_trees"): "4",
+    ("models", "max_depth"): "0",
+    ("models", "min_leaf"): "3",
+    ("models", "inner_act"): "tanh",
+    ("samplers", "methods"): "rus,smote",
+    ("samplers", "ratio"): "2.5",
+    ("samplers", "nearmiss_version"): "3",
+    ("samplers", "k_neighbors"): "4",
+    ("sweep", "ratios"): "1, 2.5, 4.0",
+    ("train", "lr"): "0.5",
+    ("train", "epochs_max"): "2",
+    ("train", "batch_size"): "16",
+    ("train", "patience"): "1",
+}
+BAD = {
+    ("plan", "test_frac"): "1.5",
+    ("plan", "val_frac"): "0",
+    ("plan", "threshold"): "-0.1",
+    ("plan", "jobs"): "0",
+    ("dataset", "type"): "parquet",
+    ("dataset", "path"): "",
+    ("models", "kinds"): "logreg, svm",
+    ("models", "hidden"): "0",
+    ("models", "n_trees"): "-1",
+    ("models", "max_depth"): "-2",
+    ("models", "min_leaf"): "0",
+    ("models", "inner_act"): "sigmoid",
+    ("samplers", "methods"): "tomek",
+    ("samplers", "ratio"): "nan",
+    ("samplers", "nearmiss_version"): "0",
+    ("samplers", "k_neighbors"): "-5",
+    ("sweep", "ratios"): "1, inf",
+    ("train", "lr"): "-inf",
+    ("train", "epochs_max"): "0",
+    ("train", "batch_size"): "-1",
+    ("train", "patience"): "0",
+}
+ROW_IDS = [f"{row.section}.{row.name}" for row in PLAN_TABLE]
+
+
+def test_table_values_cover_every_row():
+    assert list(GOOD) == [(row.section, row.name) for row in PLAN_TABLE]
+    assert set(BAD) == {(row.section, row.name) for row in PLAN_TABLE if row.check}
+
+
+def _row_plan(tmp_path, row):
+    """A minimal plan whose dataset type is the one the row applies to."""
+    path = tmp_path / "plan.cfg"
+    path.write_text(f"[dataset]\ntype = {row.when or 'synthetic'}\npath = data.csv\n")
+    return path
+
+
+@pytest.mark.parametrize("row", PLAN_TABLE, ids=ROW_IDS)
+def test_row_value_survives_echo(tmp_path, row):
+    path = _row_plan(tmp_path, row)
+    plan = load_plan(path, [f"{row.section}.{row.name}={GOOD[row.section, row.name]}"])
+    assert plan != load_plan(path)
+    echoed = tmp_path / "resolved.cfg"
+    echoed.write_text(plan_to_config_text(plan))
+    assert load_plan(echoed) == plan
+
+
+@pytest.mark.parametrize("row", [row for row in PLAN_TABLE if row.check],
+                         ids=[i for i, row in zip(ROW_IDS, PLAN_TABLE) if row.check])
+def test_checked_row_rejects_bad_value(tmp_path, capsys, row):
+    path = _row_plan(tmp_path, row)
+    override = f"{row.section}.{row.name}={BAD[row.section, row.name]}"
+    assert run_cli(["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", override]) == 1
+    assert f"error: [{row.section}] {row.name}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cells.csv").exists()
 
 
 class TestSchemaConfig:

@@ -10,11 +10,10 @@ from fraudkit.experiments import (
     ModelSpec,
     TrainConfig,
     _plan_hash,
-    compare_sampling,
     emit_report,
+    imbalance_points,
     prepare,
     run_experiment,
-    sweep_imbalance,
 )
 from fraudkit.metrics import evaluate_predictions
 from fraudkit.models import classify, make_model
@@ -37,6 +36,12 @@ def small_plan(tmp_path, **kwargs):
     )
     defaults.update(kwargs)
     return ExperimentPlan(**defaults)
+
+
+def sweep(plan):
+    """The imbalance sweep through the grid runner."""
+    prepared = prepare(plan)
+    return run_experiment(plan, prepared, imbalance_points(plan, prepared))
 
 
 class TestPrepare:
@@ -96,13 +101,13 @@ class TestRunGrid:
         monkeypatch.setattr(RandomUnderSampler, "fit_resample", spy)
         plan = small_plan(tmp_path, samplers=[SamplerConfig("rus", ratio=1.0)])
         prepared = prepare(plan)
-        compare_sampling(plan, prepared=prepared)
+        run_experiment(plan, prepared=prepared)
         assert seen == [len(prepared.y_train)]
 
     def test_none_sampler_matches_direct_fit(self, tmp_path):
         plan = small_plan(tmp_path)
         prepared = prepare(plan)
-        record = compare_sampling(plan, prepared=prepared)
+        record = run_experiment(plan, prepared=prepared)
         cell_seed = derive_seed(plan.seed, "cell/synthetic/logreg/none/1.0")
         model = make_model(
             "logreg",
@@ -123,15 +128,15 @@ class TestRunGrid:
         rows = []
         for _ in range(2):
             plan = small_plan(tmp_path, samplers=[SamplerConfig("rus"), SamplerConfig("none")])
-            record = compare_sampling(plan)
+            record = run_experiment(plan)
             rows.append([c.to_row() for c in record.cells])
         assert rows[0] == rows[1]
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        serial = compare_sampling(
+        serial = run_experiment(
             small_plan(tmp_path, samplers=[SamplerConfig("none"), SamplerConfig("rus")], jobs=1)
         )
-        threaded = compare_sampling(
+        threaded = run_experiment(
             small_plan(tmp_path, samplers=[SamplerConfig("none"), SamplerConfig("rus")], jobs=4)
         )
         assert [c.to_row() for c in serial.cells] == [c.to_row() for c in threaded.cells]
@@ -152,18 +157,18 @@ class TestRunGrid:
 class TestSweep:
     def test_ratio_capping(self, tmp_path):
         plan = small_plan(tmp_path, ratios=[1, 100])
-        record = sweep_imbalance(plan)
+        record = sweep(plan)
         assert all(c.status == "ok" for c in record.cells)
         labels = sorted({c.ratio for c in record.cells})
         assert labels == [1, 100]  # label keeps the requested ratio
 
     def test_ratios_must_ascend(self, tmp_path):
         with pytest.raises(ValueError):
-            sweep_imbalance(small_plan(tmp_path), ratios=[2, 1])
+            sweep(small_plan(tmp_path, ratios=[2, 1]))
 
     def test_ratios_must_be_at_least_one(self, tmp_path):
         with pytest.raises(ValueError):
-            sweep_imbalance(small_plan(tmp_path), ratios=[0.5, 1])
+            sweep(small_plan(tmp_path, ratios=[0.5, 1]))
 
     def test_recall_degrades_with_imbalance(self, tmp_path):
         plan = small_plan(
@@ -172,8 +177,9 @@ class TestSweep:
                 n_rows=3000, n_features=6, fraud_fraction=0.05, separation=2.0, seed=1
             ),
             train=TrainConfig(epochs_max=20, lr=0.05),
+            ratios=[1, 10],
         )
-        record = sweep_imbalance(plan, ratios=[1, 10])
+        record = sweep(plan)
         recalls = {
             c.ratio: c.report.recall
             for c in record.cells

@@ -13,12 +13,10 @@ from fraudkit.ingest import (
     MISSING_POLICIES,
     ParseError,
     SchemaError,
-    drop_uninformative,
     encode_categoricals,
     infer_schema,
     load_csv,
     profile,
-    subsample,
     write_csv,
 )
 
@@ -364,24 +362,6 @@ class TestWriteCsv:
         assert back.labels.tobytes() == ds.labels.tobytes()
 
 
-class TestDropUninformative:
-    def test_drop_constant(self):
-        ds = make_dataset([[1.0, 5.0], [2.0, 5.0]], [0, 1])
-        out = drop_uninformative(ds, "c1")
-        assert out.n_features == 1
-        assert np.array_equal(out.labels, ds.labels)
-
-    def test_unknown_column(self):
-        ds = make_dataset([[1.0]], [0])
-        with pytest.raises(SchemaError):
-            drop_uninformative(ds, "nope")
-
-    def test_label_protected(self):
-        ds = make_dataset([[1.0]], [0])
-        with pytest.raises(SchemaError):
-            drop_uninformative(ds, "Class")
-
-
 class TestProfile:
     def test_counts(self):
         ds = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 0])
@@ -398,35 +378,3 @@ class TestProfile:
         ds = make_dataset(np.empty((0, 1)), [])
         with pytest.raises(ValueError):
             profile(ds)
-
-
-class TestSubsample:
-    def test_identity_when_n_equals_rows(self, blobs):
-        out = subsample(blobs, blobs.n_rows, seed=3)
-        assert np.array_equal(np.sort(out.features, axis=0), np.sort(blobs.features, axis=0))
-
-    def test_proportional_counts(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(100, 2))
-        y = np.array([1] * 50 + [0] * 50)
-        ds = make_dataset(X, y)
-        out = subsample(ds, 10, preserve_fraction=True, seed=1)
-        assert out.n_pos == 5
-        assert out.n_rows == 10
-
-    def test_explicit_positive_target(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(1000, 2))
-        y = np.array([1] * 60 + [0] * 940)
-        out = subsample(make_dataset(X, y), 500, seed=2, n_pos=28)
-        assert out.n_pos == 28
-        assert out.n_rows == 500
-
-    def test_deterministic(self, blobs):
-        a = subsample(blobs, 100, seed=9)
-        b = subsample(blobs, 100, seed=9)
-        assert np.array_equal(a.features, b.features)
-
-    def test_too_many_rows(self, blobs):
-        with pytest.raises(ValueError):
-            subsample(blobs, blobs.n_rows + 1)

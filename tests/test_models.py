@@ -11,7 +11,6 @@ from fraudkit.models import (
     build_lstm,
     build_logreg,
     classify,
-    cnn2d_grid,
     make_model,
     model_from_dict,
     model_to_dict,
@@ -28,31 +27,35 @@ class _Stub:
         return self.probs
 
 
+def n_params(net):
+    return sum(arr.size for arr in net.named_params().values())
+
+
 class TestArchitectures:
     def test_cnn2d_grid(self):
-        assert cnn2d_grid(30) == (5, 6)
+        assert build_cnn2d(30).input_shape == (5, 6, 1)
         with pytest.raises(ValueError, match="not reshapeable to 5x6"):
-            cnn2d_grid(11)
+            build_cnn2d(11)
 
     def test_cnn2d_parameter_count(self):
         net = build_cnn2d(30).initialize(0)
         # conv 3x3x1x64 + 64, conv 3x3x64x32 + 32, dense 64 -> 1
-        assert net.n_params() == (576 + 64) + (18432 + 32) + (64 + 1)
-        assert net.n_params() == 19169
+        assert n_params(net) == (576 + 64) + (18432 + 32) + (64 + 1)
+        assert n_params(net) == 19169
 
     def test_cnn1d_parameter_count(self):
         f = 30
         net = build_cnn1d(f).initialize(0)
         expected = (f * 64 + 64) + (64 * 64 + 64) + (64 * 100 + 100) + (100 + 1)
-        assert net.n_params() == expected
+        assert n_params(net) == expected
 
     def test_lstm_parameter_count(self):
         f = 30
         net = build_lstm(f, hidden=50).initialize(0)
-        assert net.n_params() == 4 * (50 * (50 + f) + 50) + (50 + 1)
+        assert n_params(net) == 4 * (50 * (50 + f) + 50) + (50 + 1)
 
     def test_logreg_parameter_count(self):
-        assert build_logreg(7).initialize(0).n_params() == 8
+        assert n_params(build_logreg(7).initialize(0)) == 8
 
     def test_flatten_widths(self):
         assert build_cnn2d(30).shapes[5] == (64,)
@@ -63,10 +66,6 @@ class TestArchitectures:
         p = net.predict_proba(np.zeros((2, 4)))
         # zero input, zero state: cell stays 0, so the head sees its bias only
         assert p == pytest.approx([0.5, 0.5], abs=1e-12)
-
-    def test_custom_grid_must_match(self):
-        with pytest.raises(ValueError, match="grid"):
-            build_cnn2d(12, grid=(5, 6))
 
 
 class TestLogreg:

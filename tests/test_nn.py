@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,14 +12,8 @@ from fraudkit.nn.layers import (
     Dense,
     Dropout,
     Flatten,
-    LSTMParams,
-    LSTMState,
     MaxPool1D,
     apply_activation,
-    conv1d_forward,
-    conv2d_forward,
-    dense_forward,
-    lstm_step,
 )
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.network import (
@@ -37,19 +32,63 @@ def prob_head(*layers):
     return list(layers) + [Dense(1), Activation("sigmoid")]
 
 
+def layer_forward(layer, x, **params):
+    """One sample through a layer whose params are given directly."""
+    layer.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    return layer.forward(np.asarray(x, dtype=np.float64)[None])[0]
+
+
+@dataclass
+class LSTMParams:
+    """Gate weights [hidden x (hidden + input)] and biases [hidden]."""
+
+    W_f: np.ndarray
+    W_i: np.ndarray
+    W_g: np.ndarray
+    W_o: np.ndarray
+    b_f: np.ndarray
+    b_i: np.ndarray
+    b_g: np.ndarray
+    b_o: np.ndarray
+
+
+@dataclass
+class LSTMState:
+    h: np.ndarray
+    c: np.ndarray
+
+
+def lstm_step(p, s, x, inner_act="tanh"):
+    """Gate-equation oracle for one LSTM step: returns the new LSTMState.
+
+    z = [h_{t-1}, x_t]; f/i/o = sigmoid gates; g = phi(W_g z + b_g);
+    c_t = f*c + i*g; h_t = o * phi(c_t).
+    """
+    h, c = np.asarray(s.h, dtype=np.float64), np.asarray(s.c, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    z = np.concatenate([h, x], axis=-1)
+    f = apply_activation(z @ p.W_f.T + p.b_f, "sigmoid")
+    i = apply_activation(z @ p.W_i.T + p.b_i, "sigmoid")
+    g = apply_activation(z @ p.W_g.T + p.b_g, inner_act)
+    o = apply_activation(z @ p.W_o.T + p.b_o, "sigmoid")
+    c_t = f * c + i * g
+    h_t = o * apply_activation(c_t, inner_act)
+    return LSTMState(h=h_t, c=c_t)
+
+
 class TestForwardOracles:
     def test_dense_forward(self):
-        y = dense_forward([[1.0, 2.0], [0.0, -1.0]], [10.0, 0.0], [3.0, 4.0])
+        y = layer_forward(Dense(2), [3.0, 4.0], W=[[1.0, 2.0], [0.0, -1.0]], b=[10.0, 0.0])
         assert y.tolist() == [21.0, -4.0]
 
     def test_dense_forward_shape_mismatch(self):
         with pytest.raises(ValueError):
-            dense_forward([[1.0, 2.0]], [0.0], [1.0])
+            layer_forward(Dense(1), [1.0], W=[[1.0, 2.0]], b=[0.0])
 
     def test_conv2d_all_ones_kernel(self):
         x = np.ones((5, 5, 1))
         k = np.ones((3, 3, 1, 1))
-        out = conv2d_forward(x, k, np.zeros(1))
+        out = layer_forward(Conv2D(1, k.shape[0]), x, K=k, b=np.zeros(1))
         assert out.shape == (3, 3, 1)
         assert np.all(out == 9.0)
 
@@ -58,13 +97,13 @@ class TestForwardOracles:
         x = rng.normal(size=(4, 4, 1))
         k = np.zeros((1, 1, 1, 1))
         k[0, 0, 0, 0] = 1.0
-        out = conv2d_forward(x, k, np.zeros(1))
+        out = layer_forward(Conv2D(1, k.shape[0]), x, K=k, b=np.zeros(1))
         assert np.array_equal(out, x)
 
     def test_conv1d_first_differences(self):
         x = np.array([[1.0], [4.0], [9.0], [16.0]])
         k = np.array([[[-1.0]], [[1.0]]])  # kernel (1, -1) -> x[t+1] - x[t]
-        out = conv1d_forward(x, k, np.zeros(1))
+        out = layer_forward(Conv1D(1, 2), x, K=k, b=np.zeros(1))
         assert out[:, 0].tolist() == [3.0, 5.0, 7.0]
 
     def test_conv1d_k1_equals_dense_per_position(self):
@@ -72,8 +111,8 @@ class TestForwardOracles:
         x = rng.normal(size=(6, 3))
         K = rng.normal(size=(1, 3, 4))
         b = rng.normal(size=4)
-        out = conv1d_forward(x, K, b)
-        expected = np.stack([dense_forward(K[0].T, b, x[t]) for t in range(6)])
+        out = layer_forward(Conv1D(4, 1), x, K=K, b=b)
+        expected = np.stack([layer_forward(Dense(4), x[t], W=K[0].T, b=b) for t in range(6)])
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_maxpool(self):

@@ -271,17 +271,6 @@ class TestSmote:
         with pytest.raises(ValueError):
             Smote(ratio=0.1, k=3).fit_resample(X, y)
 
-    def test_provenance_csv(self, tmp_path):
-        rng = np.random.default_rng(14)
-        X, y = random_imbalanced(rng, n_pos=5, n_neg=20, n_features=2)
-        sampler = Smote(ratio=1.0, k=2, seed=0)
-        sampler.fit_resample(X, y)
-        path = tmp_path / "prov.csv"
-        sampler.write_provenance(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "parent,neighbor,lambda"
-        assert len(lines) == 1 + len(sampler.provenance_)
-
 
 @pytest.mark.parametrize(
     "make",
