@@ -157,14 +157,18 @@ def cmd_evaluate(args):
 def _run_plan_command(args, chart_name, points=None):
     """Run the grid points that points(plan, prepared) lists (every model x
     sampler when None) and write the reports; every ok cell saves its
-    bundle in models/."""
+    bundle in models/. Exits 1 after the reports when any cell failed."""
     plan, out = _resolve_plan(args)
     prepared = prepare(plan)
     record = run_experiment(plan, prepared, points(plan, prepared) if points else None)
     emit_report(record, out, chart_name=chart_name)
     n_ok = sum(1 for c in record.cells if c.status == "ok")
-    n_skip = len(record.cells) - n_ok
-    print(f"{n_ok} cells ok, {n_skip} skipped; reports in {out}")
+    n_failed = sum(1 for c in record.cells if c.status.startswith("failed"))
+    n_skip = len(record.cells) - n_ok - n_failed
+    print(f"{n_ok} cells ok, {n_skip} skipped, {n_failed} failed; reports in {out}")
+    if n_failed:
+        print(f"error: {n_failed} cells failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -89,10 +89,11 @@ PLAN_TABLE = (
     Key("plan", "jobs", int, 1, _at_least(1)),
     Key("dataset", "type", str, "synthetic",
         _holds(lambda v: v in ("synthetic", "csv"), "synthetic or csv")),
-    Key("dataset", "n_rows", int, 1000, when="synthetic"),
-    Key("dataset", "n_features", int, 10, when="synthetic"),
-    Key("dataset", "fraud_fraction", float, 0.1, when="synthetic"),
-    Key("dataset", "separation", float, 2.0, when="synthetic"),
+    Key("dataset", "n_rows", int, 1000, _at_least(2), when="synthetic"),
+    Key("dataset", "n_features", int, 10, _at_least(1), when="synthetic"),
+    Key("dataset", "fraud_fraction", float, 0.1, _FRACTION, when="synthetic"),
+    Key("dataset", "separation", float, 2.0,
+        _holds(lambda v: 0.0 <= v < math.inf, "finite and >= 0"), when="synthetic"),
     Key("dataset", "seed", int, None, when="synthetic"),
     Key("dataset", "path", str, "", _holds(bool, "given for type = csv"), when="csv"),
     Key("dataset", "label", str, "Class", when="csv"),

@@ -12,6 +12,8 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,11 +23,13 @@ import numpy as np
 from fraudkit.ingest import infer_schema, load_csv
 from fraudkit.metrics import evaluate_predictions, format_metric
 from fraudkit.models import classify, make_model, save_bundle
+from fraudkit.nn.network import TrainingError
 from fraudkit.preprocess import StandardScaler, split
 from fraudkit.resample import SamplerConfig, round_half_away
 from fraudkit.rng import derive_seed
 from fraudkit.svg import bar_chart
 from fraudkit.synth import SyntheticSpec, gen_synthetic
+from fraudkit.trees import RandomForestClassifier
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 CSV_COLUMNS = ("dataset", "model", "sampler", "ratio", "partition") + METRIC_NAMES + ("status",)
@@ -91,7 +95,7 @@ class Cell:
     ratio: float
     partition: str
     report: object | None  # MetricReport, None when skipped
-    status: str  # "ok" | "skipped: reason"
+    status: str  # "ok" | "skipped: reason" | "failed: reason"
     seconds: float
 
     def to_row(self):
@@ -182,19 +186,20 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
     """Train one grid cell and evaluate it on validation and test.
 
     Precondition violations (unsuitable model shape, unreachable sampler
-    target) become skipped cells, never grid aborts. An ok cell saves
-    its bundle to model_path when one is given. Returns
+    target) become skipped cells, and numeric breakdowns (a TrainingError
+    or FloatingPointError) failed cells, never grid aborts. An ok cell
+    saves its bundle to model_path when one is given. Returns
     (cells, history-or-None).
     """
     sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
     seed = _cell_seed(plan, model_spec.name, sampler_name, ratio_label)
     started = time.perf_counter()
 
-    def skipped(reason):
+    def ended(status):
         elapsed = time.perf_counter() - started
         return [
             Cell(prepared.name, model_spec.name, sampler_name, ratio_label, part, None,
-                 f"skipped: {reason}", elapsed)
+                 status, elapsed)
             for part in ("validation", "test")
         ], None
 
@@ -206,10 +211,6 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
             X_fit, y_fit = prepared.X_train, prepared.y_train
         else:
             X_fit, y_fit = sampler.fit_resample(prepared.X_train, prepared.y_train)
-    except ValueError as exc:
-        return skipped(str(exc))
-
-    try:
         model = make_model(
             model_spec.kind,
             lr=plan.train.lr,
@@ -223,20 +224,21 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
             model.fit(X_fit, y_fit, prepared.X_val, prepared.y_val)
         else:
             model.fit(X_fit, y_fit)
+        cells = []
+        for part, X_eval, y_eval in (
+            ("validation", prepared.X_val, prepared.y_val),
+            ("test", prepared.X_test, prepared.y_test),
+        ):
+            report = evaluate_predictions(y_eval, classify(model, X_eval, plan.threshold))
+            cells.append(
+                Cell(prepared.name, model_spec.name, sampler_name, ratio_label, part,
+                     report, "ok", time.perf_counter() - started)
+            )
     except ValueError as exc:
-        return skipped(str(exc))
+        return ended(f"skipped: {exc}")
+    except (TrainingError, FloatingPointError) as exc:
+        return ended(f"failed: {exc}")
 
-    cells = []
-    for part, X_eval, y_eval in (
-        ("validation", prepared.X_val, prepared.y_val),
-        ("test", prepared.X_test, prepared.y_test),
-    ):
-        y_pred = classify(model, X_eval, plan.threshold)
-        report = evaluate_predictions(y_eval, y_pred)
-        cells.append(
-            Cell(prepared.name, model_spec.name, sampler_name, ratio_label, part,
-                 report, "ok", time.perf_counter() - started)
-        )
     if model_path is not None:
         Path(model_path).parent.mkdir(parents=True, exist_ok=True)
         save_bundle(model_path, model, prepared.scaler, plan.threshold, prepared.features,
@@ -267,32 +269,86 @@ def imbalance_points(plan, prepared):
     return points
 
 
+_worker_state = None  # (prepared, plan, model_dir) of a forked grid worker
+
+
+def _init_worker(prepared, plan, model_dir):
+    """Process pool initializer. Under fork the arguments are inherited
+    through copy-on-write memory, not pickled."""
+    global _worker_state
+    _worker_state = (prepared, plan, model_dir)
+
+
+def _work(point, state=None):
+    """Run one grid point; state is (prepared, plan, model_dir), by
+    default the one this worker was started with."""
+    prepared, plan, model_dir = state or _worker_state
+    model_spec, sampler_cfg, ratio = point
+    sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
+    stem = f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}"
+    return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_dir / f"{stem}.model")
+
+
+def _expected_cost(point, n_pos, n_neg):
+    """A point's relative expected cost: the rows its sampler returns
+    times the trees its model grows. It only orders the work."""
+    model_spec, cfg, _ = point
+    if cfg.method in ("rus", "nearmiss"):
+        rows = n_pos + min(cfg.ratio * n_pos, n_neg)
+    elif cfg.method == "smote":
+        rows = n_neg + cfg.ratio * n_neg
+    else:
+        rows = n_pos + n_neg
+    if model_spec.kind == "forest":
+        return rows * model_spec.params.get("n_trees", RandomForestClassifier().n_trees)
+    return rows
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(plan, prepared=None, points=None):
     """Run grid points and assemble their cells in point order.
 
     points are (model_spec, sampler_cfg, ratio label or None) triples;
     the default is every model against every sampler config. Each ok
     cell saves its bundle in <output_dir>/models/.
+
+    With plan.jobs > 1 the points run in up to jobs forked worker
+    processes (no more than the CPUs this process may use), longest
+    expected first. Every cell derives its seeds from the plan and the
+    workers inherit the parent's data and BLAS settings, so the cells
+    and bundles are those of jobs = 1. Each worker runs its own BLAS
+    threads, so jobs times the BLAS thread count can oversubscribe the
+    CPUs. Where fork is not available the points run in this process.
     """
     plan.validate()
     if prepared is None:
         prepared = prepare(plan)
     if points is None:
         points = [(m, s, None) for m in plan.models for s in plan.samplers]
-    model_dir = Path(plan.output_dir) / "models"
+    state = (prepared, plan, Path(plan.output_dir) / "models")
     record = RunRecord(plan_hash=_plan_hash(plan))
 
-    def work(point):
-        model_spec, sampler_cfg, ratio = point
-        sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
-        stem = f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}"
-        return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_dir / f"{stem}.model")
-
-    if plan.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=plan.jobs) as pool:
-            results = list(pool.map(work, points))
+    workers = min(plan.jobs, _cpus(), len(points))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        n_pos = int(np.sum(prepared.y_train == 1))
+        n_neg = len(prepared.y_train) - n_pos
+        order = sorted(range(len(points)), key=lambda i: -_expected_cost(points[i], n_pos, n_neg))
+        pool = concurrent.futures.ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"), _init_worker, state
+        )
+        try:
+            futures = {i: pool.submit(_work, points[i]) for i in order}
+            results = [futures[i].result() for i in range(len(points))]
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        results = [work(p) for p in points]
+        results = [_work(p, state) for p in points]
 
     for (model_spec, _, _), (cells, history) in zip(points, results):
         record.cells.extend(cells)

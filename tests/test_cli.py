@@ -225,6 +225,30 @@ class TestPlanCommands:
         assert run_cli(["run", str(path)]) == 1
 
 
+    @pytest.mark.parametrize(
+        "command,kinds,n_failed",
+        [("run", "logreg, cnn1d", 2), ("sweep-imbalance", "cnn1d, logreg", 4),
+         ("compare-sampling", "cnn1d, logreg", 2)],
+    )
+    def test_failed_cells_keep_the_grid_and_exit_one(self, plan_file, tmp_path, capsys,
+                                                      command, kinds, n_failed):
+        out = tmp_path / "out"
+        argv = [command, str(plan_file), "--set", f"models.kinds={kinds}", "--set", "train.lr=1e300",
+                "--set", "train.epochs_max=2", "--set", "sweep.ratios=1, 2"]
+        assert run_cli(argv) == 1
+        assert f"error: {n_failed} cells failed" in capsys.readouterr().err
+        rows = list(csv.DictReader((out / "cells.csv").open()))
+        failed = [r for r in rows if r["status"] == "failed: non-finite network output"]
+        assert len(failed) == n_failed and {r["model"] for r in failed} == {"cnn1d"}
+        assert all(r["status"] == "ok" for r in rows if r["model"] == "logreg")
+        for name in ("record.json", "timings.csv", "resolved.cfg"):
+            assert (out / name).exists()
+
+    def test_jobs_echo_is_the_plans(self, plan_file, tmp_path, capsys):
+        assert run_cli(["run", str(plan_file), "--jobs", "64"]) == 0
+        assert "jobs = 64\n" in (tmp_path / "out" / "resolved.cfg").read_text()
+
+
 class TestTrainEvaluate:
     def test_train_then_evaluate(self, plan_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -182,6 +182,10 @@ BAD = {
     ("plan", "threshold"): "-0.1",
     ("plan", "jobs"): "0",
     ("dataset", "type"): "parquet",
+    ("dataset", "n_rows"): "1",
+    ("dataset", "n_features"): "0",
+    ("dataset", "fraud_fraction"): "1",
+    ("dataset", "separation"): "nan",
     ("dataset", "path"): "",
     ("models", "kinds"): "logreg, svm",
     ("models", "hidden"): "0",
@@ -232,6 +236,25 @@ def test_checked_row_rejects_bad_value(tmp_path, capsys, row):
     assert run_cli(["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", override]) == 1
     assert f"error: [{row.section}] {row.name}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cells.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "override,named",
+    [
+        ("dataset.n_rows=0", "[dataset] n_rows must be >= 2, got 0"),
+        ("dataset.n_features=0", "[dataset] n_features must be >= 1, got 0"),
+        ("dataset.fraud_fraction=0", "[dataset] fraud_fraction must be in (0, 1), got 0.0"),
+        ("dataset.separation=nan", "[dataset] separation must be finite and >= 0, got nan"),
+        ("dataset.separation=inf", "[dataset] separation must be finite and >= 0, got inf"),
+        ("dataset.separation=-1", "[dataset] separation must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_bad_synthetic_value_names_its_key(tmp_path, capsys, override, named):
+    path = tmp_path / "plan.cfg"
+    path.write_text("[dataset]\ntype = synthetic\n")
+    assert run_cli(["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", override]) == 1
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "resolved.cfg").exists()
 
 
 class TestSchemaConfig:
