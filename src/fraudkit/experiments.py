@@ -182,14 +182,31 @@ def _cell_names(sampler_cfg, ratio):
     return name, ratio if ratio is not None else sampler_cfg.ratio
 
 
-def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=None):
+def _cell_sampler(plan, model_spec, sampler_cfg, ratio):
+    """The sampler a grid cell runs (None for method none), seeded for
+    that cell. `ratio` is only a display label (e.g. the pre-cap sweep
+    ratio); the sampler always uses the ratio carried by its config."""
+    seed = _cell_seed(plan, model_spec.name, *_cell_names(sampler_cfg, ratio))
+    return replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
+
+
+def _resample(prepared, sampler):
+    """(X_fit, y_fit) that a sampler (or None) makes of the training rows."""
+    if sampler is None:
+        return prepared.X_train, prepared.y_train
+    return sampler.fit_resample(prepared.X_train, prepared.y_train)
+
+
+def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=None, sample=None):
     """Train one grid cell and evaluate it on validation and test.
 
     Precondition violations (unsuitable model shape, unreachable sampler
     target) become skipped cells, and numeric breakdowns (a TrainingError
     or FloatingPointError) failed cells, never grid aborts. An ok cell
-    saves its bundle to model_path when one is given. Returns
-    (cells, history-or-None).
+    saves its bundle to model_path when one is given. sample, when
+    given, is what the cell's sampler returned, (X_fit, y_fit), or the
+    error it raised; cells that share it time only their own work.
+    Returns (cells, history-or-None).
     """
     sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
     seed = _cell_seed(plan, model_spec.name, sampler_name, ratio_label)
@@ -203,14 +220,12 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
             for part in ("validation", "test")
         ], None
 
-    # `ratio` is only a display label (e.g. the pre-cap sweep ratio);
-    # the sampler always uses the ratio carried by its config.
     try:
-        sampler = replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
-        if sampler is None:
-            X_fit, y_fit = prepared.X_train, prepared.y_train
-        else:
-            X_fit, y_fit = sampler.fit_resample(prepared.X_train, prepared.y_train)
+        if sample is None:
+            sample = _resample(prepared, _cell_sampler(plan, model_spec, sampler_cfg, ratio))
+        if isinstance(sample, Exception):
+            raise sample
+        X_fit, y_fit = sample
         model = make_model(
             model_spec.kind,
             lr=plan.train.lr,
@@ -279,14 +294,45 @@ def _init_worker(prepared, plan, model_dir):
     _worker_state = (prepared, plan, model_dir)
 
 
-def _work(point, state=None):
-    """Run one grid point; state is (prepared, plan, model_dir), by
-    default the one this worker was started with."""
+def _work(points, state=None):
+    """Run grid points that share one sample; state is (prepared, plan,
+    model_dir), by default the one this worker was started with.
+
+    Several points are sampled once. The sample is read-only, so a model
+    that writes into its training rows fails instead of changing the
+    next cell's rows. Returns each point's (cells, history).
+    """
     prepared, plan, model_dir = state or _worker_state
-    model_spec, sampler_cfg, ratio = point
-    sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
-    stem = f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}"
-    return run_cell(prepared, plan, model_spec, sampler_cfg, ratio, model_dir / f"{stem}.model")
+    sample = None
+    if len(points) > 1:
+        try:
+            sample = _resample(prepared, _cell_sampler(plan, *points[0]))
+        except (ValueError, FloatingPointError) as exc:
+            sample = exc  # each cell reports it
+        else:
+            for array in sample:
+                array.flags.writeable = False
+    results = []
+    for model_spec, sampler_cfg, ratio in points:
+        sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
+        path = model_dir / f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}.model"
+        results.append(run_cell(prepared, plan, model_spec, sampler_cfg, ratio, path, sample))
+    return results
+
+
+def _share_groups(plan, points):
+    """Point indices, grouped where run_cell would build samplers with one
+    repr. The repr lists every constructor argument, seed included, so
+    only seedless samplers (NearMiss) are shared, across models. Points
+    without a sampler stay alone."""
+    groups = {}
+    for i, (model_spec, sampler_cfg, ratio) in enumerate(points):
+        try:
+            sampler = _cell_sampler(plan, model_spec, sampler_cfg, ratio)
+        except ValueError:
+            sampler = None  # run_cell reports it
+        groups.setdefault(i if sampler is None else repr(sampler), []).append(i)
+    return list(groups.values())
 
 
 def _expected_cost(point, n_pos, n_neg):
@@ -318,13 +364,18 @@ def run_experiment(plan, prepared=None, points=None):
     the default is every model against every sampler config. Each ok
     cell saves its bundle in <output_dir>/models/.
 
-    With plan.jobs > 1 the points run in up to jobs forked worker
+    Points whose samplers are equal run as one task that samples once:
+    NearMiss takes no seed, so every model gets the same NearMiss rows.
+    The seconds of such cells exclude the shared sample. Other points,
+    those without a sampler included, are one task each.
+
+    With plan.jobs > 1 the tasks run in up to jobs forked worker
     processes (no more than the CPUs this process may use), longest
     expected first. Every cell derives its seeds from the plan and the
     workers inherit the parent's data and BLAS settings, so the cells
     and bundles are those of jobs = 1. Each worker runs its own BLAS
     threads, so jobs times the BLAS thread count can oversubscribe the
-    CPUs. Where fork is not available the points run in this process.
+    CPUs. Where fork is not available the tasks run in this process.
     """
     plan.validate()
     if prepared is None:
@@ -333,22 +384,27 @@ def run_experiment(plan, prepared=None, points=None):
         points = [(m, s, None) for m in plan.models for s in plan.samplers]
     state = (prepared, plan, Path(plan.output_dir) / "models")
     record = RunRecord(plan_hash=_plan_hash(plan))
+    groups = _share_groups(plan, points)
 
-    workers = min(plan.jobs, _cpus(), len(points))
+    workers = min(plan.jobs, _cpus(), len(groups))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         n_pos = int(np.sum(prepared.y_train == 1))
         n_neg = len(prepared.y_train) - n_pos
-        order = sorted(range(len(points)), key=lambda i: -_expected_cost(points[i], n_pos, n_neg))
+        groups.sort(key=lambda g: -sum(_expected_cost(points[i], n_pos, n_neg) for i in g))
         pool = concurrent.futures.ProcessPoolExecutor(
             workers, multiprocessing.get_context("fork"), _init_worker, state
         )
         try:
-            futures = {i: pool.submit(_work, points[i]) for i in order}
-            results = [futures[i].result() for i in range(len(points))]
+            futures = [pool.submit(_work, [points[i] for i in g]) for g in groups]
+            outputs = [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        results = [_work(p, state) for p in points]
+        outputs = [_work([points[i] for i in g], state) for g in groups]
+    results = [None] * len(points)
+    for group, output in zip(groups, outputs):
+        for i, result in zip(group, output):
+            results[i] = result
 
     for (model_spec, _, _), (cells, history) in zip(points, results):
         record.cells.extend(cells)

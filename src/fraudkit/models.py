@@ -16,7 +16,13 @@ from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError
 from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Dropout, Flatten, MaxPool1D
 from fraudkit.nn.network import Network, fit as fit_network
 from fraudkit.preprocess import StandardScaler
-from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier
+from fraudkit.trees import (
+    DecisionTreeClassifier,
+    RandomForestClassifier,
+    TreeNode,
+    tree_from_lists,
+    tree_to_lists,
+)
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -185,21 +191,23 @@ def classify(model, rows, threshold=0.5):
 
 
 def model_to_dict(model):
-    """Serializable form of any trained model."""
+    """Serializable form of any trained model. Trees are flat preorder
+    lists (trees.tree_to_lists), so no depth is too deep for JSON."""
     from fraudkit.nn.network import network_to_dict
 
     if isinstance(model, NeuralNetClassifier):
         return {"kind": model.kind, "network": network_to_dict(model.network_)}
     if isinstance(model, DecisionTreeClassifier):
-        return {"kind": "dtree", "root": model.root_.to_dict()}
+        return {"kind": "dtree", "flat_tree": tree_to_lists(model.root_)}
     if isinstance(model, RandomForestClassifier):
-        return {"kind": "forest", "trees": [t.root_.to_dict() for t in model.trees_]}
+        return {"kind": "forest", "flat_trees": [tree_to_lists(t.root_) for t in model.trees_]}
     raise ValueError(f"cannot serialize model of type {type(model).__name__}")
 
 
 def model_from_dict(payload):
+    """The model model_to_dict wrote. Trees are also read in the nested
+    form ("root" and "trees") of bundles written before the flat lists."""
     from fraudkit.nn.network import network_from_dict
-    from fraudkit.trees import TreeNode
 
     kind = payload["kind"]
     if kind in _NETWORK_BUILDERS:
@@ -208,14 +216,21 @@ def model_from_dict(payload):
         return model
     if kind == "dtree":
         model = DecisionTreeClassifier()
-        model.root_ = TreeNode.from_dict(payload["root"])
+        if "flat_tree" in payload:
+            model.root_ = tree_from_lists(payload["flat_tree"])
+        else:
+            model.root_ = TreeNode.from_dict(payload["root"])
         return model
     if kind == "forest":
         model = RandomForestClassifier()
         model.trees_ = []
-        for tree_dict in payload["trees"]:
+        if "flat_trees" in payload:
+            roots = [tree_from_lists(lists) for lists in payload["flat_trees"]]
+        else:
+            roots = [TreeNode.from_dict(d) for d in payload["trees"]]
+        for root in roots:
             tree = DecisionTreeClassifier()
-            tree.root_ = TreeNode.from_dict(tree_dict)
+            tree.root_ = root
             model.trees_.append(tree)
         return model
     raise ValueError(f"unknown serialized model kind {kind!r}")

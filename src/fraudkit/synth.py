@@ -5,6 +5,7 @@ Both classes are unit-covariance Gaussians; the fraud-class mean sits
 (seeded) unit direction. Deterministic per seed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not 0.0 < self.fraud_fraction < 1.0:
             raise ValueError("fraud_fraction must lie in (0, 1)")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        if not 0.0 <= self.separation < math.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation!r}")
         if self.n_rows < 1 or self.n_features < 1:
             raise ValueError("degenerate synthetic spec")
 

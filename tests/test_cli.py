@@ -119,6 +119,13 @@ class TestGenSynth:
     def test_bad_fraction_is_validation_error(self, tmp_path):
         assert run_cli(["gen-synth", str(tmp_path / "x.csv"), "--fraud-fraction", "2.0"]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_separation_is_validation_error(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        assert run_cli(["gen-synth", str(out), "--separation", value]) == 1
+        assert f"separation must be finite and >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlanCommands:
     def test_run_twice_is_byte_identical(self, plan_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Grid cells in forked worker processes: same bytes at every jobs count,
-longest points first, and no worker left behind."""
+longest tasks first, one sample per seedless sampler, and no worker left
+behind."""
 
 import concurrent.futures
 import multiprocessing
@@ -17,8 +18,9 @@ from fraudkit.base import FraudkitError, NotFittedError
 from fraudkit.config import ConfigError
 from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig, emit_report, run_experiment
 from fraudkit.ingest import ParseError, SchemaError
+from fraudkit.models import MODEL_KINDS
 from fraudkit.nn.network import TrainingError
-from fraudkit.resample import SamplerConfig
+from fraudkit.resample import NearMiss, SamplerConfig
 from fraudkit.synth import SyntheticSpec
 
 pytestmark = pytest.mark.skipif(
@@ -37,17 +39,18 @@ MIXED = dict(
 )
 
 
-def grid_bytes(out, jobs):
+def grid_bytes(out, jobs, **plan_args):
     """{file name: bytes} of cells.csv and every saved bundle of the mixed
-    plan run at jobs workers into out."""
-    plan = ExperimentPlan(**MIXED, jobs=jobs, output_dir=str(out))
+    plan, with plan_args replacing its fields, run at jobs workers into out."""
+    plan = ExperimentPlan(**{**MIXED, **plan_args}, jobs=jobs, output_dir=str(out))
     emit_report(run_experiment(plan), out, formats=("csv",))
     files = [out / "cells.csv", *sorted((out / "models").glob("*.model"))]
     return {p.name: p.read_bytes() for p in files}
 
 
 class PoolSpy(concurrent.futures.ProcessPoolExecutor):
-    """The process pool, recording its worker counts and submitted points."""
+    """The process pool, recording its worker counts and submitted tasks,
+    each as the list of its points' (model, sampler) names."""
 
     workers = []
     submitted = []
@@ -56,9 +59,11 @@ class PoolSpy(concurrent.futures.ProcessPoolExecutor):
         PoolSpy.workers.append(max_workers)
         super().__init__(max_workers, *args, **kwargs)
 
-    def submit(self, fn, point, *args, **kwargs):
-        PoolSpy.submitted.append((point[0].name, experiments._cell_names(point[1], point[2])[0]))
-        return super().submit(fn, point, *args, **kwargs)
+    def submit(self, fn, points, *args, **kwargs):
+        PoolSpy.submitted.append(
+            [(m.name, experiments._cell_names(cfg, ratio)[0]) for m, cfg, ratio in points]
+        )
+        return super().submit(fn, points, *args, **kwargs)
 
 
 @pytest.fixture
@@ -130,23 +135,111 @@ def test_uncaught_worker_error_reaches_caller_and_no_worker_survives(tmp_path, p
     assert multiprocessing.active_children() == []
 
 
+# The benchmark grid's shape: NearMiss v3, v1, v2 at ratio 1 before a
+# larger under-sampling ratio, for a tree and a 10-tree forest.
+BENCH_SHAPE = dict(
+    models=[ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 10})],
+    samplers=[*(SamplerConfig("nearmiss", nearmiss_version=v, k_neighbors=3) for v in (3, 1, 2)),
+              SamplerConfig("rus", ratio=3.0)],
+)
+
+
 def test_longest_point_is_submitted_first(tmp_path, pool_spy):
-    # The benchmark grid's shape: NearMiss v3, v1, v2 at ratio 1 before a
-    # larger under-sampling ratio, for a tree and a 10-tree forest.
-    samplers = [SamplerConfig("nearmiss", nearmiss_version=v, k_neighbors=3) for v in (3, 1, 2)]
-    plan = ExperimentPlan(
-        **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 10})],
-           "samplers": [*samplers, SamplerConfig("rus", ratio=3.0)]},
-        jobs=2,
-        output_dir=str(tmp_path / "out"),
-    )
+    plan = ExperimentPlan(**{**MIXED, **BENCH_SHAPE}, jobs=2, output_dir=str(tmp_path / "out"))
     record = run_experiment(plan)
-    # Ties keep point order.
+    # Each NearMiss task serves both models; ties keep point order.
     assert pool_spy.submitted == [
-        (m, s) for m in ("forest", "dtree") for s in ("rus", "nearmiss3", "nearmiss1", "nearmiss2")
+        [("forest", "rus")],
+        *([("dtree", s), ("forest", s)] for s in ("nearmiss3", "nearmiss1", "nearmiss2")),
+        [("dtree", "rus")],
     ]
     points = [(m.name, n) for m in plan.models for n in ("nearmiss3", "nearmiss1", "nearmiss2", "rus")]
     assert [(c.model, c.sampler) for c in record.cells[::2]] == points
+
+
+def test_points_without_a_sampler_run_one_per_task(tmp_path, pool_spy):
+    run_experiment(ExperimentPlan(**MIXED, jobs=2, output_dir=str(tmp_path / "out")))
+    assert len(pool_spy.submitted) == 10
+    assert all(len(task) == 1 for task in pool_spy.submitted)
+
+
+def test_shared_nearmiss_is_sampled_once(tmp_path, monkeypatch):
+    calls = []
+    real_fit_resample = NearMiss.fit_resample
+
+    def fit_resample(self, X, y):
+        calls.append(repr(self))
+        return real_fit_resample(self, X, y)
+
+    monkeypatch.setattr(NearMiss, "fit_resample", fit_resample)
+    plan = ExperimentPlan(
+        **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 3})],
+           "samplers": [SamplerConfig("nearmiss", nearmiss_version=1)]},
+        output_dir=str(tmp_path / "out"),
+    )
+    prepared = experiments.prepare(plan)
+    record = run_experiment(plan, prepared)
+    assert calls == ["NearMiss(version=1, k=3, ratio=1.0)"]
+    # The shared sample gives each cell the report it gets alone.
+    for model_spec in plan.models:
+        alone, _ = experiments.run_cell(prepared, plan, model_spec, plan.samplers[0])
+        shared = [c for c in record.cells if c.model == model_spec.name]
+        assert [c.report for c in shared] == [c.report for c in alone]
+        assert all(c.status == "ok" for c in shared)
+
+
+def test_jobs_give_identical_bytes_with_a_shared_sample(tmp_path, pool_spy):
+    grid = dict(
+        models=[ModelSpec("logreg"), ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 3})],
+        samplers=[SamplerConfig("nearmiss", nearmiss_version=3), SamplerConfig("rus"),
+                  SamplerConfig("nearmiss", nearmiss_version=1)],
+        train=TrainConfig(epochs_max=3),
+    )
+    runs = {jobs: grid_bytes(tmp_path / f"jobs{jobs}", jobs, **grid) for jobs in (1, 2, 4)}
+    assert pool_spy.workers == [2, 4]
+    assert sorted(map(len, pool_spy.submitted[:5])) == [1, 1, 1, 3, 3]
+    # NearMiss v3's shortlist falls short here: one error, reported by every cell.
+    assert runs[1]["cells.csv"].decode().count(",skipped: NearMiss v3 shortlist has") == 6
+    assert len(runs[1]) == 1 + 6
+    assert runs[1] == runs[2] == runs[4]
+
+
+def test_every_model_kind_fits_on_a_shared_read_only_sample(tmp_path):
+    plan = ExperimentPlan(
+        synthetic=SyntheticSpec(n_rows=300, n_features=30, fraud_fraction=0.2, separation=4.0,
+                                seed=5),
+        models=[ModelSpec(kind) for kind in MODEL_KINDS],
+        samplers=[SamplerConfig("nearmiss", nearmiss_version=1)],
+        train=TrainConfig(epochs_max=2),
+        output_dir=str(tmp_path / "out"),
+    )
+    assert [c.status for c in run_experiment(plan).cells] == ["ok"] * 2 * len(MODEL_KINDS)
+
+
+def test_a_shared_sample_is_read_only(tmp_path, monkeypatch):
+    real_make_model = experiments.make_model
+
+    def make_model(kind, **params):
+        model = real_make_model(kind, **params)
+        fit = model.fit
+
+        def fit_in_place(X, y, *args):
+            X[0, 0] = 0.0  # a model that scribbles on its training rows
+            return fit(X, y, *args)
+
+        model.fit = fit_in_place
+        return model
+
+    monkeypatch.setattr(experiments, "make_model", make_model)
+    plan = ExperimentPlan(
+        **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("logreg")],
+           "samplers": [SamplerConfig("nearmiss", nearmiss_version=2), SamplerConfig("rus")]},
+        output_dir=str(tmp_path / "out"),
+    )
+    statuses = {(c.model, c.sampler): c.status for c in run_experiment(plan).cells}
+    for model in ("dtree", "logreg"):
+        assert statuses[model, "nearmiss2"] == "skipped: assignment destination is read-only"
+        assert statuses[model, "rus"] == "ok"
 
 
 def test_workers_capped_at_usable_cpus(tmp_path, pool_spy, monkeypatch):

@@ -1,0 +1,137 @@
+"""The blocked split search against the per-node sort reference at several
+block sizes, deep trees without recursion, and the flat tree payload."""
+
+import json
+
+import numpy as np
+import pytest
+
+from fraudkit import trees
+from fraudkit.base import FraudkitError
+from fraudkit.models import load_bundle, model_from_dict, model_to_dict, save_bundle
+from fraudkit.preprocess import StandardScaler
+from fraudkit.rng import derive_seed, generator
+from fraudkit.trees import (
+    DecisionTreeClassifier,
+    RandomForestClassifier,
+    _gini_part,
+    _split_scores,
+    tree_from_lists,
+)
+from test_sampling_reference import ref_tree_dict
+
+# SEARCH_BLOCK as a function of a set's rows n: one feature per block; one
+# feature row per block at the root, so deeper nodes take several; and
+# blocks of 4 features at the root, which split 6 features 4 + 2 and a
+# forest node's 5 drawn features 4 + 1.
+BLOCKS = {"one": lambda n: 1, "row": lambda n: n, "uneven": lambda n: 4 * n}
+
+
+def tie_heavy(seed, n=400, n_features=6):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, n_features)), 1)
+    y = (rng.random(n) < 0.3).astype(np.int64)
+    return X, y
+
+
+def test_split_scores_equal_the_gini_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 50, 5000):
+        y = (rng.random((3, n)) < rng.uniform(0.0, 1.0)).astype(np.float64)
+        pos_l = np.cumsum(y, axis=1)[:, :-1]
+        sizes_l = np.arange(1, n, dtype=np.float64)
+        total_pos = int(y[0].sum())
+        want = _gini_part(pos_l, sizes_l) + _gini_part(total_pos - pos_l, n - sizes_l)
+        assert np.array_equal(_split_scores(pos_l.copy(), sizes_l, n - sizes_l, total_pos), want)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_tree_and_forest_match_reference_at_block_sizes(monkeypatch, block):
+    X, y = tie_heavy(3)
+    monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
+    tree = DecisionTreeClassifier(min_leaf=2, seed=4).fit(X, y)
+    assert json.dumps(tree.root_.to_dict()) == json.dumps(ref_tree_dict(X, y, min_leaf=2, seed=4))
+    forest = RandomForestClassifier(n_trees=3, max_features=5, seed=6).fit(X, y)
+    for t, tree in enumerate(forest.trees_):
+        boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
+        want = ref_tree_dict(X[boot], y[boot], max_features=5, seed=derive_seed(6, f"tree/{t}"))
+        assert json.dumps(tree.root_.to_dict()) == json.dumps(want), t
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_tree_matches_reference_on_rounded_grids_at_block_sizes(monkeypatch, block):
+    rng = np.random.default_rng(12)
+    for case in range(120):
+        n = int(rng.integers(2, 60))
+        X = np.round(rng.normal(size=(n, int(rng.integers(1, 7)))), int(rng.integers(0, 2)))
+        y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+        params = dict(max_depth=[None, 2][case % 2], min_leaf=int(rng.integers(1, 4)),
+                      max_features=[None, 1, 3][case % 3], seed=case)
+        if n < params["min_leaf"]:
+            continue
+        monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](n))
+        got = DecisionTreeClassifier(**params).fit(X, y).root_.to_dict()
+        assert json.dumps(got) == json.dumps(ref_tree_dict(X, y, **params)), case
+
+
+def deep_set(n=2000):
+    """One feature with alternating labels: every split peels one row."""
+    return np.arange(n, dtype=np.float64)[:, None], np.arange(n) % 2
+
+
+def test_deep_tree_predicts_and_round_trips_a_bundle(tmp_path):
+    X, y = deep_set()
+    tree = DecisionTreeClassifier().fit(X, y)
+    assert np.array_equal(tree.predict_proba(X), y.astype(np.float64))
+    forest = RandomForestClassifier(n_trees=2, max_features=1, seed=1).fit(X, y)
+    scaler = StandardScaler().fit(X)
+    for model in (tree, forest):
+        path = tmp_path / f"{type(model).__name__}.model"
+        save_bundle(path, model, scaler, 0.5, ["x"], {})
+        loaded = load_bundle(path)[0]
+        assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+
+
+def test_nested_tree_payload_still_loads():
+    X, y = tie_heavy(5, n=200, n_features=3)
+    tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
+    forest = RandomForestClassifier(n_trees=2, max_depth=3, seed=2).fit(X, y)
+    for payload, model in (
+        ({"kind": "dtree", "root": tree.root_.to_dict()}, tree),
+        ({"kind": "forest", "trees": [t.root_.to_dict() for t in forest.trees_]}, forest),
+    ):
+        loaded = model_from_dict(json.loads(json.dumps(payload)))
+        assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+
+
+def test_flat_payload_is_preorder():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = DecisionTreeClassifier().fit(X, np.array([0, 1, 1, 1]))
+    assert model_to_dict(tree)["flat_tree"] == {
+        "feature": [0, -1, -1],
+        "threshold": [0.5, None, None],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "prob": [0.75, 0.0, 1.0],
+    }
+
+
+@pytest.mark.parametrize("lists", [
+    {"feature": [0, -1], "threshold": [0.5, None], "left": [0, -1], "right": [1, -1],
+     "prob": [0.5, 0.0]},
+    {"feature": [0], "threshold": [0.5], "left": [1], "right": [2], "prob": [0.5]},
+    {"feature": [], "threshold": [], "left": [], "right": [], "prob": []},
+    {"feature": [-1, -1], "threshold": [None], "left": [-1, -1], "right": [-1, -1],
+     "prob": [0.5, 0.5]},
+])
+def test_malformed_flat_tree_is_rejected(tmp_path, lists):
+    with pytest.raises(ValueError):
+        tree_from_lists(lists)
+    path = tmp_path / "bad.model"
+    save_bundle(path, DecisionTreeClassifier().fit(*deep_set(4)), StandardScaler().fit(
+        deep_set(4)[0]), 0.5, ["x"], {})
+    payload = json.loads(path.read_text())
+    payload["model"]["flat_tree"] = lists
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FraudkitError, match="not a model bundle"):
+        load_bundle(path)
