@@ -13,6 +13,11 @@ class NotFittedError(FraudkitError):
     """Raised when predict/transform is called before fit."""
 
 
+class ConfigError(ValueError):
+    """A plan or schema value that is missing, does not parse or fails its
+    check; plan errors name the [section] key."""
+
+
 def check_array(X, *, ndim=2, name="X"):
     """Coerce to a float64 ndarray of the given rank and reject non-finite values."""
     X = np.asarray(X, dtype=np.float64)

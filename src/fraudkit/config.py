@@ -16,14 +16,11 @@ import io
 import math
 from dataclasses import dataclass
 
+from fraudkit.base import ConfigError
 from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig, sweep_ratios_ok
 from fraudkit.models import MODEL_KINDS
 from fraudkit.resample import SAMPLER_METHODS, SamplerConfig
 from fraudkit.synth import SyntheticSpec
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _csv_list(value):
@@ -44,8 +41,10 @@ def _holds(test, text):
 
 
 def _members(choices, what):
-    """Check that every item of a list value is one of choices."""
+    """Check that a list value is non-empty and each item is one of choices."""
     def check(values):
+        if not values:
+            return f" must be non-empty, got {values!r}"
         for v in values:
             if v not in choices:
                 return f": unknown {what} {v!r}, expected one of {', '.join(choices)}"
@@ -111,7 +110,7 @@ PLAN_TABLE = (
     Key("samplers", "nearmiss_version", int, 1, _holds(lambda v: v in (1, 2, 3), "1, 2 or 3")),
     Key("samplers", "k_neighbors", int, 0, _at_least(0)),
     Key("sweep", "ratios", _numbers, (1, 2, 5, 10, 25, 50, 100),
-        _holds(sweep_ratios_ok, "finite, >= 1 and ascending")),
+        _holds(lambda v: v and sweep_ratios_ok(v), "non-empty, finite, >= 1 and ascending")),
     Key("train", "lr", float, 0.001, _FINITE_POSITIVE),
     Key("train", "epochs_max", int, 100, _at_least(1)),
     Key("train", "batch_size", int, 256, _at_least(1)),

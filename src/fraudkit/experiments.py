@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fraudkit.base import ConfigError
 from fraudkit.ingest import infer_schema, load_csv
 from fraudkit.metrics import evaluate_predictions, format_metric
 from fraudkit.models import classify, make_model, save_bundle
@@ -78,7 +79,9 @@ class ExperimentPlan:
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("plan needs a dataset path or a synthetic spec")
         if self.dataset_path is not None and not Path(self.dataset_path).exists():
-            raise ValueError(f"dataset file not found: {self.dataset_path}")
+            raise ConfigError(
+                f"[dataset] path must name an existing file, got {self.dataset_path!r}"
+            )
 
     @property
     def dataset_name(self):

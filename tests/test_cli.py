@@ -73,6 +73,24 @@ class TestBasics:
         assert "line 4: non-finite numeric cell in column 'a'" in capsys.readouterr().err
 
 
+    def test_empty_file_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert run_cli(["profile", str(path)]) == 1
+        assert f"error: {path}: empty file, no header row" in capsys.readouterr().err
+
+    def test_oversized_cell_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text('a,Class\n1.0,0\n"' + "9" * 200_000 + '",1\n')
+        assert run_cli(["profile", str(path)]) == 1
+        assert f"error: {path}: line 3: field larger than field limit" in capsys.readouterr().err
+
+    def test_non_utf8_byte_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,Class\n1.0,0\n\xff,1\n")
+        assert run_cli(["profile", str(path)]) == 1
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
 class TestProfileExplore:
     def test_profile_json(self, tiny_csv, capsys):
         code = run_cli(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraudkit.cli import run_cli
 from fraudkit.config import (
@@ -256,6 +258,48 @@ def test_bad_synthetic_value_names_its_key(tmp_path, capsys, override, named):
     assert f"error: {named}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "resolved.cfg").exists()
 
+
+
+@pytest.mark.parametrize(
+    "override,named",
+    [
+        ("models.kinds=", "[models] kinds must be non-empty, got []"),
+        ("samplers.methods= , ", "[samplers] methods must be non-empty, got []"),
+        ("sweep.ratios=", "[sweep] ratios must be non-empty, finite, >= 1 and ascending, got []"),
+    ],
+)
+def test_empty_grid_list_names_its_key(tmp_path, capsys, override, named):
+    path = tmp_path / "plan.cfg"
+    path.write_text("[dataset]\ntype = synthetic\n")
+    assert run_cli(["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", override]) == 1
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "resolved.cfg").exists()
+
+
+FUZZ_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", " ", ",", "0", "1", "2", "3", "-1", "0.5", "1e400", "nan", "-inf",
+                     "synthetic", "csv", "tanh", "logreg", "dtree, forest", "none, rus"]),
+    st.integers(-10, 10**6).map(str),
+    st.floats().map(repr),
+    st.lists(st.sampled_from(["1", "2.5", "0", "inf", "x", "", "logreg", "rus"]), max_size=4).map(
+        ", ".join
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=st.sampled_from(PLAN_TABLE), value=FUZZ_VALUES)
+def test_fuzzed_override_loads_or_names_its_key(tmp_path_factory, row, value):
+    directory = tmp_path_factory.mktemp("fuzz")
+    data = directory / "data.csv"
+    data.write_text("a,Class\n1.0,0\n")
+    path = directory / "plan.cfg"
+    path.write_text(f"[dataset]\ntype = {row.when or 'synthetic'}\npath = {data}\n")
+    try:
+        load_plan(path, [f"{row.section}.{row.name}={value}"]).validate()
+    except ConfigError as exc:
+        assert str(exc).startswith(f"[{row.section}] {row.name}")
 
 class TestSchemaConfig:
     def test_columns_and_policies(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fraudkit import ingest
 from fraudkit.ingest import (
     ColumnSchema,
     Dataset,
@@ -301,6 +302,89 @@ class TestReaderOracle:
         assert ds.features.shape == X.shape
         assert ds.features.tobytes() == X.tobytes()
         assert ds.labels.tobytes() == y.tobytes()
+
+
+@pytest.fixture(scope="class", params=[1, 2, 3])
+def read_block_rows(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_READ_BLOCK_ROWS", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("read_block_rows")
+class TestReaderOracleSmallBlocks(TestReaderOracle):
+    """The oracle again with records read 1, 2 and 3 at a time, so that
+    every file of more than a few rows spans several blocks."""
+
+
+class TestReadBlocks:
+    """Precedence across read blocks of two records."""
+
+    @pytest.fixture(autouse=True)
+    def two_record_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", 2)
+
+    def test_later_forbid_missing_cell_beats_earlier_bad_cell(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,Class\nxyz,1.0,0\n2.0,3.0,1\n3.0,4.0,0\n4.0,,1\n")
+        schema = [
+            ColumnSchema("a", "numeric"),
+            ColumnSchema("b", "numeric", "forbid"),
+            ColumnSchema("Class", "label"),
+        ]
+        with pytest.raises(ParseError, match="line 5: missing value in column 'b'"):
+            load_csv(path, schema)
+
+    def test_bad_cell_in_dropped_row_is_never_reported(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,Class\n1,2,0\n3,4,1\n5,6,0\n,inf,1\n7,8,2\n")
+        schema = [
+            ColumnSchema("a", "numeric", "drop_row"),
+            ColumnSchema("b", "numeric"),
+            ColumnSchema("Class", "label"),
+        ]
+        with pytest.raises(ParseError, match="line 6: label outside"):
+            load_csv(path, schema)
+        path.write_text("a,b,Class\n1,2,0\n3,4,1\n5,6,0\n,inf,1\n7,8,1\n")
+        ds = load_csv(path, schema)
+        assert ds.features.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        assert ds.labels.tolist() == [0, 1, 0, 1]
+
+    def test_all_missing_drop_row_column_is_dropped_and_rows_kept(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,gone,Class\n" + "".join(f"{i},,{i % 2}\n" for i in range(5)))
+        ds = load_csv(path, infer_schema(path, "Class"))
+        assert ds.feature_names == ["a"]
+        assert ds.features[:, 0].tolist() == [0, 1, 2, 3, 4]
+
+    def test_category_first_seen_in_dropped_row_is_not_code_zero(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,cat,Class\n,FR,0\n1,US,1\n2,FR,0\n3,AU,1\n")
+        ds = load_csv(path, infer_schema(path, "Class", categorical=["cat"]))
+        assert ds.schema[1].categories == ("US", "FR", "AU")
+        assert ds.features[:, 1].tolist() == [0, 1, 2]
+
+    def test_unseen_stored_category_is_named_at_first_kept_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,cat,Class\n,NZ,0\n1,US,1\n2,FR,0\n3,NZ,1\n4,DE,0\n")
+        schema = [
+            ColumnSchema("a", "numeric"),
+            ColumnSchema("cat", "categorical", categories=("FR", "US")),
+            ColumnSchema("Class", "label"),
+        ]
+        with pytest.raises(ParseError, match="line 5: category 'NZ' in column 'cat'"):
+            load_csv(path, schema)
+        path.write_text("a,cat,Class\n,NZ,0\n1,US,1\n2,FR,0\n3,US,1\n")
+        ds = load_csv(path, schema)
+        assert ds.schema[1].categories == ("FR", "US")
+        assert ds.features[:, 1].tolist() == [1, 0, 1]
+
+    def test_bad_utf8_past_the_header_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,Class\n" + b"1.0,0\n" * 5000 + b"\xff,1\n")
+        schema = infer_schema(path, "Class")
+        with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
+            load_csv(path, schema)
 
 
 class TestWriteCsv:
