@@ -11,7 +11,8 @@ import mmap
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from functools import partial
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -157,35 +158,90 @@ def encode_categoricals(values, categories=None):
     return codes, tuple(categories)
 
 
-# Records per read block. A block's cells die before the next block is
-# read, so a load holds the float values of the file's kept columns, the
-# cells of one block (about 2.5 MB at 1,024 records of 31 cells) and the
-# cells of dirty parts. Blocks of 8,192 records load about a tenth slower.
+# Raw file lines per read block. A clean block of a schema without a
+# categorical column is parsed in C by np.loadtxt (load_csv's docstring
+# says when); any other block goes through csv.reader and float() of each
+# cell. A block's cells die before the next block is read, so a load
+# holds the float values of the file's kept columns, the cells of one
+# block (about 2.5 MB at 1,024 lines of 31 cells) and the cells of dirty
+# parts. Blocks of 8,192 records loaded about a tenth slower through
+# csv.reader.
 _READ_BLOCK_ROWS = 1024
+
+# Characters that send a block to csv.reader: a quote may open a quoted
+# cell, and loadtxt strips the ASCII separators FS, GS, RS and US as
+# whitespace where float() rejects them.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
+# The lines csv.reader reads as no record.
+_BLANK = ("\n", "\r\n", "\r")
 
 # The values a numeric or label part must hold to be clean.
 _ACCEPT = {"numeric": np.isfinite, "label": lambda v: (v == 0) | (v == 1)}
 
 
-def _records(path, lines):
-    """Yield the header, then each non-blank record, appending the file
-    line the record ends on to lines. Reader and decoding errors become
-    ParseErrors naming the file."""
+def _blocks(path, lines, clean=None):
+    """Yield the header, then one block per _READ_BLOCK_ROWS raw file
+    lines that hold a record, appending the file line each record ends on
+    to lines. A block is clean(header, raw lines, records)'s float64
+    array or, where clean is None or returns None, the block's csv
+    records. Reader and decoding errors become ParseErrors naming the
+    file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader, read = csv.reader(fh), 0  # read: file lines before the reader's first
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}: empty file, no header row")
             yield header
-            for row in reader:
-                if row:
-                    lines.append(reader.line_num)
-                    yield row
+            read = reader.line_num
+            while raw := list(islice(fh, _READ_BLOCK_ROWS)):
+                records = len(raw) - sum(map(raw.count, _BLANK))
+                if not records:
+                    read += len(raw)
+                    continue
+                values = clean(header, raw, records) if clean else None
+                if values is not None:
+                    lines.extend(i for i, line in enumerate(raw, read + 1) if line not in _BLANK)
+                    read += len(raw)
+                    yield values
+                    continue
+                # Reading on into the file, so that a quoted line break
+                # across the block's end still parses.
+                reader, rows = csv.reader(chain(raw, fh)), []
+                while reader.line_num < len(raw):
+                    if row := next(reader):
+                        rows.append(row)
+                        lines.append(read + reader.line_num)
+                read += reader.line_num
+                yield rows
+                del rows  # so the next block is read without these cells
         except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise ParseError(f"{path}: line {read + reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _loadtxt_block(by_name, header, raw, records):
+    """The kept columns of a block of raw lines as parsed by numpy's C
+    parser, or None where csv.reader must read the block: where a line
+    holds a _CSV_ONLY character or is longer than csv's field limit,
+    where loadtxt raises or reads other than one row per record at the
+    header's width, or where a cell is not clean."""
+    text = "".join(raw)
+    if max(map(len, raw)) > csv.field_size_limit() or any(c in text for c in _CSV_ONLY):
+        return None
+    try:
+        parsed = np.loadtxt(raw, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    kinds = np.array([by_name[name].kind for name in header])
+    if parsed.shape != (records, len(header)) or not all(
+        accept(parsed[:, kinds == kind]).all() for kind, accept in _ACCEPT.items()
+    ):
+        return None
+    taken = kinds != "drop"
+    return np.compress(taken, parsed, axis=1, out=_mapped_empty(records, np.count_nonzero(taken)))
 
 
 def load_csv(path, schema):
@@ -205,10 +261,19 @@ def load_csv(path, schema):
     comes before any parse error, and cells in rows dropped for a missing
     value are never parsed.
 
-    Records are read in blocks of _READ_BLOCK_ROWS. Each block becomes
-    one float64 array holding its parsed numeric and label cells and a
-    running code for each categorical cell, numbered by first appearance
-    in the file. A column's part of a block is dirty when it holds a
+    The file is read in blocks of _READ_BLOCK_ROWS raw lines, and each
+    block holding a record becomes one float64 array. A block of a schema
+    without a categorical column is parsed by numpy's C parser
+    (np.loadtxt) when it holds no quote, no ASCII separator (FS, GS, RS,
+    US) and no line longer than csv's field limit, and when loadtxt reads
+    one row per record at the header's width with every cell clean. Any
+    other block goes through csv.reader, which reads on into the file
+    where a quoted line break crosses the block's end, and float() of
+    each cell. Every cell loadtxt takes, float() takes with the same bits,
+    so the loaded bits and the errors do not depend on the path. A csv
+    block's array holds its parsed numeric and label cells and a running
+    code for each categorical cell, numbered by first appearance in the
+    file. A column's part of a block is dirty when it holds a
     missing cell, a cell that does not parse, a non-finite number or a
     label other than 0 or 1; only dirty parts keep their cells. After the
     last block, the missing-value pass, the drops and the cell checks run
@@ -222,9 +287,11 @@ def load_csv(path, schema):
     schema = list(schema)
     _validate_schema(schema)
     by_name = {c.name: c for c in schema}
-    size = _READ_BLOCK_ROWS
+    clean = partial(_loadtxt_block, by_name)
+    if any(c.kind == "categorical" for c in schema):
+        clean = None  # running category codes come from csv cells only
     lines = array("q")
-    with closing(_records(path, lines)) as records:
+    with closing(_blocks(path, lines, clean)) as records:
         header = next(records)
         if sorted(header) != sorted(by_name):
             missing = set(by_name) - set(header)
@@ -238,13 +305,18 @@ def load_csv(path, schema):
         columns = [by_name[n] for n in compress(header, taken)]
         mappings = {c.name: {} for c in columns if c.kind == "categorical"}  # cell -> code
         blocks = []  # per block, a (records, len(columns)) float64 array
+        starts = []  # per block, the index of its first record
         dirty = {c.name: [] for c in columns}  # name -> [(block index, cells)]
-        while block := list(islice(records, size)):
+        for block in records:
+            starts.append(len(lines) - len(block))
+            if isinstance(block, np.ndarray):  # clean, from np.loadtxt
+                blocks.append(block)
+                continue
             for i, row in enumerate(block):
                 if len(row) != len(header):
-                    line = lines[len(blocks) * size + i]
                     raise ParseError(
-                        f"{path}: line {line} has {len(row)} cells, expected {len(header)}"
+                        f"{path}: line {lines[starts[-1] + i]} has {len(row)} cells, "
+                        f"expected {len(header)}"
                     )
             values = _mapped_empty(len(block), len(columns))
             # One transpose to column-major cells; zip relies on the width check.
@@ -268,7 +340,8 @@ def load_csv(path, schema):
             del block, cells  # so the next block is read without this one
     file_lines = np.frombuffer(lines, dtype=np.int64)
     keep = np.ones(len(file_lines), dtype=bool)
-    keeps = [keep[b * size:(b + 1) * size] for b in range(len(blocks))]
+    spans = [slice(start, start + len(v)) for start, v in zip(starts, blocks)]
+    keeps = [keep[span] for span in spans]
 
     # Missing-value pass: drop_column removes any column containing a
     # missing cell; drop_row marks rows; forbid errors out. Every missing
@@ -276,7 +349,7 @@ def load_csv(path, schema):
     kept = []  # indices into columns
     for j, col in enumerate(columns):
         miss = [
-            b * size + i
+            starts[b] + i
             for b, cells in dirty[col.name]
             for i, cell in enumerate(cells)
             if _is_missing(cell)
@@ -305,7 +378,7 @@ def load_csv(path, schema):
         out_schema.append(ColumnSchema(col.name, col.kind, col.missing_policy))
         if col.kind != "categorical":
             for b, cells in dirty[col.name]:
-                block_lines = file_lines[b * size:(b + 1) * size][keeps[b]]
+                block_lines = file_lines[spans[b]][keeps[b]]
                 blocks[b][keeps[b], j] = _checked_floats(
                     path, col.name, col.kind, list(compress(cells, keeps[b])), block_lines
                 )
@@ -429,7 +502,7 @@ def profile(ds):
 def infer_schema(path, label, categorical=(), drop=(), missing_policy="drop_row"):
     """Build a schema from a file header: named label, listed drops and
     categoricals, everything else numeric."""
-    with closing(_records(path, array("q"))) as records:
+    with closing(_blocks(path, array("q"))) as records:
         header = next(records)
     if label not in header:
         raise SchemaError(f"{path}: label column {label!r} not in header")

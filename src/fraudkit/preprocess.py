@@ -56,6 +56,10 @@ class CorrelationResult:
                 fh.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+# Elements per block of products in correlation_matrix (8 MB of float64).
+_CORRELATION_BLOCK = 2**20
+
+
 def correlation_matrix(ds, include_label=False):
     """Pearson correlation between features (optionally plus the label).
 
@@ -79,15 +83,18 @@ def correlation_matrix(ds, include_label=False):
             f"{[n for n, c in zip(names, constant) if c]}",
             stacklevel=2,
         )
-    z = centered / np.where(constant, 1.0, std)
-    p = X.shape[1]
+    # Columns as contiguous rows: each pair's mean is then numpy's pairwise
+    # sum along one contiguous row of products, as it is for the product
+    # of two columns, so a block of pairs gives the same bits as one pair.
+    zT = np.ascontiguousarray((centered / np.where(constant, 1.0, std)).T)
+    p, n = zT.shape
+    step = max(1, _CORRELATION_BLOCK // n)  # column pairs per product
     m = np.zeros((p, p))
     for i in range(p):
-        for j in range(i + 1, p):
-            if constant[i] or constant[j]:
-                continue
-            v = float(np.clip(np.mean(z[:, i] * z[:, j]), -1.0, 1.0))
-            m[i, j] = m[j, i] = v
+        for j in range(i + 1, p, step):
+            v = np.clip(np.mean(zT[i] * zT[j:j + step], axis=1), -1.0, 1.0)
+            m[i, j:j + step] = m[j:j + step, i] = v
+    m[constant] = m[:, constant] = 0.0  # z can be nonzero where the variance underflows
     np.fill_diagonal(m, 1.0)
     return CorrelationResult(matrix=m, names=names, constant=constant)
 

@@ -85,6 +85,12 @@ class TestBasics:
         assert run_cli(["profile", str(path)]) == 1
         assert f"error: {path}: line 3: field larger than field limit" in capsys.readouterr().err
 
+    def test_unquoted_oversized_numeric_cell_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Class\n1.0,0\n0." + "0" * 139_998 + "1,1\n")
+        assert run_cli(["profile", str(path)]) == 1
+        assert f"error: {path}: line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_non_utf8_byte_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,Class\n1.0,0\n\xff,1\n")

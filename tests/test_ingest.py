@@ -1,5 +1,7 @@
 import csv
 import io
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -317,8 +319,109 @@ class TestReaderOracleSmallBlocks(TestReaderOracle):
     every file of more than a few rows spans several blocks."""
 
 
+# Cells at the edge of the two paths: float() alone reads `1_0` and `١`,
+# loadtxt alone `\x1c1`, both `\u20031`; the last two open or hold a quote.
+EDGE_CELL = st.sampled_from(["1_0", "\u0661", "\x1c1", "\u20031", '"1', '1"'])
+# Lines that csv.reader reads as one blank cell or as no record at all.
+ODD_LINE = st.sampled_from([" \n", "\n", "\r"])
+
+
+@st.composite
+def numeric_messy_files(draw):
+    """(text, schema) of a small file without a categorical column, whose
+    blocks may take either path: mostly clean rows, some odd cells and
+    lines, and CRLF or LF line ends."""
+    kinds = {"a": "numeric", "b": "numeric", "id": "drop", "Class": "label"}
+    header = draw(st.permutations(list(kinds)))
+    schema = [
+        ColumnSchema(n, kinds[n], draw(st.sampled_from(MISSING_POLICIES))) for n in header
+    ]
+    clean = {"numeric": CLEAN_CELL, "drop": CLEAN_CELL, "label": st.sampled_from(["0", "1"])}
+    odd = st.one_of(ODD_NUMERIC, EDGE_CELL)
+    odd = {"numeric": odd, "drop": odd, "label": LABEL_CELL}
+    text = ",".join(header) + "\n"
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            text += draw(ODD_LINE)
+        # About one row in four holds an odd cell.
+        at = draw(st.integers(0, 4 * len(header) - 1))
+        row = [draw((odd if j == at else clean)[kinds[n]]) for j, n in enumerate(header)]
+        if draw(st.integers(0, 30)) == 0:
+            row.pop()
+        text += ",".join(row) + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, schema
+
+
+class TestReaderOracleBothPaths:
+    """The reference against files whose blocks take the np.loadtxt path
+    or the csv path, at blocks of 1, 2 and 3 lines and the default."""
+
+    @pytest.fixture(params=[1, 2, 3, None])
+    def block_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", request.param)
+
+    @pytest.mark.usefixtures("block_rows")
+    def test_matches_cell_by_cell_reference_on_both_paths(self, tmp_path_factory, monkeypatch):
+        paths = Counter()
+        parse = ingest._loadtxt_block
+
+        def spy(*args):
+            values = parse(*args)
+            paths["csv" if values is None else "loadtxt"] += 1
+            return values
+
+        monkeypatch.setattr(ingest, "_loadtxt_block", spy)
+
+        @settings(max_examples=300, deadline=None)
+        @given(numeric_messy_files())
+        def check(file):
+            text, schema = file
+            path = tmp_path_factory.mktemp("oracle") / "messy.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                names, _, X, y = reference_load(path, schema)
+            except (ParseError, SchemaError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    load_csv(path, schema)
+                assert str(got.value) == str(exc)
+                return
+            ds = load_csv(path, schema)
+            assert ds.feature_names == names
+            assert ds.features.shape == X.shape
+            assert ds.features.tobytes() == X.tobytes()
+            assert ds.labels.tobytes() == y.tobytes()
+
+        check()
+        assert paths["loadtxt"] > 0 and paths["csv"] > 0, paths
+
+
+# Cells that reach np.loadtxt: the reader splits lines at line breaks and
+# cells at commas, and a block with a _CSV_ONLY character skips loadtxt.
+LOADTXT_CELL = st.one_of(
+    st.floats().map(repr),
+    st.text(
+        st.sampled_from("0123456789+-.eEinfaty_ \t\x0b\x0c\x00\x1c\x1f\x85\xa0\u2003\u0661x"),
+        max_size=8,
+    ),
+    st.text(max_size=8),
+).filter(lambda cell: not any(c in cell for c in ingest._CSV_ONLY + ",\r\n"))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(LOADTXT_CELL)
+def test_every_cell_loadtxt_reads_float_reads_to_the_same_bits(cell):
+    for line, at in ((f"{cell},0\n", 0), (f"0,{cell}\r\n", 1)):
+        try:
+            parsed = np.loadtxt([line], delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            continue
+        assert parsed.shape == (1, 2)
+        assert struct.pack("<d", float(cell)) == struct.pack("<d", parsed[0, at])
+
+
 class TestReadBlocks:
-    """Precedence across read blocks of two records."""
+    """Precedence across read blocks of two lines."""
 
     @pytest.fixture(autouse=True)
     def two_record_blocks(self, monkeypatch):
@@ -378,6 +481,16 @@ class TestReadBlocks:
         ds = load_csv(path, schema)
         assert ds.schema[1].categories == ("FR", "US")
         assert ds.features[:, 1].tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("categorical", [[], ["cat"]])
+    def test_block_of_only_blank_lines_loads(self, tmp_path, categorical):
+        path = tmp_path / "d.csv"
+        cells = [",AU", ",US"] if categorical else ["", ""]
+        header = "a,cat,Class" if categorical else "a,Class"
+        path.write_text(f"{header}\n1.5{cells[0]},0\n\n\r\n\n2.5{cells[1]},1\n")
+        ds = load_csv(path, infer_schema(path, "Class", categorical=categorical))
+        assert ds.features[:, 0].tolist() == [1.5, 2.5]
+        assert ds.labels.tolist() == [0, 1]
 
     def test_bad_utf8_past_the_header_names_the_file(self, tmp_path):
         path = tmp_path / "d.csv"

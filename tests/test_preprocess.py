@@ -98,6 +98,37 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation_matrix(column_dataset([1.0], labels=[1]))
 
+    @pytest.mark.parametrize("rows", [2, 7, 8193, 47468])
+    def test_matches_pair_by_pair_means_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        X = rng.normal(size=(rows, 30)) * rng.uniform(0.01, 100.0, size=30)
+        X[:, 4] = 2.5
+        # Variance underflows to 0, so zero-variance, yet not all its
+        # centered values are 0.
+        X[:, 5] = 1e-170 * np.arange(rows)
+        labels = [0] * (rows - 1) + [1]
+        with pytest.warns(UserWarning, match="zero-variance"):
+            got = correlation_matrix(column_dataset(*X.T, labels=labels), include_label=True)
+        want = pair_by_pair_correlation(np.column_stack([X, labels]))
+        assert got.constant.tolist() == [j in (4, 5) for j in range(31)]
+        assert got.matrix.tobytes() == want.tobytes()
+
+
+def pair_by_pair_correlation(X):
+    """The Pearson matrix one column pair at a time: the clipped mean of
+    the pair's standardized products, and 0 for a zero-variance column."""
+    centered = X - X.mean(axis=0)
+    std = np.sqrt((centered**2).mean(axis=0))
+    z = centered / np.where(std == 0, 1.0, std)
+    p = X.shape[1]
+    m = np.zeros((p, p))
+    for i in range(p):
+        for j in range(i + 1, p):
+            if std[i] > 0 and std[j] > 0:
+                m[i, j] = m[j, i] = float(np.clip(np.mean(z[:, i] * z[:, j]), -1.0, 1.0))
+    np.fill_diagonal(m, 1.0)
+    return m
+
 
 class TestSplit:
     def test_large_scale_sizes(self):
