@@ -10,12 +10,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import fraudkit
 from fraudkit.base import FraudkitError
-from fraudkit.config import ConfigError, load_plan, load_schema_config, plan_to_config_text
+from fraudkit.config import ConfigError, _csv_list, load_plan, load_schema_config, plan_to_config_text
 from fraudkit.experiments import emit_report, imbalance_points, prepare, run_cell, run_experiment
 from fraudkit.ingest import SchemaError, infer_schema, load_csv, profile, write_csv
 from fraudkit.metrics import evaluate_predictions
@@ -51,8 +51,8 @@ def _load_dataset(args, categories=None):
         schema = infer_schema(
             args.data,
             args.label,
-            categorical=[c for c in args.categorical.split(",") if c],
-            drop=[c for c in args.drop.split(",") if c],
+            categorical=_csv_list(args.categorical),
+            drop=_csv_list(args.drop),
         )
     if categories:
         schema = [
@@ -110,14 +110,9 @@ def cmd_explore(args):
 
 
 def cmd_gen_synth(args):
-    spec = SyntheticSpec(
-        n_rows=args.n_rows,
-        n_features=args.n_features,
-        fraud_fraction=args.fraud_fraction,
-        separation=args.separation,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    ds = gen_synthetic(spec)
+    """Options not given keep SyntheticSpec's defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(SyntheticSpec)}
+    ds = gen_synthetic(SyntheticSpec(**{k: v for k, v in given.items() if v is not None}))
     write_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows ({ds.n_pos} fraud) to {args.out}")
     return 0
@@ -204,10 +199,10 @@ def build_parser():
 
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset CSV")
     p.add_argument("out")
-    p.add_argument("--n-rows", type=int, default=1000)
-    p.add_argument("--n-features", type=int, default=10)
-    p.add_argument("--fraud-fraction", type=float, default=0.1)
-    p.add_argument("--separation", type=float, default=2.0)
+    p.add_argument("--n-rows", type=int)
+    p.add_argument("--n-features", type=int)
+    p.add_argument("--fraud-fraction", type=float)
+    p.add_argument("--separation", type=float)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gen_synth)
 

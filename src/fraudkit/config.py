@@ -2,13 +2,14 @@
 
 A plan is an INI file (parsed with configparser) whose sections and keys
 are the rows of PLAN_TABLE below: each row gives a key's section, name,
-type, default and check. The unknown-key check, parsing, the value
-checks and the resolved.cfg echo all read those rows, so the table is
-the whole plan format. Any other section or key, any value that does not
-parse and any value that fails its check is a ConfigError naming
-[section] key. Command-line --set section.key=value overrides win over
-file values. Every run echoes its fully resolved config; rerunning from
-the echo reproduces outputs byte-identically.
+type and check, and a key not given takes the value of a plan that sets
+nothing (_defaults). The unknown-key check, parsing, the value checks
+and the resolved.cfg echo all read those rows. Any other section or key,
+any value that does not parse and any value, given or default, that
+fails its check is a ConfigError naming [section] key. Command-line
+--set section.key=value overrides win over file values. Every run echoes
+its fully resolved config; rerunning from the echo reproduces outputs
+byte-identically.
 """
 
 import configparser
@@ -62,59 +63,56 @@ _FRACTION = _holds(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 @dataclass(frozen=True)
 class Key:
-    """One plan key. type parses the text. A default of None leaves the key
-    unset unless given, and the echo omits it. check returns a problem
-    (the text after '[section] key') or None. when names the [dataset]
-    type the key belongs to; keys of the other type are ignored."""
+    """One plan key. type parses the text. A key whose default (from
+    _defaults) is None stays unset unless given, and the echo omits it. check returns a
+    problem (the text after '[section] key') or None. when names the
+    [dataset] type the key belongs to; keys of the other type are ignored."""
 
     section: str
     name: str
     type: object
-    default: object
     check: object = None
     when: str | None = None
 
 
-# Rows in echo order. [dataset] seed defaults to [plan] seed. Each
-# [models] key after kinds applies to every model kind, and [samplers]
-# ratio, nearmiss_version and k_neighbors apply to every method.
+# Rows in echo order. Each [models] key after kinds applies to every
+# model kind, and [samplers] ratio, nearmiss_version and k_neighbors
+# apply to every method.
 PLAN_TABLE = (
-    Key("plan", "name", str, "experiment"),
-    Key("plan", "seed", int, 0),
-    Key("plan", "output_dir", str, "out"),
-    Key("plan", "test_frac", float, 0.035, _FRACTION),
-    Key("plan", "val_frac", float, 0.2, _FRACTION),
-    Key("plan", "threshold", float, 0.5, _holds(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
-    Key("plan", "jobs", int, 1, _at_least(1)),
-    Key("dataset", "type", str, "synthetic",
-        _holds(lambda v: v in ("synthetic", "csv"), "synthetic or csv")),
-    Key("dataset", "n_rows", int, 1000, _at_least(2), when="synthetic"),
-    Key("dataset", "n_features", int, 10, _at_least(1), when="synthetic"),
-    Key("dataset", "fraud_fraction", float, 0.1, _FRACTION, when="synthetic"),
-    Key("dataset", "separation", float, 2.0,
+    Key("plan", "name", str),
+    Key("plan", "seed", int),
+    Key("plan", "output_dir", str),
+    Key("plan", "test_frac", float, _FRACTION),
+    Key("plan", "val_frac", float, _FRACTION),
+    Key("plan", "threshold", float, _holds(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+    Key("plan", "jobs", int, _at_least(1)),
+    Key("dataset", "type", str, _holds(lambda v: v in ("synthetic", "csv"), "synthetic or csv")),
+    Key("dataset", "n_rows", int, _at_least(2), when="synthetic"),
+    Key("dataset", "n_features", int, _at_least(1), when="synthetic"),
+    Key("dataset", "fraud_fraction", float, _FRACTION, when="synthetic"),
+    Key("dataset", "separation", float,
         _holds(lambda v: 0.0 <= v < math.inf, "finite and >= 0"), when="synthetic"),
-    Key("dataset", "seed", int, None, when="synthetic"),
-    Key("dataset", "path", str, "", _holds(bool, "given for type = csv"), when="csv"),
-    Key("dataset", "label", str, "Class", when="csv"),
-    Key("dataset", "categorical", _csv_list, (), when="csv"),
-    Key("dataset", "drop", _csv_list, (), when="csv"),
-    Key("models", "kinds", _csv_list, ("logreg",), _members(MODEL_KINDS, "model kind")),
-    Key("models", "hidden", int, None, _at_least(1)),
-    Key("models", "n_trees", int, None, _at_least(1)),
-    Key("models", "max_depth", int, None, _at_least(0)),
-    Key("models", "min_leaf", int, None, _at_least(1)),
-    Key("models", "inner_act", str, None,
-        _holds(lambda v: v in ("tanh", "relu"), "tanh or relu")),
-    Key("samplers", "methods", _csv_list, ("none",), _members(SAMPLER_METHODS, "method")),
-    Key("samplers", "ratio", float, 1.0, _FINITE_POSITIVE),
-    Key("samplers", "nearmiss_version", int, 1, _holds(lambda v: v in (1, 2, 3), "1, 2 or 3")),
-    Key("samplers", "k_neighbors", int, 0, _at_least(0)),
-    Key("sweep", "ratios", _numbers, (1, 2, 5, 10, 25, 50, 100),
+    Key("dataset", "seed", int, when="synthetic"),
+    Key("dataset", "path", str, _holds(bool, "given for type = csv"), when="csv"),
+    Key("dataset", "label", str, when="csv"),
+    Key("dataset", "categorical", _csv_list, when="csv"),
+    Key("dataset", "drop", _csv_list, when="csv"),
+    Key("models", "kinds", _csv_list, _members(MODEL_KINDS, "model kind")),
+    Key("models", "hidden", int, _at_least(1)),
+    Key("models", "n_trees", int, _at_least(1)),
+    Key("models", "max_depth", int, _at_least(0)),
+    Key("models", "min_leaf", int, _at_least(1)),
+    Key("models", "inner_act", str, _holds(lambda v: v in ("tanh", "relu"), "tanh or relu")),
+    Key("samplers", "methods", _csv_list, _members(SAMPLER_METHODS, "method")),
+    Key("samplers", "ratio", float, _FINITE_POSITIVE),
+    Key("samplers", "nearmiss_version", int, _holds(lambda v: v in (1, 2, 3), "1, 2 or 3")),
+    Key("samplers", "k_neighbors", int, _at_least(0)),
+    Key("sweep", "ratios", _numbers,
         _holds(lambda v: v and sweep_ratios_ok(v), "non-empty, finite, >= 1 and ascending")),
-    Key("train", "lr", float, 0.001, _FINITE_POSITIVE),
-    Key("train", "epochs_max", int, 100, _at_least(1)),
-    Key("train", "batch_size", int, 256, _at_least(1)),
-    Key("train", "patience", int, 5, _at_least(1)),
+    Key("train", "lr", float, _FINITE_POSITIVE),
+    Key("train", "epochs_max", int, _at_least(1)),
+    Key("train", "batch_size", int, _at_least(1)),
+    Key("train", "patience", int, _at_least(1)),
 )
 
 
@@ -147,12 +145,13 @@ def load_plan(path, overrides=()):
                 raise ConfigError(f"unknown plan key [{section}] {key}")
     if not cp.has_section("dataset"):
         raise ConfigError("config needs a [dataset] section")
+    defaults = _defaults(cp.get("dataset", "type", fallback=None))
     for row in PLAN_TABLE:
         if row.when not in (None, values["dataset"].get("type")):
             continue
         text = cp.get(row.section, row.name, fallback=None)
         try:
-            value = row.default if text is None else row.type(text)
+            value = defaults[row.section].get(row.name) if text is None else row.type(text)
         except (ValueError, OverflowError):
             raise ConfigError(
                 f"[{row.section}] {row.name} must be {_TYPE_NAMES[row.type]}, got {text!r}"
@@ -164,6 +163,16 @@ def load_plan(path, overrides=()):
             raise ConfigError(f"[{row.section}] {row.name}{problem}")
         values[row.section][row.name] = value
     return _plan_from_values(values)
+
+
+def _defaults(source_type):
+    """_plan_values of a plan that sets nothing but its source type (unset:
+    synthetic). [dataset] seed stays unset, so it follows [plan] seed."""
+    if source_type == "csv":
+        return _plan_values(ExperimentPlan(dataset_path=""))
+    values = _plan_values(ExperimentPlan(synthetic=SyntheticSpec()))
+    del values["dataset"]["seed"]
+    return values
 
 
 def _plan_from_values(values):

@@ -416,53 +416,42 @@ def run_experiment(plan, prepared=None, points=None):
     return record
 
 
-def emit_report(record, output_dir, formats=("json", "csv", "svg"), chart_name="experiment"):
-    """Write record.json, cells.csv, timings.csv, and grouped-bar charts.
+def emit_report(record, output_dir, chart_name="experiment"):
+    """Write record.json, cells.csv, timings.csv and, per partition with
+    an ok cell, a grouped-bar chart in charts/.
 
     Wall-clock seconds live in record.json/timings.csv only, so
     cells.csv is byte-identical across reruns of a seeded plan.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out / "record.json"
-        path.write_text(json.dumps(record.to_dict(), indent=2) + "\n")
-        written.append(path)
-    if "csv" in formats:
-        path = out / "cells.csv"
-        lines = [",".join(CSV_COLUMNS)]
-        for cell in record.cells:
-            row = cell.to_row()
-            lines.append(",".join(
-                format_metric(row[c]) if c in METRIC_NAMES else str(row[c]) for c in CSV_COLUMNS
-            ))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-        tpath = out / "timings.csv"
-        tlines = ["dataset,model,sampler,ratio,partition,seconds"]
-        for cell in record.cells:
-            tlines.append(
-                f"{cell.dataset},{cell.model},{cell.sampler},{cell.ratio},"
-                f"{cell.partition},{cell.seconds:.6f}"
+    (out / "record.json").write_text(json.dumps(record.to_dict(), indent=2) + "\n")
+    lines = [",".join(CSV_COLUMNS)]
+    for cell in record.cells:
+        row = cell.to_row()
+        lines.append(",".join(
+            format_metric(row[c]) if c in METRIC_NAMES else str(row[c]) for c in CSV_COLUMNS
+        ))
+    (out / "cells.csv").write_text("\n".join(lines) + "\n")
+    tlines = ["dataset,model,sampler,ratio,partition,seconds"]
+    for cell in record.cells:
+        tlines.append(
+            f"{cell.dataset},{cell.model},{cell.sampler},{cell.ratio},"
+            f"{cell.partition},{cell.seconds:.6f}"
+        )
+    (out / "timings.csv").write_text("\n".join(tlines) + "\n")
+    charts = out / "charts"
+    charts.mkdir(exist_ok=True)
+    for partition in ("validation", "test"):
+        cells = [c for c in record.cells if c.partition == partition and c.status == "ok"]
+        if not cells:
+            continue
+        groups = [
+            (
+                f"{c.model}/{c.sampler}@{c.ratio:g}",
+                {m: getattr(c.report, m) for m in METRIC_NAMES},
             )
-        tpath.write_text("\n".join(tlines) + "\n")
-        written.append(tpath)
-    if "svg" in formats:
-        charts = out / "charts"
-        charts.mkdir(exist_ok=True)
-        for partition in ("validation", "test"):
-            cells = [c for c in record.cells if c.partition == partition and c.status == "ok"]
-            if not cells:
-                continue
-            groups = [
-                (
-                    f"{c.model}/{c.sampler}@{c.ratio:g}",
-                    {m: getattr(c.report, m) for m in METRIC_NAMES},
-                )
-                for c in cells
-            ]
-            path = charts / f"{chart_name}_{partition}.svg"
-            path.write_text(bar_chart(groups, title=f"{chart_name} ({partition} data)"))
-            written.append(path)
-    return written
+            for c in cells
+        ]
+        path = charts / f"{chart_name}_{partition}.svg"
+        path.write_text(bar_chart(groups, title=f"{chart_name} ({partition} data)"))

@@ -10,7 +10,7 @@ import csv
 import mmap
 from array import array
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, compress, islice
 
@@ -128,12 +128,7 @@ class DatasetProfile:
     columns: dict = field(default_factory=dict)  # name -> {mean, std, n_missing, n_distinct}
 
     def to_dict(self):
-        return {
-            "n_rows": self.n_rows,
-            "n_features": self.n_features,
-            "fraud_fraction": self.fraud_fraction,
-            "columns": self.columns,
-        }
+        return asdict(self)
 
 
 def encode_categoricals(values, categories=None):
@@ -501,11 +496,16 @@ def profile(ds):
 
 def infer_schema(path, label, categorical=(), drop=(), missing_policy="drop_row"):
     """Build a schema from a file header: named label, listed drops and
-    categoricals, everything else numeric."""
+    categoricals, everything else numeric. A listed column that is not in
+    the header is a SchemaError naming it."""
     with closing(_blocks(path, array("q"))) as records:
         header = next(records)
     if label not in header:
         raise SchemaError(f"{path}: label column {label!r} not in header")
+    for what, names in (("drop", drop), ("categorical", categorical)):
+        unknown = [name for name in names if name not in header]
+        if unknown:
+            raise SchemaError(f"{path}: {what} columns {unknown} not in header")
     schema = []
     for name in header:
         if name == label:

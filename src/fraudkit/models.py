@@ -99,11 +99,12 @@ def build_logreg(input_features):
     )
 
 
+# kind -> builder(input_features, classifier); the classifier carries hidden and inner_act.
 _NETWORK_BUILDERS = {
-    "cnn2d": lambda f, p: build_cnn2d(f),
-    "cnn1d": lambda f, p: build_cnn1d(f),
-    "lstm": lambda f, p: build_lstm(f, hidden=p.get("hidden", 50), inner_act=p.get("inner_act", "relu")),
-    "logreg": lambda f, p: build_logreg(f),
+    "cnn2d": lambda f, clf: build_cnn2d(f),
+    "cnn1d": lambda f, clf: build_cnn1d(f),
+    "lstm": lambda f, clf: build_lstm(f, hidden=clf.hidden, inner_act=clf.inner_act),
+    "logreg": lambda f, clf: build_logreg(f),
 }
 
 
@@ -139,8 +140,7 @@ class NeuralNetClassifier(BaseEstimator):
         if self.kind not in _NETWORK_BUILDERS:
             raise ValueError(f"unknown network kind {self.kind!r}")
         X = np.asarray(X, dtype=np.float64)
-        params = {"hidden": self.hidden, "inner_act": self.inner_act}
-        self.network_ = _NETWORK_BUILDERS[self.kind](X.shape[1], params)
+        self.network_ = _NETWORK_BUILDERS[self.kind](X.shape[1], self)
         self.history_ = fit_network(
             self.network_,
             X,
@@ -165,18 +165,18 @@ class NeuralNetClassifier(BaseEstimator):
 
 
 def make_model(kind, **params):
-    """Uniform factory over every model kind."""
+    """Uniform factory over every model kind. The model gets each of params
+    that its constructor takes; the others (say lr for a tree) are ignored."""
     if kind in _NETWORK_BUILDERS:
-        allowed = ("hidden", "inner_act", "lr", "epochs_max", "batch_size", "patience", "seed")
-        kwargs = {k: v for k, v in params.items() if k in allowed}
-        return NeuralNetClassifier(kind=kind, **kwargs)
-    if kind == "dtree":
-        allowed = ("max_depth", "min_leaf", "seed")
-        return DecisionTreeClassifier(**{k: v for k, v in params.items() if k in allowed})
-    if kind == "forest":
-        allowed = ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap", "seed")
-        return RandomForestClassifier(**{k: v for k, v in params.items() if k in allowed})
-    raise ValueError(f"unknown model kind {kind!r}")
+        cls, params = NeuralNetClassifier, {**params, "kind": kind}
+    elif kind == "dtree":
+        cls = DecisionTreeClassifier
+    elif kind == "forest":
+        cls = RandomForestClassifier
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    names = cls._param_names()
+    return cls(**{k: v for k, v in params.items() if k in names})
 
 
 def predict(model, rows):
@@ -256,9 +256,9 @@ def save_bundle(path, model, scaler, threshold, features, categories):
 def load_bundle(path):
     """Read a bundle -> (model, scaler, threshold, features, categories).
 
-    A file that is not JSON, lacks a key or has another format_version
-    raises FraudkitError naming the file. A bundle written before
-    categories were stored loads with none.
+    A file that is not JSON, nests too deeply to decode, lacks a key or
+    has another format_version raises FraudkitError naming the file. A
+    bundle written before categories were stored loads with none.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -274,5 +274,5 @@ def load_bundle(path):
                 payload["features"], categories)
     except KeyError as exc:
         raise FraudkitError(f"{path}: not a model bundle: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise FraudkitError(f"{path}: not a model bundle: {exc}") from None

@@ -7,6 +7,8 @@ forward and exposes params/grads dicts for the optimizer.
 
 import numpy as np
 
+from fraudkit.base import BaseEstimator
+
 
 def _relu(x):
     return np.maximum(x, 0.0)
@@ -57,7 +59,10 @@ def _he_uniform(rng, shape, fan_in, _fan_out):
 _INITS = {"glorot": _glorot_uniform, "he": _he_uniform}
 
 
-class Layer:
+class Layer(BaseEstimator):
+    """A layer's hyperparameters are its constructor arguments: get_params
+    gives them, and network_to_dict saves them."""
+
     kind = "layer"
 
     def __init__(self):
@@ -79,9 +84,6 @@ class Layer:
 
     def zero_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def hyperparams(self):
-        return {}
 
 
 class Dense(Layer):
@@ -120,9 +122,6 @@ class Dense(Layer):
         self.grads["W"] += grad.T @ self._x
         self.grads["b"] += grad.sum(axis=0)
         return grad @ self.params["W"]
-
-    def hyperparams(self):
-        return {"units": self.units, "init": self.init}
 
 
 class Conv2D(Layer):
@@ -190,9 +189,6 @@ class Conv2D(Layer):
                 dx[:, di : di + oh, dj : dj + ow, :] += sl
         return dx
 
-    def hyperparams(self):
-        return {"channels": self.channels, "kernel_size": self.kernel_size, "init": self.init}
-
 
 class Conv1D(Layer):
     """Valid-padding stride-1 cross-correlation over [length, c_in] inputs."""
@@ -252,9 +248,6 @@ class Conv1D(Layer):
             dx[:, d : d + ol, :] += dcols[:, :, d * c : (d + 1) * c]
         return dx
 
-    def hyperparams(self):
-        return {"channels": self.channels, "kernel_size": self.kernel_size, "init": self.init}
-
 
 class MaxPool1D(Layer):
     """Channel-wise max over non-overlapping windows; pool=1 is the identity."""
@@ -298,9 +291,6 @@ class MaxPool1D(Layer):
         dx[:, : n_win * p, :] = dwin.reshape(b, n_win * p, c)
         return dx
 
-    def hyperparams(self):
-        return {"pool": self.pool}
-
 
 class Dropout(Layer):
     """Inverted dropout: train-time zeroing with 1/(1-rate) rescale."""
@@ -329,9 +319,6 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-    def hyperparams(self):
-        return {"rate": self.rate}
 
 
 class Flatten(Layer):
@@ -379,9 +366,6 @@ class Activation(Layer):
         # softmax over the last axis
         s = self._out
         return (grad - (grad * s).sum(axis=-1, keepdims=True)) * s
-
-    def hyperparams(self):
-        return {"activation": self.activation}
 
 
 def _inner(x, kind):
@@ -477,9 +461,6 @@ class LSTM(Layer):
             dx[:, t, :] = dz[:, H:]
             dc = dc * f
         return dx
-
-    def hyperparams(self):
-        return {"hidden": self.hidden, "inner_act": self.inner_act, "init": self.init}
 
 
 LAYER_KINDS = {

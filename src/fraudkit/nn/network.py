@@ -1,6 +1,6 @@
 """Sequential network container, training loop, and model serialization."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,13 +121,7 @@ class TrainingHistory:
     stopped_early: bool = False
 
     def to_dict(self):
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-        }
+        return asdict(self)
 
 
 def fit(
@@ -209,7 +203,7 @@ def network_to_dict(network):
         layers.append(
             {
                 "kind": layer.kind,
-                "hyperparams": layer.hyperparams(),
+                "hyperparams": layer.get_params(),
                 "params": {
                     name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
                     for name, arr in layer.params.items()

@@ -260,19 +260,18 @@ SAMPLER_METHODS = ("none", "rus", "nearmiss", "smote")
 class SamplerConfig:
     method: str = "none"  # one of SAMPLER_METHODS
     nearmiss_version: int = 1
-    k_neighbors: int = 0  # 0 -> method default (3 for NearMiss, 5 for SMOTE)
+    k_neighbors: int = 0  # 0 -> the sampler's own default k
     ratio: float = 1.0
     seed: int = 0
 
     def build(self):
+        k = {"k": self.k_neighbors} if self.k_neighbors else {}
         if self.method == "none":
             return None
         if self.method == "rus":
             return RandomUnderSampler(ratio=self.ratio, seed=self.seed)
         if self.method == "nearmiss":
-            return NearMiss(
-                version=self.nearmiss_version, k=self.k_neighbors or 3, ratio=self.ratio
-            )
+            return NearMiss(version=self.nearmiss_version, ratio=self.ratio, **k)
         if self.method == "smote":
-            return Smote(ratio=self.ratio, k=self.k_neighbors or 5, seed=self.seed)
+            return Smote(ratio=self.ratio, seed=self.seed, **k)
         raise ValueError(f"unknown sampler method {self.method!r}")

@@ -21,15 +21,16 @@ def _svg_doc(width, height, body, title):
     )
 
 
-def bar_chart(groups, title="", metrics=("accuracy", "precision", "recall", "f1")):
-    """Grouped bar chart: one group per x value, one bar per metric.
+def bar_chart(groups, title=""):
+    """Grouped bar chart: one group per x value, one bar per metric of
+    METRIC_COLORS, in its order.
 
     groups: list of (label, {metric: value-or-None}). Undefined metrics
     render as zero-height bars with class "bar undef" so every
     (group, metric) pair contributes exactly one bar.
     """
     margin, chart_h, bar_w, gap = 40, 220, 14, 18
-    group_w = len(metrics) * bar_w + gap
+    group_w = len(METRIC_COLORS) * bar_w + gap
     width = max(320, margin * 2 + group_w * len(groups))
     height = chart_h + 90
     base_y = chart_h + 40
@@ -48,7 +49,7 @@ def bar_chart(groups, title="", metrics=("accuracy", "precision", "recall", "f1"
         )
     for gi, (label, values) in enumerate(groups):
         x0 = margin + gi * group_w
-        for mi, metric in enumerate(metrics):
+        for mi, metric in enumerate(METRIC_COLORS):
             value = values.get(metric)
             cls = "bar" if value is not None else "bar undef"
             h = (value or 0.0) * chart_h
@@ -57,12 +58,12 @@ def bar_chart(groups, title="", metrics=("accuracy", "precision", "recall", "f1"
                 f'width="{bar_w - 2}" height="{h}" fill="{METRIC_COLORS[metric]}"/>'
             )
         parts.append(
-            f'<text x="{x0 + len(metrics) * bar_w / 2}" y="{base_y + 14}" '
+            f'<text x="{x0 + len(METRIC_COLORS) * bar_w / 2}" y="{base_y + 14}" '
             f'text-anchor="middle" font-size="10" font-family="sans-serif">'
             f"{escape(str(label))}</text>"
         )
     # legend
-    for mi, metric in enumerate(metrics):
+    for mi, metric in enumerate(METRIC_COLORS):
         lx = margin + mi * 90
         ly = base_y + 34
         parts.append(

@@ -13,6 +13,14 @@ from fraudkit.cli import run_cli
 from fraudkit.experiments import METRIC_NAMES
 from fraudkit.metrics import format_metric
 
+# A dtree bundle whose nested root is 5,000 levels deep: too deep for the JSON decoder.
+DEEP_BUNDLE = (
+    '{"format_version": 1, "features": ["f0"], "categories": {}, "threshold": 0.5, '
+    '"scaler": {"mean": [0.0], "std": [1.0]}, "model": {"kind": "dtree", "root": '
+    + '{"feature": 0, "threshold": 0.5, "right": {"prob": 1.0}, "left": ' * 5000
+    + '{"prob": 0.0}' + "}" * 5002
+)
+
 PLAN_TEXT = """\
 [plan]
 seed = 7
@@ -119,6 +127,21 @@ class TestProfileExplore:
         assert code == 0
         assert (out / "correlation.csv").exists()
         assert (out / "correlation.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--drop", "amount, declined", "--categorical", "country"], None),
+        (["--drop", "amount, declnied", "--categorical", "country"], "drop columns ['declnied']"),
+        (["--categorical", "country,declined, cuontry,amt"], "categorical columns ['cuontry', 'amt']"),
+    ])
+    def test_listed_columns_must_be_in_header(self, tiny_csv, capsys, argv, named):
+        code = run_cli(["profile", str(tiny_csv), *argv])
+        captured = capsys.readouterr()
+        if named is None:
+            assert code == 0
+            assert json.loads(captured.out)["n_features"] == 1
+        else:
+            assert code == 1
+            assert f"{tiny_csv}: {named} not in header" in captured.err
 
     def test_output_dir_env(self, tiny_csv, tmp_path, monkeypatch, capsys):
         out = tmp_path / "envout"
@@ -255,6 +278,16 @@ class TestPlanCommands:
         path.write_text("[plan]\nseed = 1\n")  # no dataset section
         assert run_cli(["run", str(path)]) == 1
 
+    def test_plan_drop_column_not_in_header_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,time,amt,Class\n" + "".join(
+            f"{i},{i + 1},{i % 3}.5,{i % 2}\n" for i in range(20)))
+        plan = tmp_path / "p.cfg"
+        plan.write_text(f"[plan]\noutput_dir = {tmp_path / 'out'}\n\n[dataset]\ntype = csv\n"
+                        f"path = {data}\ndrop = id, tiem\n\n[models]\nkinds = dtree\n")
+        assert run_cli(["train", str(plan)]) == 1
+        assert f"{data}: drop columns ['tiem'] not in header" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trained.model").exists()
 
     @pytest.mark.parametrize(
         "command,kinds,n_failed",
@@ -354,8 +387,9 @@ class TestTrainEvaluate:
              "missing key 'scaler'"),
             ('{"format_version": 2, "features": [], "model": {}, "scaler": {}, "threshold": 0.5}',
              "unsupported bundle format_version 2"),
+            (DEEP_BUNDLE, "maximum recursion depth exceeded"),
         ],
-        ids=["not-json", "bare-tree", "no-scaler", "version-2"],
+        ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

@@ -248,7 +248,3 @@ class TestEmitReport:
             ]
             n_ok = sum(1 for c in record.cells if c.partition == partition and c.status == "ok")
             assert len(bars) == n_ok * 4
-
-    def test_format_selection(self, record, tmp_path):
-        written = emit_report(record, tmp_path / "rep", formats=("json",))
-        assert [p.name for p in written] == ["record.json"]

@@ -43,7 +43,7 @@ def grid_bytes(out, jobs, **plan_args):
     """{file name: bytes} of cells.csv and every saved bundle of the mixed
     plan, with plan_args replacing its fields, run at jobs workers into out."""
     plan = ExperimentPlan(**{**MIXED, **plan_args}, jobs=jobs, output_dir=str(out))
-    emit_report(run_experiment(plan), out, formats=("csv",))
+    emit_report(run_experiment(plan), out)
     files = [out / "cells.csv", *sorted((out / "models").glob("*.model"))]
     return {p.name: p.read_bytes() for p in files}
 

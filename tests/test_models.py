@@ -5,17 +5,21 @@ import pytest
 
 from fraudkit.base import NotFittedError
 from fraudkit.models import (
+    MODEL_KINDS,
     NeuralNetClassifier,
     build_cnn1d,
     build_cnn2d,
     build_lstm,
     build_logreg,
     classify,
+    load_bundle,
     make_model,
     model_from_dict,
     model_to_dict,
     predict,
+    save_bundle,
 )
+from fraudkit.preprocess import StandardScaler
 from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier, _gini_part
 
 
@@ -242,7 +246,36 @@ class TestPredictClassify:
         assert np.array_equal(classify(tree, X)[perm], classify(tree, X[perm]))
 
 
+# Every argument run_cell or a plan hands make_model, none at its default,
+# plus one that no model takes.
+FACTORY_ARGS = dict(hidden=7, inner_act="tanh", lr=0.01, epochs_max=3, batch_size=16, patience=2,
+                    seed=9, n_trees=4, max_depth=5, min_leaf=2, max_features=3, bootstrap=False,
+                    unknown=1)
+NETWORK_ARGS = ("hidden", "inner_act", "lr", "epochs_max", "batch_size", "patience", "seed")
+
+
 class TestFactoryAndSerialization:
+    @pytest.mark.parametrize("kind,taken", [
+        *((kind, NETWORK_ARGS) for kind in ("cnn2d", "cnn1d", "lstm", "logreg")),
+        ("dtree", ("max_depth", "min_leaf", "max_features", "seed")),
+        ("forest", ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap", "seed")),
+    ])
+    def test_make_model_passes_what_the_constructor_takes(self, kind, taken):
+        params = make_model(kind, **FACTORY_ARGS).get_params()
+        assert params.pop("kind", kind) == kind
+        assert params == {name: FACTORY_ARGS[name] for name in taken}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_bundle_load_then_save_rewrites_the_bytes(self, kind, tmp_path):
+        rng = np.random.default_rng(4)
+        X, y = rng.normal(size=(40, 30)), np.arange(40) % 2
+        model = make_model(kind, epochs_max=1, hidden=4, n_trees=2, max_depth=3, seed=1).fit(X, y)
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        features = [f"f{j}" for j in range(30)]
+        save_bundle(first, model, StandardScaler().fit(X), 0.25, features, {"f3": ("a", "b")})
+        save_bundle(second, *load_bundle(first))
+        assert second.read_bytes() == first.read_bytes()
+
     def test_make_model_kinds(self):
         assert make_model("cnn2d").kind == "cnn2d"
         assert isinstance(make_model("dtree", max_depth=3), DecisionTreeClassifier)
