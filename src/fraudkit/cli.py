@@ -243,13 +243,23 @@ def run_cli(argv=None):
     except (FraudkitError, ValueError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # stdout's reader went away: not a failure of the command
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
 
 def main():
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The signal module's recipe: send the rest of stdout to devnull, so
+        # the flush at exit cannot fail again, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -236,6 +236,25 @@ def model_from_dict(payload):
     raise ValueError(f"unknown serialized model kind {kind!r}")
 
 
+def _check_tree_features(model, n_features):
+    """Every split of a tree model reads one of the n_features columns: its
+    feature is an int in [0, n_features)."""
+    if isinstance(model, DecisionTreeClassifier):
+        stack = [model.root_]
+    elif isinstance(model, RandomForestClassifier):
+        stack = [tree.root_ for tree in model.trees_]
+    else:
+        return
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            if type(node.feature) is not int or not 0 <= node.feature < n_features:
+                raise ValueError(
+                    f"tree feature index {node.feature} is outside its {n_features} features"
+                )
+            stack += [node.left, node.right]
+
+
 def save_bundle(path, model, scaler, threshold, features, categories):
     """Write a fitted pipeline as one JSON bundle.
 
@@ -256,9 +275,10 @@ def save_bundle(path, model, scaler, threshold, features, categories):
 def load_bundle(path):
     """Read a bundle -> (model, scaler, threshold, features, categories).
 
-    A file that is not JSON, nests too deeply to decode, lacks a key or
-    has another format_version raises FraudkitError naming the file. A
-    bundle written before categories were stored loads with none.
+    A file that is not JSON, nests too deeply to decode, lacks a key, has
+    another format_version, or has a scaler or tree split that does not fit
+    its features raises FraudkitError naming the file. A bundle written before
+    categories were stored loads with none.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -269,9 +289,16 @@ def load_bundle(path):
         scaler = StandardScaler()
         scaler.mean_ = np.asarray(payload["scaler"]["mean"], dtype=np.float64)
         scaler.std_ = np.asarray(payload["scaler"]["std"], dtype=np.float64)
+        features = payload["features"]
+        if not len(scaler.mean_) == len(scaler.std_) == len(features):
+            raise ValueError(
+                f"scaler has {len(scaler.mean_)} means and {len(scaler.std_)} stds "
+                f"for {len(features)} features"
+            )
         categories = {name: tuple(v) for name, v in payload.get("categories", {}).items()}
-        return (model_from_dict(payload["model"]), scaler, payload["threshold"],
-                payload["features"], categories)
+        model = model_from_dict(payload["model"])
+        _check_tree_features(model, len(features))
+        return model, scaler, payload["threshold"], features, categories
     except KeyError as exc:
         raise FraudkitError(f"{path}: not a model bundle: missing key {exc}") from None
     except (TypeError, ValueError, RecursionError) as exc:

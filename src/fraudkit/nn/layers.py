@@ -1,8 +1,10 @@
 """Layer forward/backward passes for the dense-tensor network engine.
 
 All arrays are batch-first float64. Convolutions are valid-padding,
-stride 1. Every layer caches what its backward pass needs during
-forward and exposes params/grads dicts for the optimizer.
+stride 1. A layer's forward keeps what its backward needs in one
+attribute, `saved`, which the network clears as soon as it no longer
+needs it: after each layer's forward when scoring, after its backward
+when training. Layers expose params/grads dicts for the optimizer.
 """
 
 import numpy as np
@@ -61,13 +63,15 @@ _INITS = {"glorot": _glorot_uniform, "he": _he_uniform}
 
 class Layer(BaseEstimator):
     """A layer's hyperparameters are its constructor arguments: get_params
-    gives them, and network_to_dict saves them."""
+    gives them, and network_to_dict saves them. forward sets `saved` to
+    what backward needs; None means nothing is held."""
 
     kind = "layer"
 
     def __init__(self):
         self.params = {}
         self.grads = {}
+        self.saved = None
 
     def init_params(self, in_shape, rng):
         """Allocate parameters for the per-sample input shape; returns out shape."""
@@ -115,11 +119,11 @@ class Dense(Layer):
             raise ValueError(
                 f"dense expects width {self.params['W'].shape[1]}, got {x.shape[1]}"
             )
-        self._x = x
+        self.saved = x
         return x @ self.params["W"].T + self.params["b"]
 
     def backward(self, grad):
-        self.grads["W"] += grad.T @ self._x
+        self.grads["W"] += grad.T @ self.saved
         self.grads["b"] += grad.sum(axis=0)
         return grad @ self.params["W"]
 
@@ -166,23 +170,24 @@ class Conv2D(Layer):
         oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"kernel {k}x{k} larger than input {x.shape[1:3]}")
-        self._x_shape = x.shape
         windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-        self._cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, oh, ow, k * k * c)
-        out = self._cols @ self.params["K"].reshape(-1, self.channels)
+        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, oh, ow, k * k * c)
+        self.saved = (x.shape, cols)
+        out = cols @ self.params["K"].reshape(-1, self.channels)
         out += self.params["b"]
         return out
 
     def backward(self, grad):
         k = self.kernel_size
         b, oh, ow, _ = grad.shape
+        x_shape, cols = self.saved
         wmat = self.params["K"].reshape(-1, self.channels)
-        dK = self._cols.reshape(-1, wmat.shape[0]).T @ grad.reshape(-1, self.channels)
+        dK = cols.reshape(-1, wmat.shape[0]).T @ grad.reshape(-1, self.channels)
         self.grads["K"] += dK.reshape(self.params["K"].shape)
         self.grads["b"] += grad.sum(axis=(0, 1, 2))
         dcols = grad @ wmat.T
-        dx = np.zeros(self._x_shape)
-        c = self._x_shape[3]
+        dx = np.zeros(x_shape)
+        c = x_shape[3]
         for di in range(k):
             for dj in range(k):
                 sl = dcols[:, :, :, (di * k + dj) * c : (di * k + dj + 1) * c]
@@ -228,22 +233,22 @@ class Conv1D(Layer):
         cols = np.empty((b, ol, k * c))
         for d in range(k):
             cols[:, :, d * c : (d + 1) * c] = x[:, d : d + ol, :]
-        self._x_shape = x.shape
-        self._cols = cols
+        self.saved = (x.shape, cols)
         wmat = self.params["K"].reshape(-1, self.channels)
         return cols @ wmat + self.params["b"]
 
     def backward(self, grad):
         k = self.kernel_size
         ol = grad.shape[1]
-        c = self._x_shape[2]
+        x_shape, cols = self.saved
+        c = x_shape[2]
         wmat = self.params["K"].reshape(-1, self.channels)
-        self.grads["K"] += np.tensordot(self._cols, grad, axes=([0, 1], [0, 1])).reshape(
+        self.grads["K"] += np.tensordot(cols, grad, axes=([0, 1], [0, 1])).reshape(
             self.params["K"].shape
         )
         self.grads["b"] += grad.sum(axis=(0, 1))
         dcols = grad @ wmat.T
-        dx = np.zeros(self._x_shape)
+        dx = np.zeros(x_shape)
         for d in range(k):
             dx[:, d : d + ol, :] += dcols[:, :, d * c : (d + 1) * c]
         return dx
@@ -275,8 +280,7 @@ class MaxPool1D(Layer):
             return x
         n_win = length // p
         windows = x[:, : n_win * p, :].reshape(b, n_win, p, c)
-        self._x_shape = x.shape
-        self._argmax = windows.argmax(axis=2)
+        self.saved = (x.shape, windows.argmax(axis=2))
         return windows.max(axis=2)
 
     def backward(self, grad):
@@ -284,10 +288,11 @@ class MaxPool1D(Layer):
         p = self.pool
         if p == 1:
             return grad
+        x_shape, argmax = self.saved
         dwin = np.zeros((b, n_win, p, c))
         bi, wi, ci = np.ogrid[:b, :n_win, :c]
-        dwin[bi, wi, self._argmax, ci] = grad
-        dx = np.zeros(self._x_shape)
+        dwin[bi, wi, argmax, ci] = grad
+        dx = np.zeros(x_shape)
         dx[:, : n_win * p, :] = dwin.reshape(b, n_win * p, c)
         return dx
 
@@ -308,17 +313,17 @@ class Dropout(Layer):
 
     def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
-            self._mask = None
+            self.saved = None
             return x
         if rng is None:
             raise ValueError("train-mode dropout needs a random generator")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        self.saved = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        return x * self.saved
 
     def backward(self, grad):
-        if self._mask is None:
+        if self.saved is None:  # no mask: eval mode or rate 0
             return grad
-        return grad * self._mask
+        return grad * self.saved
 
 
 class Flatten(Layer):
@@ -328,11 +333,11 @@ class Flatten(Layer):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, train=False, rng=None):
-        self._x_shape = x.shape
+        self.saved = x.shape
         return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, grad):
-        return grad.reshape(self._x_shape)
+        return grad.reshape(self.saved)
 
 
 class Activation(Layer):
@@ -349,23 +354,23 @@ class Activation(Layer):
 
     def forward(self, x, train=False, rng=None):
         if self.activation == "relu":
-            self._x = x
+            self.saved = x
             return _relu(x)
         out = apply_activation(x, self.activation)
-        self._out = out
+        self.saved = out
         return out
 
     def backward(self, grad):
         a = self.activation
         if a == "relu":
-            return grad * (self._x > 0)
+            return grad * (self.saved > 0)
+        out = self.saved
         if a == "sigmoid":
-            return grad * self._out * (1.0 - self._out)
+            return grad * out * (1.0 - out)
         if a == "tanh":
-            return grad * (1.0 - self._out**2)
+            return grad * (1.0 - out**2)
         # softmax over the last axis
-        s = self._out
-        return (grad - (grad * s).sum(axis=-1, keepdims=True)) * s
+        return (grad - (grad * out).sum(axis=-1, keepdims=True)) * out
 
 
 def _inner(x, kind):
@@ -420,7 +425,7 @@ class LSTM(Layer):
         b, T, _ = x.shape
         h = np.zeros((b, self.hidden))
         c = np.zeros((b, self.hidden))
-        self._cache = []
+        steps = []
         p = self.params
         for t in range(T):
             z = np.concatenate([h, x[:, t, :]], axis=1)
@@ -431,19 +436,20 @@ class LSTM(Layer):
             o = _sigmoid(z @ p["W_o"].T + p["b_o"])
             c_new = f * c + i * g
             h_new = o * self._phi(c_new)
-            self._cache.append((z, f, i, a_g, g, o, c, c_new))
+            steps.append((z, f, i, a_g, g, o, c, c_new))
             h, c = h_new, c_new
-        self._x_shape = x.shape
+        self.saved = (x.shape, steps)
         return h
 
     def backward(self, grad):
         p = self.params
         H = self.hidden
-        dx = np.zeros(self._x_shape)
+        x_shape, steps = self.saved
+        dx = np.zeros(x_shape)
         dh = grad
         dc = np.zeros_like(grad)
-        for t in range(self._x_shape[1] - 1, -1, -1):
-            z, f, i, a_g, g, o, c_prev, c_new = self._cache[t]
+        for t in range(x_shape[1] - 1, -1, -1):
+            z, f, i, a_g, g, o, c_prev, c_new = steps[t]
             do = dh * self._phi(c_new)
             dc = dc + dh * o * self._dphi(c_new)
             df = dc * c_prev

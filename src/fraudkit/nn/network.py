@@ -72,11 +72,18 @@ class Network:
         return X.reshape(X.shape[0], *self.input_shape)
 
     def forward(self, X, train=False, rng=None):
+        """The network's output for X. Scoring needs no backward state, so
+        each layer's is dropped as soon as that layer has returned."""
+        return self._forward(X, train, rng, keep=False)
+
+    def _forward(self, X, train, rng, keep):
         if not self.initialized:
             raise TrainingError("network parameters are not initialized")
         out = self._reshape(X)
         for layer in self.layers:
             out = layer.forward(out, train=train, rng=rng)
+            if not keep:
+                layer.saved = None
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite network output")
         return out
@@ -94,14 +101,16 @@ class Network:
             layer.zero_grads()
 
     def loss_and_grads(self, X, y, rng=None, train=True):
-        """Mean batch BCE plus accumulated parameter gradients."""
+        """Mean batch BCE plus accumulated parameter gradients. The one path
+        that keeps each layer's forward state, until its backward is done."""
         self.zero_grads()
-        out = self.forward(X, train=train, rng=rng)
+        out = self._forward(X, train, rng, keep=True)
         p = out.reshape(len(X))
         loss = bce_loss(p, y)
         grad = bce_loss_grad(p, y).reshape(out.shape)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+            layer.saved = None
         return loss
 
     def get_weights(self):

@@ -97,7 +97,7 @@ def tree_from_lists(lists):
         if not i < left < len(nodes) or not i < right < len(nodes):
             raise ValueError(f"tree node {i}: children {left}, {right} do not follow it")
         node = nodes[i]
-        node.feature, node.threshold = int(feature), float(threshold)
+        node.feature, node.threshold = feature, float(threshold)
         node.left, node.right = nodes[left], nodes[right]
     return nodes[0]
 

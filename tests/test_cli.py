@@ -21,6 +21,18 @@ DEEP_BUNDLE = (
     + '{"prob": 0.0}' + "}" * 5002
 )
 
+
+def six_feature_bundle(feature=0, mean=(0.0,) * 6):
+    """A one-split dtree bundle over the scoring data's f0..f5."""
+    tree = {"feature": [feature, -1, -1], "threshold": [0.5, None, None],
+            "left": [1, -1, -1], "right": [2, -1, -1], "prob": [0.0, 0.5, 1.0]}
+    return json.dumps({
+        "format_version": 1, "features": [f"f{i}" for i in range(6)], "categories": {},
+        "threshold": 0.5, "scaler": {"mean": list(mean), "std": [1.0] * 6},
+        "model": {"kind": "dtree", "flat_tree": tree},
+    })
+
+
 PLAN_TEXT = """\
 [plan]
 seed = 7
@@ -70,6 +82,17 @@ class TestBasics:
                              env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith(f"fraudkit {fraudkit.__version__}")
+
+    def test_closed_stdout_exits_quietly(self, tiny_csv):
+        src = str(Path(fraudkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["profile", str(tiny_csv), "--categorical", "country,declined"]
+        proc = subprocess.Popen([sys.executable, "-m", "fraudkit", *argv],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the command prints
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert err == ""
 
     def test_missing_data_file(self):
         assert run_cli(["profile", "/nonexistent.csv"]) == 1
@@ -388,8 +411,12 @@ class TestTrainEvaluate:
             ('{"format_version": 2, "features": [], "model": {}, "scaler": {}, "threshold": 0.5}',
              "unsupported bundle format_version 2"),
             (DEEP_BUNDLE, "maximum recursion depth exceeded"),
+            (six_feature_bundle(feature=99), "tree feature index 99 is outside its 6 features"),
+            (six_feature_bundle(feature=1.5), "tree feature index 1.5 is outside its 6 features"),
+            (six_feature_bundle(mean=(0.0,) * 3), "scaler has 3 means and 6 stds for 6 features"),
         ],
-        ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep"],
+        ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
+             "tree-feature-99", "tree-feature-1.5", "short-scaler"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"
@@ -397,6 +424,12 @@ class TestTrainEvaluate:
         code, captured = self._evaluate(capsys, path, self._eval_data(tmp_path, capsys))
         assert code == 1
         assert f"{path}: " in captured.err and message in captured.err
+
+    def test_evaluate_scores_the_unedited_hand_written_bundle(self, tmp_path, capsys):
+        path = tmp_path / "ok.model"
+        path.write_text(six_feature_bundle())
+        code, captured = self._evaluate(capsys, path, self._eval_data(tmp_path, capsys))
+        assert code == 0, captured.err
 
     def test_evaluate_aligns_columns_by_name(self, plan_file, tmp_path, capsys):
         assert run_cli(["train", str(plan_file), "--set", "models.kinds=dtree"]) == 0
