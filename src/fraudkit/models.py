@@ -16,13 +16,8 @@ from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError
 from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Dropout, Flatten, MaxPool1D
 from fraudkit.nn.network import Network, fit as fit_network
 from fraudkit.preprocess import StandardScaler
-from fraudkit.trees import (
-    DecisionTreeClassifier,
-    RandomForestClassifier,
-    TreeNode,
-    tree_from_lists,
-    tree_to_lists,
-)
+from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier
+from fraudkit.trees import check_tree, tree_from_nested
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -191,68 +186,36 @@ def classify(model, rows, threshold=0.5):
 
 
 def model_to_dict(model):
-    """Serializable form of any trained model. Trees are flat preorder
-    lists (trees.tree_to_lists), so no depth is too deep for JSON."""
+    """Serializable form of any trained model. A tree is its preorder lists
+    (trees.TREE_KEYS), so no depth is too deep for JSON."""
     from fraudkit.nn.network import network_to_dict
 
     if isinstance(model, NeuralNetClassifier):
         return {"kind": model.kind, "network": network_to_dict(model.network_)}
     if isinstance(model, DecisionTreeClassifier):
-        return {"kind": "dtree", "flat_tree": tree_to_lists(model.root_)}
+        return {"kind": "dtree", "flat_tree": model.tree_}
     if isinstance(model, RandomForestClassifier):
-        return {"kind": "forest", "flat_trees": [tree_to_lists(t.root_) for t in model.trees_]}
+        return {"kind": "forest", "flat_trees": model.trees_}
     raise ValueError(f"cannot serialize model of type {type(model).__name__}")
 
 
 def model_from_dict(payload):
-    """The model model_to_dict wrote. Trees are also read in the nested
-    form ("root" and "trees") of bundles written before the flat lists."""
+    """The model model_to_dict wrote, unchecked: load_bundle checks its trees
+    against the bundle's features. Trees are also read in the nested form
+    ("root" and "trees") of bundles written before the lists."""
     from fraudkit.nn.network import network_from_dict
 
     kind = payload["kind"]
+    model = make_model(kind)
     if kind in _NETWORK_BUILDERS:
-        model = NeuralNetClassifier(kind=kind)
         model.network_ = network_from_dict(payload["network"])
-        return model
-    if kind == "dtree":
-        model = DecisionTreeClassifier()
-        if "flat_tree" in payload:
-            model.root_ = tree_from_lists(payload["flat_tree"])
-        else:
-            model.root_ = TreeNode.from_dict(payload["root"])
-        return model
-    if kind == "forest":
-        model = RandomForestClassifier()
-        model.trees_ = []
-        if "flat_trees" in payload:
-            roots = [tree_from_lists(lists) for lists in payload["flat_trees"]]
-        else:
-            roots = [TreeNode.from_dict(d) for d in payload["trees"]]
-        for root in roots:
-            tree = DecisionTreeClassifier()
-            tree.root_ = root
-            model.trees_.append(tree)
-        return model
-    raise ValueError(f"unknown serialized model kind {kind!r}")
-
-
-def _check_tree_features(model, n_features):
-    """Every split of a tree model reads one of the n_features columns: its
-    feature is an int in [0, n_features)."""
-    if isinstance(model, DecisionTreeClassifier):
-        stack = [model.root_]
-    elif isinstance(model, RandomForestClassifier):
-        stack = [tree.root_ for tree in model.trees_]
+    elif kind == "dtree":
+        flat = "flat_tree" in payload
+        model.tree_ = payload["flat_tree"] if flat else tree_from_nested(payload["root"])
     else:
-        return
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            if type(node.feature) is not int or not 0 <= node.feature < n_features:
-                raise ValueError(
-                    f"tree feature index {node.feature} is outside its {n_features} features"
-                )
-            stack += [node.left, node.right]
+        flat = "flat_trees" in payload
+        model.trees_ = payload["flat_trees"] if flat else list(map(tree_from_nested, payload["trees"]))
+    return model
 
 
 def save_bundle(path, model, scaler, threshold, features, categories):
@@ -276,9 +239,12 @@ def load_bundle(path):
     """Read a bundle -> (model, scaler, threshold, features, categories).
 
     A file that is not JSON, nests too deeply to decode, lacks a key, has
-    another format_version, or has a scaler or tree split that does not fit
-    its features raises FraudkitError naming the file. A bundle written before
-    categories were stored loads with none.
+    another format_version, or holds a payload that could not score its
+    features raises FraudkitError naming the file: features must be
+    distinct strings, the scaler's mean and std finite and one per feature,
+    the threshold a number in [0, 1], a network as wide as the features and
+    every tree pass trees.check_tree. A bundle written before categories
+    were stored loads with none.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -286,20 +252,45 @@ def load_bundle(path):
             raise FraudkitError(
                 f"{path}: unsupported bundle format_version {payload['format_version']!r}"
             )
+        features = payload["features"]
+        if type(features) is not list or any(type(f) is not str for f in features):
+            raise ValueError(f"features {features!r} are not a list of strings")
+        if len(set(features)) != len(features):
+            raise ValueError(f"features {features} repeat a name")
         scaler = StandardScaler()
         scaler.mean_ = np.asarray(payload["scaler"]["mean"], dtype=np.float64)
         scaler.std_ = np.asarray(payload["scaler"]["std"], dtype=np.float64)
-        features = payload["features"]
-        if not len(scaler.mean_) == len(scaler.std_) == len(features):
+        if not (np.isfinite(scaler.mean_).all() and np.isfinite(scaler.std_).all()):
+            raise ValueError("scaler mean and std must be finite")
+        if not scaler.mean_.shape == scaler.std_.shape == (len(features),):
             raise ValueError(
-                f"scaler has {len(scaler.mean_)} means and {len(scaler.std_)} stds "
+                f"scaler has {scaler.mean_.size} means and {scaler.std_.size} stds "
                 f"for {len(features)} features"
             )
-        categories = {name: tuple(v) for name, v in payload.get("categories", {}).items()}
+        threshold = payload["threshold"]
+        if type(threshold) not in (int, float) or not 0 <= threshold <= 1:
+            raise ValueError(f"threshold {threshold!r} is not a number in [0, 1]")
+        categories = payload.get("categories", {})
+        if type(categories) is not dict or any(
+            type(v) is not list or any(type(c) is not str for c in v) for v in categories.values()
+        ):
+            raise ValueError("categories must map feature names to lists of strings")
+        categories = {name: tuple(v) for name, v in categories.items()}
         model = model_from_dict(payload["model"])
-        _check_tree_features(model, len(features))
-        return model, scaler, payload["threshold"], features, categories
+        if isinstance(model, NeuralNetClassifier):
+            if model.network_.n_inputs != len(features):
+                raise ValueError(
+                    f"network input shape {list(model.network_.input_shape)} "
+                    f"does not fit {len(features)} features"
+                )
+        else:
+            trees = model.trees_ if isinstance(model, RandomForestClassifier) else [model.tree_]
+            if not trees:
+                raise ValueError("forest has no trees")
+            for tree in trees:
+                check_tree(tree, len(features))
+        return model, scaler, threshold, features, categories
     except KeyError as exc:
         raise FraudkitError(f"{path}: not a model bundle: missing key {exc}") from None
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FraudkitError(f"{path}: not a model bundle: {exc}") from None

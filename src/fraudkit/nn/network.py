@@ -227,17 +227,25 @@ def network_to_dict(network):
 
 
 def network_from_dict(payload):
+    """The network network_to_dict wrote. Its input_shape must be positive
+    ints, and each layer's parameters finite, with the names and shapes
+    that initialize gives them."""
     if payload.get("format_version") != FORMAT_VERSION:
         raise FraudkitError(f"unsupported model format version {payload.get('format_version')!r}")
-    layers = []
-    for spec in payload["layers"]:
-        layer = LAYER_KINDS[spec["kind"]](**spec["hyperparams"])
-        layer.params = {
+    input_shape, specs = payload["input_shape"], payload["layers"]
+    if type(input_shape) is not list or any(type(d) is not int or d < 1 for d in input_shape):
+        raise ValueError(f"input_shape {input_shape!r} is not a list of positive ints")
+    layers = [LAYER_KINDS[spec["kind"]](**spec["hyperparams"]) for spec in specs]
+    network = Network(layers, input_shape).initialize()
+    for layer, spec in zip(layers, specs):
+        params = {
             name: np.array(p["data"], dtype=np.float64).reshape(p["shape"])
             for name, p in spec["params"].items()
         }
+        if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in layer.params.items()}:
+            raise ValueError(f"{spec['kind']} parameters do not have the layer's shapes")
+        if not all(np.isfinite(v).all() for v in params.values()):
+            raise ValueError(f"{spec['kind']} parameters must be finite")
+        layer.params = params
         layer.zero_grads()
-        layers.append(layer)
-    network = Network(layers, payload["input_shape"])
-    network.initialized = True
     return network

@@ -1,5 +1,10 @@
 """CART decision tree and bagged-tree forest baselines.
 
+A fitted tree is five parallel preorder lists (TREE_KEYS), in memory
+and in bundles alike, as scikit-learn's Tree keeps node arrays rather
+than node objects. A leaf has feature -1, threshold None and children
+-1; prob is the positive fraction of a node's training rows.
+
 Split search is exact. A full search (every feature, as a plain tree
 does) is presorted (SLIQ, Mehta, Agrawal & Rissanen 1996): a fit
 argsorts each feature once, and each split partitions those index
@@ -18,7 +23,6 @@ per-node stable sort gives.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,80 +30,73 @@ from fraudkit.base import BaseEstimator, NotFittedError, check_X_y
 from fraudkit.rng import derive_seed, generator
 
 
-@dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    prob: float = 0.0  # positive fraction at leaves
-
-    @property
-    def is_leaf(self):
-        return self.feature is None
-
-    def to_dict(self):
-        """Nested form, one dict per node. It recurses once per level, so
-        bundles hold tree_to_lists instead."""
-        if self.is_leaf:
-            return {"prob": self.prob}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """Read the nested form that bundles held before the flat lists."""
-        if "feature" not in d:
-            return cls(prob=d["prob"])
-        return cls(
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+TREE_KEYS = ("feature", "threshold", "left", "right", "prob")
 
 
-def tree_to_lists(root):
-    """A tree as parallel preorder lists: feature, threshold, left and
-    right child index, and prob. A leaf has feature -1, threshold None
-    and children -1. Built from an explicit stack, so depth is no limit."""
-    lists = {"feature": [], "threshold": [], "left": [], "right": [], "prob": []}
-    stack = [(root, None, None)]  # (node, parent index, parent's child list)
+def check_tree(tree, n_features):
+    """Raise ValueError unless tree's TREE_KEYS are non-empty lists of equal
+    length in which every prob is a number in [0, 1] and every feature -1
+    (a leaf, whose children are -1) or an int in [0, n_features), and a
+    split's threshold is finite and its children ints that follow it, so
+    that no cycle forms."""
+    n = len(tree["prob"])
+    if not n or any(type(tree[k]) is not list or len(tree[k]) != n for k in TREE_KEYS):
+        raise ValueError("tree lists must be non-empty and of equal length")
+    nodes = zip(*(tree[k] for k in TREE_KEYS))
+    for i, (feature, threshold, left, right, prob) in enumerate(nodes):
+        if type(prob) not in (int, float) or not 0 <= prob <= 1:
+            raise ValueError(f"tree node {i}: prob {prob!r} is not a number in [0, 1]")
+        if type(feature) is not int or not -1 <= feature < n_features:
+            raise ValueError(f"tree feature index {feature!r} is outside its {n_features} features")
+        if feature == -1 and (left, right) != (-1, -1):
+            raise ValueError(f"tree node {i}: leaf with children {left!r}, {right!r}")
+        if feature >= 0 and (type(threshold) not in (int, float) or not math.isfinite(threshold)):
+            raise ValueError(f"tree node {i}: threshold {threshold!r} is not a finite number")
+        if feature >= 0 and not all(type(c) is int and i < c < n for c in (left, right)):
+            raise ValueError(f"tree node {i}: children {left!r}, {right!r} do not follow it")
+
+
+def _preorder(root, expand):
+    """The preorder lists of the tree below root, left child first, built
+    from an explicit stack, so depth is no limit. expand(node), called on
+    the nodes in preorder, gives a node's feature (-1 for a leaf),
+    threshold, prob, and its (left, right) nodes or () for a leaf."""
+    tree = {k: [] for k in TREE_KEYS}
+    stack = [(root, -1, None)]  # (node, parent index, parent's child list)
     while stack:
         node, parent, side = stack.pop()
-        i = len(lists["prob"])
-        if parent is not None:
-            lists[side][parent] = i
-        lists["feature"].append(-1 if node.is_leaf else node.feature)
-        lists["threshold"].append(None if node.is_leaf else node.threshold)
-        lists["left"].append(-1)
-        lists["right"].append(-1)
-        lists["prob"].append(node.prob)
-        if not node.is_leaf:
-            stack += [(node.right, i, "right"), (node.left, i, "left")]
-    return lists
+        i = len(tree["prob"])
+        if parent >= 0:
+            tree[side][parent] = i
+        feature, threshold, prob, children = expand(node)
+        for key, value in zip(TREE_KEYS, (feature, threshold, -1, -1, prob)):
+            tree[key].append(value)
+        if children:
+            stack += [(children[1], i, "right"), (children[0], i, "left")]
+    return tree
 
 
-def tree_from_lists(lists):
-    """The tree that tree_to_lists wrote. A child must come after its
-    parent, as in preorder, so a malformed payload cannot form a cycle."""
-    nodes = [TreeNode(prob=float(p)) for p in lists["prob"]]
-    if not nodes or any(len(lists[k]) != len(nodes) for k in ("feature", "threshold", "left", "right")):
-        raise ValueError("tree lists must be non-empty and of equal length")
-    rows = zip(lists["feature"], lists["threshold"], lists["left"], lists["right"])
-    for i, (feature, threshold, left, right) in enumerate(rows):
-        if feature < 0:
-            continue
-        if not i < left < len(nodes) or not i < right < len(nodes):
-            raise ValueError(f"tree node {i}: children {left}, {right} do not follow it")
-        node = nodes[i]
-        node.feature, node.threshold = feature, float(threshold)
-        node.left, node.right = nodes[left], nodes[right]
-    return nodes[0]
+def _expand_nested(d):
+    if "feature" not in d:
+        return -1, None, d["prob"], ()
+    return d["feature"], d["threshold"], 0.0, (d["left"], d["right"])
+
+
+def tree_from_nested(root):
+    """The preorder lists of a tree in the nested form that bundles held
+    before the lists: a leaf is {"prob"}, and a split {"feature",
+    "threshold", "left", "right"} gets prob 0.0."""
+    return _preorder(root, _expand_nested)
+
+
+class _Node:
+    """Read-only view of node i of a tree's lists."""
+
+    def __init__(self, tree, i):
+        self.tree, self.i, self.is_leaf = tree, i, tree["feature"][i] < 0
+
+    left = property(lambda self: _Node(self.tree, self.tree["left"][self.i]))
+    right = property(lambda self: _Node(self.tree, self.tree["right"][self.i]))
 
 
 def _gini_part(pos, n):
@@ -200,24 +197,22 @@ def _grow(X, y, max_depth, min_leaf, max_features, rng):
     """
     n_features = X.shape[1]
     if n_features == 0:
-        return TreeNode(prob=float(y.mean()))
+        return _preorder(None, lambda _: (-1, None, float(y.mean()), ()))
     XT = np.ascontiguousarray(X.T)
     y = y.astype(np.float64)  # 0/1 labels: their sums and means are exact
     full = max_features is None or max_features >= n_features
     goes_left = np.zeros(len(y), dtype=bool)
-    root = TreeNode()
-    # Each pending node carries its presorted lists (full search) or its rows.
-    pending = [(root, np.argsort(XT, axis=1) if full else np.arange(len(y)), 0)]
-    while pending:
-        node, idx, depth = pending.pop()
+
+    def expand(node):
+        idx, depth = node  # presorted lists (full search) or rows, and depth
         rows = idx[0] if full else idx
-        node.prob = float(y[rows].mean())
+        prob = float(y[rows].mean())
         if (
             len(rows) < 2 * min_leaf
             or (max_depth is not None and depth >= max_depth)
-            or node.prob in (0.0, 1.0)
+            or prob in (0.0, 1.0)
         ):
-            continue
+            return -1, None, prob, ()
         if full:
             features = np.arange(n_features)
         else:
@@ -226,16 +221,29 @@ def _grow(X, y, max_depth, min_leaf, max_features, rng):
             XT, y, rows, features, idx if full else None, min_leaf
         )
         if feature is None:
-            continue
-        node.feature = int(feature)
-        node.threshold = float(threshold)
-        node.left, node.right = TreeNode(), TreeNode()
+            return -1, None, prob, ()
         goes_left[rows] = XT[feature, rows] <= threshold
         left = goes_left[idx]
         shape = (*idx.shape[:-1], -1)  # every presorted list keeps the same rows
-        pending.append((node.right, idx[~left].reshape(shape), depth + 1))
-        pending.append((node.left, idx[left].reshape(shape), depth + 1))
-    return root
+        children = [(idx[mask].reshape(shape), depth + 1) for mask in (left, ~left)]
+        return int(feature), float(threshold), prob, children
+
+    return _preorder((np.argsort(XT, axis=1) if full else np.arange(len(y)), 0), expand)
+
+
+def _predict(tree, X):
+    """Each row's prob, walking one node at a time from an explicit stack."""
+    feature, threshold, left, right, prob = (tree[k] for k in TREE_KEYS)
+    out = np.empty(len(X))
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        i, idx = stack.pop()
+        if feature[i] < 0:
+            out[idx] = prob[i]
+        elif idx.size:
+            mask = X[idx, feature[i]] <= threshold[i]
+            stack += [(right[i], idx[~mask]), (left[i], idx[mask])]
+    return out
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -246,37 +254,31 @@ class DecisionTreeClassifier(BaseEstimator):
         self.min_leaf = min_leaf
         self.max_features = max_features
         self.seed = seed
-        self.root_ = None
+        self.tree_ = None  # the preorder lists of TREE_KEYS once fitted
+
+    # A node view of tree_'s root, for perfbench's tree-shape walk.
+    root_ = property(lambda self: _Node(self.tree_, 0))
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         if len(y) < self.min_leaf:
             raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
         rng = generator(self.seed)
-        self.root_ = _grow(X, y, self.max_depth, self.min_leaf, self.max_features, rng)
+        self.tree_ = _grow(X, y, self.max_depth, self.min_leaf, self.max_features, rng)
         return self
 
     def predict_proba(self, X):
-        if self.root_ is None:
+        if self.tree_ is None:
             raise NotFittedError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X))
-        stack = [(self.root_, np.arange(len(X)))]  # explicit, so depth is no limit
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                out[idx] = node.prob
-            elif idx.size:
-                mask = X[idx, node.feature] <= node.threshold
-                stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
-        return out
+        return _predict(self.tree_, np.asarray(X, dtype=np.float64))
 
     def predict(self, X, threshold=0.5):
         return (self.predict_proba(X) >= threshold).astype(np.int64)
 
 
 class RandomForestClassifier(BaseEstimator):
-    """Bagged CART trees with per-split random feature subsets.
+    """Bagged CART trees with per-split random feature subsets; trees_ holds
+    each tree's preorder lists.
 
     With n_trees=1, bootstrap=False and max_features=None the forest
     reduces exactly to a single DecisionTreeClassifier.
@@ -308,29 +310,26 @@ class RandomForestClassifier(BaseEstimator):
         X, y = check_X_y(X, y)
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if len(y) < self.min_leaf:
+            raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
         max_features = self._resolve_max_features(X.shape[1])
         self.trees_ = []
         for t in range(self.n_trees):
-            tree_seed = derive_seed(self.seed, f"tree/{t}")
             if self.bootstrap:
                 rng = generator(derive_seed(self.seed, f"bootstrap/{t}"))
                 idx = rng.integers(0, len(y), size=len(y))
                 Xt, yt = X[idx], y[idx]
             else:
                 Xt, yt = X, y
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_leaf=self.min_leaf,
-                max_features=max_features,
-                seed=tree_seed,
-            )
-            self.trees_.append(tree.fit(Xt, yt))
+            rng = generator(derive_seed(self.seed, f"tree/{t}"))
+            self.trees_.append(_grow(Xt, yt, self.max_depth, self.min_leaf, max_features, rng))
         return self
 
     def predict_proba(self, X):
         if not self.trees_:
             raise NotFittedError("forest is not fitted")
-        return np.mean([t.predict_proba(X) for t in self.trees_], axis=0)
+        X = np.asarray(X, dtype=np.float64)
+        return np.mean([_predict(tree, X) for tree in self.trees_], axis=0)
 
     def predict(self, X, threshold=0.5):
         return (self.predict_proba(X) >= threshold).astype(np.int64)

@@ -12,6 +12,8 @@ import fraudkit
 from fraudkit.cli import run_cli
 from fraudkit.experiments import METRIC_NAMES
 from fraudkit.metrics import format_metric
+from fraudkit.models import build_logreg
+from fraudkit.nn.network import network_to_dict
 
 # A dtree bundle whose nested root is 5,000 levels deep: too deep for the JSON decoder.
 DEEP_BUNDLE = (
@@ -22,15 +24,20 @@ DEEP_BUNDLE = (
 )
 
 
-def six_feature_bundle(feature=0, mean=(0.0,) * 6):
-    """A one-split dtree bundle over the scoring data's f0..f5."""
-    tree = {"feature": [feature, -1, -1], "threshold": [0.5, None, None],
-            "left": [1, -1, -1], "right": [2, -1, -1], "prob": [0.0, 0.5, 1.0]}
+def six_feature_bundle(feature=0, split=0.5, prob=0.0, mean=[0.0] * 6, std=[1.0] * 6, **top):
+    """A one-split dtree bundle over the scoring data's f0..f5: feature,
+    split and prob are its root node's, and top replaces top-level keys."""
+    tree = {"feature": [feature, -1, -1], "threshold": [split, None, None],
+            "left": [1, -1, -1], "right": [2, -1, -1], "prob": [prob, 0.5, 1.0]}
     return json.dumps({
         "format_version": 1, "features": [f"f{i}" for i in range(6)], "categories": {},
-        "threshold": 0.5, "scaler": {"mean": list(mean), "std": [1.0] * 6},
-        "model": {"kind": "dtree", "flat_tree": tree},
+        "threshold": 0.5, "scaler": {"mean": mean, "std": std},
+        "model": {"kind": "dtree", "flat_tree": tree}, **top,
     })
+
+
+def logreg_payload(width):
+    return {"kind": "logreg", "network": network_to_dict(build_logreg(width).initialize(0))}
 
 
 PLAN_TEXT = """\
@@ -413,10 +420,28 @@ class TestTrainEvaluate:
             (DEEP_BUNDLE, "maximum recursion depth exceeded"),
             (six_feature_bundle(feature=99), "tree feature index 99 is outside its 6 features"),
             (six_feature_bundle(feature=1.5), "tree feature index 1.5 is outside its 6 features"),
-            (six_feature_bundle(mean=(0.0,) * 3), "scaler has 3 means and 6 stds for 6 features"),
+            (six_feature_bundle(mean=[0.0] * 3), "scaler has 3 means and 6 stds for 6 features"),
+            (six_feature_bundle(feature=-2), "tree feature index -2 is outside its 6 features"),
+            (six_feature_bundle(split=float("nan")), "threshold nan is not a finite number"),
+            (six_feature_bundle(split=None), "threshold None is not a finite number"),
+            (six_feature_bundle(prob="x"), "prob 'x' is not a number in [0, 1]"),
+            (six_feature_bundle(model={"kind": "forest", "flat_trees": []}), "forest has no trees"),
+            (six_feature_bundle(mean=None), "scaler mean and std must be finite"),
+            (six_feature_bundle(std=[1.0] * 5 + [float("nan")]), "scaler mean and std must be finite"),
+            (six_feature_bundle(threshold="x"), "threshold 'x' is not a number in [0, 1]"),
+            (six_feature_bundle(threshold=5), "threshold 5 is not a number in [0, 1]"),
+            (six_feature_bundle(features=5), "features 5 are not a list of strings"),
+            (six_feature_bundle(features=["f0"] * 6), "repeat a name"),
+            (six_feature_bundle(model=logreg_payload(5)), "network input shape [5] does not fit 6 features"),
+            (six_feature_bundle(model={"kind": "dtree", "root": {
+                "feature": -1, "threshold": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0}}}),
+             "tree node 0: leaf with children 1, 2"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
-             "tree-feature-99", "tree-feature-1.5", "short-scaler"],
+             "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
+             "tree-split-nan", "tree-split-null", "tree-prob-string", "forest-no-trees",
+             "scaler-mean-null", "scaler-std-nan", "threshold-string", "threshold-5",
+             "features-int", "features-repeat", "network-width", "nested-split-feature--1"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

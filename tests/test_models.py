@@ -20,6 +20,7 @@ from fraudkit.models import (
     save_bundle,
 )
 from fraudkit.preprocess import StandardScaler
+from fraudkit.rng import derive_seed
 from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier, _gini_part
 
 
@@ -105,15 +106,15 @@ class TestLogreg:
 class TestDecisionTree:
     def test_pure_leaf(self):
         tree = DecisionTreeClassifier().fit(np.zeros((5, 2)), np.zeros(5, dtype=np.int64))
-        assert tree.root_.is_leaf
-        assert tree.root_.prob == 0.0
+        assert tree.tree_["feature"][0] == -1
+        assert tree.tree_["prob"][0] == 0.0
 
     def test_perfect_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.root_.feature == 0
-        assert tree.root_.threshold == 1.5
+        assert tree.tree_["feature"][0] == 0
+        assert tree.tree_["threshold"][0] == 1.5
         assert np.array_equal(tree.predict(X), y)
 
     def test_conjunction_needs_depth_two(self):
@@ -130,8 +131,8 @@ class TestDecisionTree:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.root_.is_leaf
-        assert tree.root_.prob == 0.5
+        assert tree.tree_["feature"][0] == -1
+        assert tree.tree_["prob"][0] == 0.5
 
     def test_depth_one_matches_brute_force(self):
         def gini_of_split(X, y, j, t):
@@ -158,23 +159,25 @@ class TestDecisionTree:
                 ),
             )
             tree = DecisionTreeClassifier(max_depth=1).fit(X, y)
-            assert tree.root_.feature == best[1], f"seed {seed}"
-            assert tree.root_.threshold == pytest.approx(best[2], abs=1e-12)
+            assert tree.tree_["feature"][0] == best[1], f"seed {seed}"
+            assert tree.tree_["threshold"][0] == pytest.approx(best[2], abs=1e-12)
 
     def test_min_leaf_respected(self):
         X = np.arange(10, dtype=np.float64).reshape(-1, 1)
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
         tree = DecisionTreeClassifier(min_leaf=3).fit(X, y)
 
-        def check(node, idx):
-            if node.is_leaf:
+        t = tree.tree_
+
+        def check(i, idx):
+            if t["feature"][i] == -1:
                 assert idx.size >= 3
                 return
-            mask = X[idx, node.feature] <= node.threshold
-            check(node.left, idx[mask])
-            check(node.right, idx[~mask])
+            mask = X[idx, t["feature"][i]] <= t["threshold"][i]
+            check(t["left"][i], idx[mask])
+            check(t["right"][i], idx[~mask])
 
-        check(tree.root_, np.arange(10))
+        check(0, np.arange(10))
 
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
@@ -192,7 +195,7 @@ class TestDecisionTree:
         X = np.array(values).reshape(-1, 1)
         y = np.array([0, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.root_.threshold == values[0]
+        assert tree.tree_["threshold"][0] == values[0]
         assert tree.predict(X).tolist() == [0, 1]
 
 
@@ -202,7 +205,7 @@ class TestForest:
         forest = RandomForestClassifier(
             n_trees=1, bootstrap=False, max_features=None, seed=0
         ).fit(X, y)
-        tree = DecisionTreeClassifier(seed=forest.trees_[0].seed).fit(X, y)
+        tree = DecisionTreeClassifier(seed=derive_seed(0, "tree/0")).fit(X, y)
         assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
 
     def test_deterministic(self, blobs):

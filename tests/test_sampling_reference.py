@@ -4,7 +4,8 @@ The references below are the plain forms the fast paths replace: NearMiss
 over the full n_neg x n_pos distance matrix with full sorts, SMOTE
 neighbours by a stable argsort of each row of the full minority matrix,
 and CART that stable-argsorts every feature at every node. Outputs must
-be equal (rows, their order, SMOTE provenance, tree to_dict), not close.
+be equal (rows, their order, SMOTE provenance, a tree's preorder lists), not
+close.
 
 Inputs on small dyadic grids keep every distance exact whatever the BLAS
 call shape, so block sizes of 1 and 3 rows can be compared too; they are
@@ -30,7 +31,8 @@ from fraudkit.resample import (
     round_half_away,
 )
 from fraudkit.rng import derive_seed, generator
-from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier, TreeNode, _gini_part
+from fraudkit.models import model_to_dict
+from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier, _gini_part
 
 
 def ref_nearmiss(X, y, version, k, ratio):
@@ -98,8 +100,10 @@ def ref_best_split(X, y, features, min_leaf):
 
 
 def ref_grow(X, y, depth, max_depth, min_leaf, max_features, rng):
-    node = TreeNode(prob=float(y.mean()))
-    if len(y) < 2 * min_leaf or (max_depth is not None and depth >= max_depth) or node.prob in (0.0, 1.0):
+    """The tree as nested dicts: every node has its prob, a split also its
+    feature, threshold, left and right."""
+    node = {"prob": float(y.mean())}
+    if len(y) < 2 * min_leaf or (max_depth is not None and depth >= max_depth) or node["prob"] in (0.0, 1.0):
         return node
     n_features = X.shape[1]
     if max_features is None or max_features >= n_features:
@@ -110,15 +114,39 @@ def ref_grow(X, y, depth, max_depth, min_leaf, max_features, rng):
     if feature is None:
         return node
     mask = X[:, feature] <= threshold
-    node.feature, node.threshold = int(feature), float(threshold)
-    node.left = ref_grow(X[mask], y[mask], depth + 1, max_depth, min_leaf, max_features, rng)
-    node.right = ref_grow(X[~mask], y[~mask], depth + 1, max_depth, min_leaf, max_features, rng)
+    node["feature"], node["threshold"] = int(feature), float(threshold)
+    node["left"] = ref_grow(X[mask], y[mask], depth + 1, max_depth, min_leaf, max_features, rng)
+    node["right"] = ref_grow(X[~mask], y[~mask], depth + 1, max_depth, min_leaf, max_features, rng)
     return node
 
 
-def ref_tree_dict(X, y, max_depth=None, min_leaf=1, max_features=None, seed=0):
+def ref_flatten(node, lists=None):
+    """A nested tree as the preorder lists of a bundle, left child first."""
+    if lists is None:
+        lists = {"feature": [], "threshold": [], "left": [], "right": [], "prob": []}
+    i = len(lists["prob"])
+    split = "feature" in node
+    lists["feature"].append(node["feature"] if split else -1)
+    lists["threshold"].append(node["threshold"] if split else None)
+    lists["left"].append(-1)
+    lists["right"].append(-1)
+    lists["prob"].append(node["prob"])
+    if split:
+        lists["left"][i] = len(lists["prob"])
+        ref_flatten(node["left"], lists)
+        lists["right"][i] = len(lists["prob"])
+        ref_flatten(node["right"], lists)
+    return lists
+
+
+def ref_tree_lists(X, y, max_depth=None, min_leaf=1, max_features=None, seed=0):
     rng = generator(seed)
-    return ref_grow(X, y, 0, max_depth, min_leaf, max_features, rng).to_dict()
+    return ref_flatten(ref_grow(X, y, 0, max_depth, min_leaf, max_features, rng))
+
+
+def tree_lists(tree):
+    """A fitted tree's lists as its bundle holds them."""
+    return model_to_dict(tree)["flat_tree"]
 
 
 def _outcome(fn, *args):
@@ -250,14 +278,14 @@ def sampler_outputs():
 def test_trees_match_reference_on_sampler_outputs(sampler_outputs, sampler):
     X, y = sampler_outputs[sampler]
     tree = DecisionTreeClassifier(seed=4).fit(X, y)
-    assert json.dumps(tree.root_.to_dict()) == json.dumps(ref_tree_dict(X, y, seed=4))
+    assert json.dumps(tree_lists(tree)) == json.dumps(ref_tree_lists(X, y, seed=4))
     forest = RandomForestClassifier(n_trees=3, seed=6).fit(X, y)
     max_features = forest._resolve_max_features(X.shape[1])
-    for t, tree in enumerate(forest.trees_):
+    for t, lists in enumerate(model_to_dict(forest)["flat_trees"]):
         boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
-        want = ref_tree_dict(X[boot], y[boot], max_features=max_features,
-                             seed=derive_seed(6, f"tree/{t}"))
-        assert json.dumps(tree.root_.to_dict()) == json.dumps(want), t
+        want = ref_tree_lists(X[boot], y[boot], max_features=max_features,
+                              seed=derive_seed(6, f"tree/{t}"))
+        assert json.dumps(lists) == json.dumps(want), t
 
 
 def test_tree_matches_reference_on_rounded_grids():
@@ -270,5 +298,5 @@ def test_tree_matches_reference_on_rounded_grids():
                       max_features=[None, 1, 2][case % 3], seed=case)
         if n < params["min_leaf"]:
             continue
-        got = DecisionTreeClassifier(**params).fit(X, y).root_.to_dict()
-        assert json.dumps(got) == json.dumps(ref_tree_dict(X, y, **params)), case
+        got = tree_lists(DecisionTreeClassifier(**params).fit(X, y))
+        assert json.dumps(got) == json.dumps(ref_tree_lists(X, y, **params)), case

@@ -1,14 +1,16 @@
 """The blocked split search against the per-node sort reference at several
-block sizes, deep trees without recursion, and the flat tree payload."""
+block sizes, deep trees without recursion, the flat tree payload, and tree
+bundles written before the lists became the in-memory form."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fraudkit import trees
 from fraudkit.base import FraudkitError
-from fraudkit.models import load_bundle, model_from_dict, model_to_dict, save_bundle
+from fraudkit.models import load_bundle, model_to_dict, save_bundle
 from fraudkit.preprocess import StandardScaler
 from fraudkit.rng import derive_seed, generator
 from fraudkit.trees import (
@@ -16,9 +18,11 @@ from fraudkit.trees import (
     RandomForestClassifier,
     _gini_part,
     _split_scores,
-    tree_from_lists,
+    check_tree,
 )
-from test_sampling_reference import ref_tree_dict
+from test_sampling_reference import ref_tree_lists, tree_lists
+
+TREE_BUNDLES = Path(__file__).parent / "tree_bundles"
 
 # SEARCH_BLOCK as a function of a set's rows n: one feature per block; one
 # feature row per block at the root, so deeper nodes take several; and
@@ -50,12 +54,12 @@ def test_tree_and_forest_match_reference_at_block_sizes(monkeypatch, block):
     X, y = tie_heavy(3)
     monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
     tree = DecisionTreeClassifier(min_leaf=2, seed=4).fit(X, y)
-    assert json.dumps(tree.root_.to_dict()) == json.dumps(ref_tree_dict(X, y, min_leaf=2, seed=4))
+    assert json.dumps(tree_lists(tree)) == json.dumps(ref_tree_lists(X, y, min_leaf=2, seed=4))
     forest = RandomForestClassifier(n_trees=3, max_features=5, seed=6).fit(X, y)
-    for t, tree in enumerate(forest.trees_):
+    for t, lists in enumerate(model_to_dict(forest)["flat_trees"]):
         boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
-        want = ref_tree_dict(X[boot], y[boot], max_features=5, seed=derive_seed(6, f"tree/{t}"))
-        assert json.dumps(tree.root_.to_dict()) == json.dumps(want), t
+        want = ref_tree_lists(X[boot], y[boot], max_features=5, seed=derive_seed(6, f"tree/{t}"))
+        assert json.dumps(lists) == json.dumps(want), t
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -70,8 +74,8 @@ def test_tree_matches_reference_on_rounded_grids_at_block_sizes(monkeypatch, blo
         if n < params["min_leaf"]:
             continue
         monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](n))
-        got = DecisionTreeClassifier(**params).fit(X, y).root_.to_dict()
-        assert json.dumps(got) == json.dumps(ref_tree_dict(X, y, **params)), case
+        got = tree_lists(DecisionTreeClassifier(**params).fit(X, y))
+        assert json.dumps(got) == json.dumps(ref_tree_lists(X, y, **params)), case
 
 
 def deep_set(n=2000):
@@ -92,16 +96,16 @@ def test_deep_tree_predicts_and_round_trips_a_bundle(tmp_path):
         assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
 
 
-def test_nested_tree_payload_still_loads():
-    X, y = tie_heavy(5, n=200, n_features=3)
-    tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-    forest = RandomForestClassifier(n_trees=2, max_depth=3, seed=2).fit(X, y)
-    for payload, model in (
-        ({"kind": "dtree", "root": tree.root_.to_dict()}, tree),
-        ({"kind": "forest", "trees": [t.root_.to_dict() for t in forest.trees_]}, forest),
-    ):
-        loaded = model_from_dict(json.loads(json.dumps(payload)))
-        assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+def test_bundles_written_before_the_lists_score_as_stored():
+    # tree_bundles/ holds a depth-4 CART and a 2-tree depth-3 forest, each
+    # as written by fraudkit 2a2f6a3 (flat lists) and with the nested trees
+    # of older bundles, and their probabilities on 40 fixed rows.
+    expected = json.loads((TREE_BUNDLES / "expected.json").read_text())
+    for kind in ("dtree", "forest"):
+        for form in ("flat", "nested"):
+            model, scaler, *_ = load_bundle(TREE_BUNDLES / f"{kind}_{form}.model")
+            got = model.predict_proba(scaler.transform(expected["rows"]))
+            assert got.tolist() == expected["probabilities"][kind], (kind, form)
 
 
 def test_flat_payload_is_preorder():
@@ -123,10 +127,12 @@ def test_flat_payload_is_preorder():
     {"feature": [], "threshold": [], "left": [], "right": [], "prob": []},
     {"feature": [-1, -1], "threshold": [None], "left": [-1, -1], "right": [-1, -1],
      "prob": [0.5, 0.5]},
+    {"feature": [-1, -1, -1], "threshold": [0.5, None, None], "left": [1, -1, -1],
+     "right": [2, -1, -1], "prob": [0.0, 0.0, 1.0]},
 ])
 def test_malformed_flat_tree_is_rejected(tmp_path, lists):
     with pytest.raises(ValueError):
-        tree_from_lists(lists)
+        check_tree(lists, 1)
     path = tmp_path / "bad.model"
     save_bundle(path, DecisionTreeClassifier().fit(*deep_set(4)), StandardScaler().fit(
         deep_set(4)[0]), 0.5, ["x"], {})
