@@ -42,6 +42,13 @@ def check_labels(y, *, name="y"):
     return y_int
 
 
+def check_object(value, name):
+    """value if it is a dict, as a JSON object loads; else ValueError naming it."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} is a {type(value).__name__}, not an object")
+    return value
+
+
 def check_X_y(X, y):
     X = check_array(X)
     y = check_labels(y)

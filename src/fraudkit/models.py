@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError
+from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError, check_object
 from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Dropout, Flatten, MaxPool1D
 from fraudkit.nn.network import Network, fit as fit_network
 from fraudkit.preprocess import StandardScaler
@@ -242,12 +242,13 @@ def load_bundle(path):
     another format_version, or holds a payload that could not score its
     features raises FraudkitError naming the file: features must be
     distinct strings, the scaler's mean and std finite and one per feature,
-    the threshold a number in [0, 1], a network as wide as the features and
-    every tree pass trees.check_tree. A bundle written before categories
-    were stored loads with none.
+    the threshold a number in [0, 1], a network as wide as the features
+    and ending in a one-unit sigmoid head, and every tree pass
+    trees.check_tree. A part of the wrong JSON type fails naming its key.
+    A bundle written before categories were stored loads with none.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = check_object(json.loads(Path(path).read_text(encoding="utf-8")), "bundle")
         if payload["format_version"] != BUNDLE_FORMAT_VERSION:
             raise FraudkitError(
                 f"{path}: unsupported bundle format_version {payload['format_version']!r}"
@@ -257,9 +258,9 @@ def load_bundle(path):
             raise ValueError(f"features {features!r} are not a list of strings")
         if len(set(features)) != len(features):
             raise ValueError(f"features {features} repeat a name")
-        scaler = StandardScaler()
-        scaler.mean_ = np.asarray(payload["scaler"]["mean"], dtype=np.float64)
-        scaler.std_ = np.asarray(payload["scaler"]["std"], dtype=np.float64)
+        scaler, stats = StandardScaler(), check_object(payload["scaler"], "scaler")
+        scaler.mean_ = np.asarray(stats["mean"], dtype=np.float64)
+        scaler.std_ = np.asarray(stats["std"], dtype=np.float64)
         if not (np.isfinite(scaler.mean_).all() and np.isfinite(scaler.std_).all()):
             raise ValueError("scaler mean and std must be finite")
         if not scaler.mean_.shape == scaler.std_.shape == (len(features),):
@@ -276,19 +277,26 @@ def load_bundle(path):
         ):
             raise ValueError("categories must map feature names to lists of strings")
         categories = {name: tuple(v) for name, v in categories.items()}
-        model = model_from_dict(payload["model"])
+        model = model_from_dict(check_object(payload["model"], "model"))
         if isinstance(model, NeuralNetClassifier):
-            if model.network_.n_inputs != len(features):
+            net = model.network_
+            if net.n_inputs != len(features):
                 raise ValueError(
-                    f"network input shape {list(model.network_.input_shape)} "
+                    f"network input shape {list(net.input_shape)} "
                     f"does not fit {len(features)} features"
                 )
+            head = net.layers[-1] if net.layers else None
+            sigmoid = isinstance(head, Activation) and head.activation == "sigmoid"
+            if not sigmoid or net.output_shape != (1,):
+                raise ValueError("network layers do not end in a one-unit sigmoid head")
         else:
-            trees = model.trees_ if isinstance(model, RandomForestClassifier) else [model.tree_]
+            forest = isinstance(model, RandomForestClassifier)
+            trees = model.trees_ if forest else [model.tree_]
             if not trees:
                 raise ValueError("forest has no trees")
-            for tree in trees:
-                check_tree(tree, len(features))
+            for i, tree in enumerate(trees):
+                key = f"flat_trees[{i}]" if forest else "flat_tree"
+                check_tree(check_object(tree, key), len(features))
         return model, scaler, threshold, features, categories
     except KeyError as exc:
         raise FraudkitError(f"{path}: not a model bundle: missing key {exc}") from None

@@ -4,7 +4,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from fraudkit.base import FraudkitError
+from fraudkit.base import FraudkitError, check_object
 from fraudkit.nn.layers import LAYER_KINDS
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.optim import Adam
@@ -228,20 +228,27 @@ def network_to_dict(network):
 
 def network_from_dict(payload):
     """The network network_to_dict wrote. Its input_shape must be positive
-    ints, and each layer's parameters finite, with the names and shapes
-    that initialize gives them."""
-    if payload.get("format_version") != FORMAT_VERSION:
+    ints, its layers a list of objects, and each layer's parameters finite,
+    with the names and shapes that initialize gives them."""
+    if check_object(payload, "network").get("format_version") != FORMAT_VERSION:
         raise FraudkitError(f"unsupported model format version {payload.get('format_version')!r}")
     input_shape, specs = payload["input_shape"], payload["layers"]
     if type(input_shape) is not list or any(type(d) is not int or d < 1 for d in input_shape):
         raise ValueError(f"input_shape {input_shape!r} is not a list of positive ints")
-    layers = [LAYER_KINDS[spec["kind"]](**spec["hyperparams"]) for spec in specs]
+    if type(specs) is not list:
+        raise ValueError(f"layers is a {type(specs).__name__}, not a list")
+    specs = [check_object(spec, f"layers[{i}]") for i, spec in enumerate(specs)]
+    layers = [
+        LAYER_KINDS[spec["kind"]](**check_object(spec["hyperparams"], f"layers[{i}] hyperparams"))
+        for i, spec in enumerate(specs)
+    ]
     network = Network(layers, input_shape).initialize()
-    for layer, spec in zip(layers, specs):
-        params = {
-            name: np.array(p["data"], dtype=np.float64).reshape(p["shape"])
-            for name, p in spec["params"].items()
-        }
+    for i, (layer, spec) in enumerate(zip(layers, specs)):
+        key = f"layers[{i}] params"
+        params = {}
+        for name, p in check_object(spec["params"], key).items():
+            p = check_object(p, f"{key} {name}")
+            params[name] = np.array(p["data"], dtype=np.float64).reshape(p["shape"])
         if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in layer.params.items()}:
             raise ValueError(f"{spec['kind']} parameters do not have the layer's shapes")
         if not all(np.isfinite(v).all() for v in params.values()):

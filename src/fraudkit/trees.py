@@ -20,6 +20,15 @@ every candidate threshold in the block at once. It reads class counts
 only where the sorted value changes, so the order of rows with equal
 values never matters, and the trees, ties included, are the ones a
 per-node stable sort gives.
+
+A forest tree grows on its bootstrap sample as scikit-learn's forests
+do: on the distinct rows drawn (about 1 - 1/e, 63%, of the draws), each
+weighted by its draw count, from the one transposed X of the fit rather
+than a copy of the sample. Sizes, class counts and probs become sums of
+weights; the counts are small integers, so those sums are exact, every
+candidate split scores as it does on the rows repeated by their counts,
+and the tree is that tree bit for bit. A plain tree counts each row
+once and keeps its shared sizes.
 """
 
 import math
@@ -139,23 +148,24 @@ def _gather(XT, features, rows):
 SEARCH_BLOCK = 1 << 16
 
 
-def _best_split(XT, y, rows, features, sorted_idx, min_leaf):
+def _best_split(XT, y, weight, rows, n, total_pos, features, sorted_idx, min_leaf):
     """Best (feature, threshold) by Gini over midpoints of sorted distinct
     values; ties broken by lower feature index, then lower threshold.
 
-    XT is X transposed and contiguous; features is ascending. With
-    sorted_idx, row i lists the node's rows in ascending order of
-    features[i]; without it each block argsorts its features over rows.
-    Rows with equal values may come in any order, because class counts
-    are only read where the value changes.
+    XT is X transposed and contiguous; features is ascending. y holds each
+    row's label times its weight, and weight is each row's integer weight,
+    or None where every weight is 1; n and total_pos are the node's
+    weighted size and positive count. With sorted_idx, row i lists the
+    node's rows in ascending order of features[i]; without it each block
+    argsorts its features over rows. Rows with equal values may come in
+    any order, because class counts are only read where the value changes.
     """
-    n = len(rows)
-    total_pos = int(y[rows].sum())
     best = (None, None, _gini_part(total_pos, n))
-    sizes_l = np.arange(1, n, dtype=np.float64)
-    sizes_r = n - sizes_l
-    size_ok = (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
-    step = max(1, SEARCH_BLOCK // n)
+    if weight is None:  # unit weights: every feature shares its left sizes
+        sizes_l = np.arange(1, n, dtype=np.float64)
+        sizes_r = n - sizes_l
+        size_ok = (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+    step = max(1, SEARCH_BLOCK // len(rows))
     for start in range(0, len(features), step):
         block = features[start : start + step]
         if sorted_idx is None:
@@ -163,6 +173,10 @@ def _best_split(XT, y, rows, features, sorted_idx, min_leaf):
         else:
             order = sorted_idx[start : start + step]
         xs = _gather(XT, block, order)
+        if weight is not None:
+            sizes_l = np.cumsum(weight[order], axis=1)[:, :-1]
+            sizes_r = n - sizes_l
+            size_ok = (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
         pos_l = np.cumsum(y[order], axis=1)[:, :-1]
         score = _split_scores(pos_l, sizes_l, sizes_r, total_pos)
         score[(xs[:, :-1] == xs[:, 1:]) | ~size_ok] = np.inf
@@ -182,8 +196,11 @@ def _midpoint(a, b):
     return mid if a <= mid < b else a
 
 
-def _grow(X, y, max_depth, min_leaf, max_features, rng):
-    """Grow a tree depth-first, left child first.
+def _grow(XT, y, weight, max_depth, min_leaf, max_features, rng):
+    """Grow a tree on XT (X transposed, contiguous) and float labels y,
+    depth-first, left child first, from the rows of nonzero weight: weight
+    is each row's integer weight (a forest tree's draw counts), or None
+    where every row counts once.
 
     A full search presorts: each feature is argsorted once, and a split
     partitions every list with one gather, keeping each list's order, so
@@ -195,20 +212,28 @@ def _grow(X, y, max_depth, min_leaf, max_features, rng):
     any depth. Nodes are grown in the order recursion would grow them,
     so the forest's feature draws come in the same order.
     """
-    n_features = X.shape[1]
+    n_features = XT.shape[0]
+    rows = np.arange(len(y))
+    if weight is not None:  # y becomes each row's positive count
+        rows, y = np.flatnonzero(weight), y * weight
+
+    def size_pos(rows):  # weighted size and positive count; sums of integers
+        n = len(rows) if weight is None else int(weight[rows].sum())
+        return n, int(y[rows].sum())
+
     if n_features == 0:
-        return _preorder(None, lambda _: (-1, None, float(y.mean()), ()))
-    XT = np.ascontiguousarray(X.T)
-    y = y.astype(np.float64)  # 0/1 labels: their sums and means are exact
+        n, pos = size_pos(rows)
+        return _preorder(None, lambda _: (-1, None, pos / n, ()))
     full = max_features is None or max_features >= n_features
     goes_left = np.zeros(len(y), dtype=bool)
 
     def expand(node):
         idx, depth = node  # presorted lists (full search) or rows, and depth
         rows = idx[0] if full else idx
-        prob = float(y[rows].mean())
+        n, pos = size_pos(rows)
+        prob = pos / n  # exact integers: the correctly rounded mean of the rows
         if (
-            len(rows) < 2 * min_leaf
+            n < 2 * min_leaf
             or (max_depth is not None and depth >= max_depth)
             or prob in (0.0, 1.0)
         ):
@@ -218,7 +243,7 @@ def _grow(X, y, max_depth, min_leaf, max_features, rng):
         else:
             features = np.sort(rng.choice(n_features, size=max_features, replace=False))
         feature, threshold = _best_split(
-            XT, y, rows, features, idx if full else None, min_leaf
+            XT, y, weight, rows, n, pos, features, idx if full else None, min_leaf
         )
         if feature is None:
             return -1, None, prob, ()
@@ -228,7 +253,11 @@ def _grow(X, y, max_depth, min_leaf, max_features, rng):
         children = [(idx[mask].reshape(shape), depth + 1) for mask in (left, ~left)]
         return int(feature), float(threshold), prob, children
 
-    return _preorder((np.argsort(XT, axis=1) if full else np.arange(len(y)), 0), expand)
+    if full:
+        root = np.argsort(XT, axis=1) if weight is None else rows[np.argsort(XT[:, rows], axis=1)]
+    else:
+        root = rows
+    return _preorder((root, 0), expand)
 
 
 def _predict(tree, X):
@@ -264,7 +293,8 @@ class DecisionTreeClassifier(BaseEstimator):
         if len(y) < self.min_leaf:
             raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
         rng = generator(self.seed)
-        self.tree_ = _grow(X, y, self.max_depth, self.min_leaf, self.max_features, rng)
+        XT, y = np.ascontiguousarray(X.T), y.astype(np.float64)
+        self.tree_ = _grow(XT, y, None, self.max_depth, self.min_leaf, self.max_features, rng)
         return self
 
     def predict_proba(self, X):
@@ -313,16 +343,17 @@ class RandomForestClassifier(BaseEstimator):
         if len(y) < self.min_leaf:
             raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
         max_features = self._resolve_max_features(X.shape[1])
+        XT, y = np.ascontiguousarray(X.T), y.astype(np.float64)
         self.trees_ = []
         for t in range(self.n_trees):
-            if self.bootstrap:
+            weight = None
+            if self.bootstrap:  # the draw counts weight the distinct rows drawn
                 rng = generator(derive_seed(self.seed, f"bootstrap/{t}"))
-                idx = rng.integers(0, len(y), size=len(y))
-                Xt, yt = X[idx], y[idx]
-            else:
-                Xt, yt = X, y
+                draw = rng.integers(0, len(y), size=len(y))
+                weight = np.bincount(draw, minlength=len(y)).astype(np.float64)
             rng = generator(derive_seed(self.seed, f"tree/{t}"))
-            self.trees_.append(_grow(Xt, yt, self.max_depth, self.min_leaf, max_features, rng))
+            tree = _grow(XT, y, weight, self.max_depth, self.min_leaf, max_features, rng)
+            self.trees_.append(tree)
         return self
 
     def predict_proba(self, X):

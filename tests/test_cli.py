@@ -40,6 +40,17 @@ def logreg_payload(width):
     return {"kind": "logreg", "network": network_to_dict(build_logreg(width).initialize(0))}
 
 
+def logreg_bundle(width, edit):
+    """A logreg bundle over f0..f{width-1} whose network payload edit changes."""
+    model = logreg_payload(width)
+    edit(model["network"])
+    return six_feature_bundle(model=model, features=[f"f{i}" for i in range(width)],
+                              scaler={"mean": [0.0] * width, "std": [1.0] * width})
+
+
+ONE_SPLIT = json.loads(six_feature_bundle())["model"]["flat_tree"]
+
+
 PLAN_TEXT = """\
 [plan]
 seed = 7
@@ -436,12 +447,35 @@ class TestTrainEvaluate:
             (six_feature_bundle(model={"kind": "dtree", "root": {
                 "feature": -1, "threshold": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0}}}),
              "tree node 0: leaf with children 1, 2"),
+            (logreg_bundle(1, lambda net: net.update(layers=[])),
+             "network layers do not end in a one-unit sigmoid head"),
+            (logreg_bundle(3, lambda net: net.update(layers=[])),
+             "network layers do not end in a one-unit sigmoid head"),
+            (logreg_bundle(6, lambda net: net["layers"].pop()),
+             "network layers do not end in a one-unit sigmoid head"),
+            (logreg_bundle(6, lambda net: net.update(layers={})), "layers is a dict, not a list"),
+            ("[]", "bundle is a list, not an object"),
+            (six_feature_bundle(model=[]), "model is a list, not an object"),
+            (six_feature_bundle(scaler=[]), "scaler is a list, not an object"),
+            (six_feature_bundle(model={"kind": "dtree", "flat_tree": []}),
+             "flat_tree is a list, not an object"),
+            (six_feature_bundle(model={"kind": "forest", "flat_trees": [ONE_SPLIT, []]}),
+             "flat_trees[1] is a list, not an object"),
+            (logreg_bundle(6, lambda net: net["layers"][0].update(params=[])),
+             "layers[0] params is a list, not an object"),
+            (logreg_bundle(6, lambda net: net["layers"][0]["params"].update(W=[])),
+             "layers[0] params W is a list, not an object"),
+            (logreg_bundle(6, lambda net: net["layers"][0].update(hyperparams=[])),
+             "layers[0] hyperparams is a list, not an object"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
              "tree-split-nan", "tree-split-null", "tree-prob-string", "forest-no-trees",
              "scaler-mean-null", "scaler-std-nan", "threshold-string", "threshold-5",
-             "features-int", "features-repeat", "network-width", "nested-split-feature--1"],
+             "features-int", "features-repeat", "network-width", "nested-split-feature--1",
+             "no-layers-1-feature", "no-layers-3-features", "no-sigmoid-head", "layers-dict",
+             "bundle-list", "model-list", "scaler-list", "flat-tree-list", "flat-trees-1-list",
+             "params-list", "param-list", "hyperparams-list"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

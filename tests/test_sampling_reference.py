@@ -13,6 +13,7 @@ also tie-heavy, which exercises the lower-row-index tie rule.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -147,6 +148,36 @@ def ref_tree_lists(X, y, max_depth=None, min_leaf=1, max_features=None, seed=0):
 def tree_lists(tree):
     """A fitted tree's lists as its bundle holds them."""
     return model_to_dict(tree)["flat_tree"]
+
+
+def ref_forest_lists(X, y, n_trees=3, max_depth=None, min_leaf=1, max_features="sqrt",
+                     bootstrap=True, seed=0):
+    """Each tree of a forest as the reference grows it on its bootstrap
+    sample, every drawn row repeated as often as it was drawn."""
+    if max_features == "sqrt":
+        max_features = max(1, math.isqrt(X.shape[1]))
+    lists = []
+    for t in range(n_trees):
+        boot = np.arange(len(y))
+        if bootstrap:
+            boot = generator(derive_seed(seed, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
+        lists.append(ref_tree_lists(X[boot], y[boot], max_depth, min_leaf, max_features,
+                                    seed=derive_seed(seed, f"tree/{t}")))
+    return lists
+
+
+def repeated_rows(seed, n=240, n_distinct=30, n_features=6):
+    """n rows drawn from n_distinct rounded ones, each with its own label,
+    so a bootstrap draws many rows several times and equal rows disagree."""
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=(n_distinct, n_features)), 1)
+    X = base[rng.integers(0, n_distinct, size=n)]
+    return X, (rng.random(n) < 0.2 + 0.2 * (X[:, 0] > 0)).astype(np.int64)
+
+
+# (min_leaf, max_depth, bootstrap) settings that the forest tests cycle through.
+FOREST_SETTINGS = [(1, None, True), (2, None, True), (3, 2, True), (1, 2, False),
+                   (2, None, False), (3, None, True)]
 
 
 def _outcome(fn, *args):
@@ -300,3 +331,21 @@ def test_tree_matches_reference_on_rounded_grids():
             continue
         got = tree_lists(DecisionTreeClassifier(**params).fit(X, y))
         assert json.dumps(got) == json.dumps(ref_tree_lists(X, y, **params)), case
+
+
+@pytest.mark.parametrize("max_features", [1, 3, 6, 50])
+@pytest.mark.parametrize("data", ["rounded", "repeated"])
+def test_forest_trees_match_reference_across_parameters(data, max_features):
+    # Weighted bootstrap trees against trees grown on the repeated rows: min_leaf
+    # then counts a row once per draw, and max_features >= 6 is the presorted search.
+    if data == "rounded":
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(240, 6)), 1)
+        y = (rng.random(240) < 0.3).astype(np.int64)
+    else:
+        X, y = repeated_rows(22)
+    for case, (min_leaf, max_depth, bootstrap) in enumerate(FOREST_SETTINGS):
+        params = dict(n_trees=3, max_depth=max_depth, min_leaf=min_leaf,
+                      max_features=max_features, bootstrap=bootstrap, seed=case)
+        got = model_to_dict(RandomForestClassifier(**params).fit(X, y))["flat_trees"]
+        assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, **params)), params

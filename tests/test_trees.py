@@ -1,6 +1,7 @@
 """The blocked split search against the per-node sort reference at several
-block sizes, deep trees without recursion, the flat tree payload, and tree
-bundles written before the lists became the in-memory form."""
+block sizes, deep trees without recursion, the flat tree payload, tree
+bundles written before the lists became the in-memory form, and forest
+bundles written before trees grew on weighted bootstrap rows."""
 
 import json
 from pathlib import Path
@@ -20,7 +21,13 @@ from fraudkit.trees import (
     _split_scores,
     check_tree,
 )
-from test_sampling_reference import ref_tree_lists, tree_lists
+from test_sampling_reference import (
+    FOREST_SETTINGS,
+    ref_forest_lists,
+    ref_tree_lists,
+    repeated_rows,
+    tree_lists,
+)
 
 TREE_BUNDLES = Path(__file__).parent / "tree_bundles"
 
@@ -60,6 +67,19 @@ def test_tree_and_forest_match_reference_at_block_sizes(monkeypatch, block):
         boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
         want = ref_tree_lists(X[boot], y[boot], max_features=5, seed=derive_seed(6, f"tree/{t}"))
         assert json.dumps(lists) == json.dumps(want), t
+
+
+@pytest.mark.parametrize("max_features", [1, 3, 6])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_forest_matches_reference_across_parameters_at_block_sizes(monkeypatch, block,
+                                                                   max_features):
+    for data, (X, y) in enumerate([tie_heavy(8, n=200), repeated_rows(9, n=200)]):
+        monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
+        for case, (min_leaf, max_depth, bootstrap) in enumerate(FOREST_SETTINGS[data::2]):
+            params = dict(n_trees=2, max_depth=max_depth, min_leaf=min_leaf,
+                          max_features=max_features, bootstrap=bootstrap, seed=case)
+            got = model_to_dict(RandomForestClassifier(**params).fit(X, y))["flat_trees"]
+            assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, **params)), (data, params)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -106,6 +126,25 @@ def test_bundles_written_before_the_lists_score_as_stored():
             model, scaler, *_ = load_bundle(TREE_BUNDLES / f"{kind}_{form}.model")
             got = model.predict_proba(scaler.transform(expected["rows"]))
             assert got.tolist() == expected["probabilities"][kind], (kind, form)
+
+
+# Forests whose bundles fraudkit 47311aa wrote to tree_bundles/, from a
+# build that grew each tree on its bootstrap rows repeated as drawn.
+PINNED_FORESTS = {"forest_default": {}, "forest_leaf2_depth4": {"min_leaf": 2, "max_depth": 4}}
+
+
+def write_pinned_forest(path, name):
+    """Fit PINNED_FORESTS[name] on fixed tie-heavy rows with repeats, and save its bundle."""
+    X, y = repeated_rows(31, n=200, n_distinct=100, n_features=5)
+    forest = RandomForestClassifier(seed=5, **PINNED_FORESTS[name]).fit(X, y)
+    save_bundle(path, forest, StandardScaler().fit(X), 0.5, [f"f{i}" for i in range(5)], {})
+
+
+@pytest.mark.parametrize("name", PINNED_FORESTS)
+def test_forest_bundle_bytes_equal_the_pinned_ones(tmp_path, name):
+    write_pinned_forest(tmp_path / "forest.model", name)
+    pinned = (TREE_BUNDLES / f"{name}.model").read_bytes()
+    assert (tmp_path / "forest.model").read_bytes() == pinned
 
 
 def test_flat_payload_is_preorder():
