@@ -49,6 +49,14 @@ def check_object(value, name):
     return value
 
 
+def check_kind(value, kinds, name):
+    """value if it is one of the strings kinds; else ValueError naming it
+    and listing kinds."""
+    if type(value) is not str or value not in kinds:
+        raise ValueError(f"{name} {value!r} is not one of {', '.join(kinds)}")
+    return value
+
+
 def check_X_y(X, y):
     X = check_array(X)
     y = check_labels(y)

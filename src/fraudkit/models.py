@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError, check_object
+from fraudkit.base import BaseEstimator, FraudkitError, NotFittedError, check_kind, check_object
 from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Dropout, Flatten, MaxPool1D
 from fraudkit.nn.network import Network, fit as fit_network
 from fraudkit.preprocess import StandardScaler
@@ -200,12 +200,13 @@ def model_to_dict(model):
 
 
 def model_from_dict(payload):
-    """The model model_to_dict wrote, unchecked: load_bundle checks its trees
-    against the bundle's features. Trees are also read in the nested form
-    ("root" and "trees") of bundles written before the lists."""
+    """The model model_to_dict wrote. Its kind must be one of MODEL_KINDS;
+    load_bundle checks its trees against the bundle's features. Trees are
+    also read in the nested form ("root" and "trees") of bundles written
+    before the lists."""
     from fraudkit.nn.network import network_from_dict
 
-    kind = payload["kind"]
+    kind = check_kind(payload["kind"], MODEL_KINDS, "model kind")
     model = make_model(kind)
     if kind in _NETWORK_BUILDERS:
         model.network_ = network_from_dict(payload["network"])
@@ -214,7 +215,9 @@ def model_from_dict(payload):
         model.tree_ = payload["flat_tree"] if flat else tree_from_nested(payload["root"])
     else:
         flat = "flat_trees" in payload
-        model.trees_ = payload["flat_trees"] if flat else list(map(tree_from_nested, payload["trees"]))
+        model.trees_ = payload["flat_trees"] if flat else [
+            tree_from_nested(root, f"trees[{i}]") for i, root in enumerate(payload["trees"])
+        ]
     return model
 
 

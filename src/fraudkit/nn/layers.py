@@ -5,7 +5,16 @@ stride 1. A layer's forward keeps what its backward needs in one
 attribute, `saved`, which the network clears as soon as it no longer
 needs it: after each layer's forward when scoring, after its backward
 when training. Layers expose params/grads dicts for the optimizer.
+
+backward(grad, input_grad=True) accumulates the parameter gradients and
+returns the gradient with respect to the layer's input. The network asks
+its first layer for none (input_grad=False), as nothing reads it: a layer
+with parameters then skips that product and returns None, and a layer
+without parameters ignores the flag. What is still computed keeps every
+float operation and its order, so every gradient keeps its bits.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -83,7 +92,7 @@ class Layer(BaseEstimator):
     def forward(self, x, train=False, rng=None):
         raise NotImplementedError
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         raise NotImplementedError
 
     def zero_grads(self):
@@ -122,10 +131,10 @@ class Dense(Layer):
         self.saved = x
         return x @ self.params["W"].T + self.params["b"]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.grads["W"] += grad.T @ self.saved
         self.grads["b"] += grad.sum(axis=0)
-        return grad @ self.params["W"]
+        return grad @ self.params["W"] if input_grad else None
 
 
 class Conv2D(Layer):
@@ -177,7 +186,7 @@ class Conv2D(Layer):
         out += self.params["b"]
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         k = self.kernel_size
         b, oh, ow, _ = grad.shape
         x_shape, cols = self.saved
@@ -185,6 +194,8 @@ class Conv2D(Layer):
         dK = cols.reshape(-1, wmat.shape[0]).T @ grad.reshape(-1, self.channels)
         self.grads["K"] += dK.reshape(self.params["K"].shape)
         self.grads["b"] += grad.sum(axis=(0, 1, 2))
+        if not input_grad:
+            return None
         dcols = grad @ wmat.T
         dx = np.zeros(x_shape)
         c = x_shape[3]
@@ -237,7 +248,7 @@ class Conv1D(Layer):
         wmat = self.params["K"].reshape(-1, self.channels)
         return cols @ wmat + self.params["b"]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         k = self.kernel_size
         ol = grad.shape[1]
         x_shape, cols = self.saved
@@ -247,6 +258,8 @@ class Conv1D(Layer):
             self.params["K"].shape
         )
         self.grads["b"] += grad.sum(axis=(0, 1))
+        if not input_grad:
+            return None
         dcols = grad @ wmat.T
         dx = np.zeros(x_shape)
         for d in range(k):
@@ -283,7 +296,7 @@ class MaxPool1D(Layer):
         self.saved = (x.shape, windows.argmax(axis=2))
         return windows.max(axis=2)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         b, n_win, c = grad.shape
         p = self.pool
         if p == 1:
@@ -320,7 +333,7 @@ class Dropout(Layer):
         self.saved = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * self.saved
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         if self.saved is None:  # no mask: eval mode or rate 0
             return grad
         return grad * self.saved
@@ -336,7 +349,7 @@ class Flatten(Layer):
         self.saved = x.shape
         return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         return grad.reshape(self.saved)
 
 
@@ -360,7 +373,7 @@ class Activation(Layer):
         self.saved = out
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         a = self.activation
         if a == "relu":
             return grad * (self.saved > 0)
@@ -387,6 +400,14 @@ class LSTM(Layer):
     Input shape [T, input_dim]; output [hidden]. The inner activation
     phi applies to both the candidate transform and the cell-state
     output path; gate activations are always sigmoid.
+
+    The cell state before the first step is zero, so at t = 0 the forget
+    gate multiplies nothing: forward sets c = i * g and skips W_f, and
+    backward gives W_f and b_f no gradient there. With one step, as every
+    model here has, they never get one, and Adam leaves them as
+    initialized; they stay in params, so bundles keep their format. At
+    t = 0 nothing reads the recurrent gradient either, so dz there serves
+    only the input gradient and is skipped without input_grad.
     """
 
     kind = "lstm"
@@ -424,48 +445,55 @@ class LSTM(Layer):
     def forward(self, x, train=False, rng=None):
         b, T, _ = x.shape
         h = np.zeros((b, self.hidden))
-        c = np.zeros((b, self.hidden))
+        c = f = None  # the state before t = 0 is zero: step 0 has no forget gate
         steps = []
         p = self.params
         for t in range(T):
             z = np.concatenate([h, x[:, t, :]], axis=1)
-            f = _sigmoid(z @ p["W_f"].T + p["b_f"])
+            if t:
+                f = _sigmoid(z @ p["W_f"].T + p["b_f"])
             i = _sigmoid(z @ p["W_i"].T + p["b_i"])
             a_g = z @ p["W_g"].T + p["b_g"]
             g = self._phi(a_g)
             o = _sigmoid(z @ p["W_o"].T + p["b_o"])
-            c_new = f * c + i * g
+            c_new = f * c + i * g if t else i * g
             h_new = o * self._phi(c_new)
             steps.append((z, f, i, a_g, g, o, c, c_new))
             h, c = h_new, c_new
         self.saved = (x.shape, steps)
         return h
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         p = self.params
         H = self.hidden
         x_shape, steps = self.saved
-        dx = np.zeros(x_shape)
+        dx = np.zeros(x_shape) if input_grad else None
         dh = grad
         dc = np.zeros_like(grad)
         for t in range(x_shape[1] - 1, -1, -1):
             z, f, i, a_g, g, o, c_prev, c_new = steps[t]
             do = dh * self._phi(c_new)
             dc = dc + dh * o * self._dphi(c_new)
-            df = dc * c_prev
             di = dc * g
             dg = dc * i
-            da_f = df * f * (1.0 - f)
             da_i = di * i * (1.0 - i)
             da_g = dg * self._dphi(a_g)
             da_o = do * o * (1.0 - o)
-            for name, da in (("f", da_f), ("i", da_i), ("g", da_g), ("o", da_o)):
+            gates = [("i", da_i), ("g", da_g), ("o", da_o)]
+            if t:
+                df = dc * c_prev
+                gates.insert(0, ("f", df * f * (1.0 - f)))
+            for name, da in gates:
                 self.grads[f"W_{name}"] += da.T @ z
                 self.grads[f"b_{name}"] += da.sum(axis=0)
-            dz = da_f @ p["W_f"] + da_i @ p["W_i"] + da_g @ p["W_g"] + da_o @ p["W_o"]
-            dh = dz[:, :H]
-            dx[:, t, :] = dz[:, H:]
-            dc = dc * f
+            if t == 0 and not input_grad:
+                break
+            # Summed left to right in gate order f, i, g, o, as the bits depend on it.
+            dz = reduce(np.add, (da @ p[f"W_{name}"] for name, da in gates))
+            if input_grad:
+                dx[:, t, :] = dz[:, H:]
+            if t:
+                dh, dc = dz[:, :H], dc * f
         return dx
 
 

@@ -4,14 +4,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from fraudkit.base import FraudkitError, check_object
+from fraudkit.base import FraudkitError, check_kind, check_object
 from fraudkit.nn.layers import LAYER_KINDS
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.optim import Adam
 from fraudkit.rng import derive_seed, generator
 
 FORMAT_VERSION = 1
-PREDICT_BLOCK = 4096  # rows per forward pass in predict_proba
+PREDICT_BLOCK = 512  # rows per forward pass in predict_proba
 
 
 class TrainingError(FraudkitError):
@@ -90,8 +90,11 @@ class Network:
 
     def predict_proba(self, X):
         """Forward passes over PREDICT_BLOCK rows at a time, so memory is bounded.
-        Up to one block this is one forward pass, bit for bit; beyond it BLAS
-        may round a row's last bits differently, by the row count of its call."""
+        A block is small, under 5 MB per cnn2d array, so that once the
+        process has freed a larger array the allocator reuses a block's
+        memory for the next one rather than fault it in again. Up to one
+        block this is one forward pass, bit for bit; beyond it BLAS may round
+        a row's last bits differently, by the row count of its call."""
         starts = range(0, max(len(X), 1), PREDICT_BLOCK)
         out = np.concatenate([self.forward(X[s : s + PREDICT_BLOCK]) for s in starts])
         return out.reshape(len(X))
@@ -102,14 +105,15 @@ class Network:
 
     def loss_and_grads(self, X, y, rng=None, train=True):
         """Mean batch BCE plus accumulated parameter gradients. The one path
-        that keeps each layer's forward state, until its backward is done."""
+        that keeps each layer's forward state, until its backward is done.
+        The first layer computes no input gradient, as nothing reads it."""
         self.zero_grads()
         out = self._forward(X, train, rng, keep=True)
         p = out.reshape(len(X))
         loss = bce_loss(p, y)
         grad = bce_loss_grad(p, y).reshape(out.shape)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for k, layer in reversed(list(enumerate(self.layers))):
+            grad = layer.backward(grad, input_grad=k > 0)
             layer.saved = None
         return loss
 
@@ -228,8 +232,8 @@ def network_to_dict(network):
 
 def network_from_dict(payload):
     """The network network_to_dict wrote. Its input_shape must be positive
-    ints, its layers a list of objects, and each layer's parameters finite,
-    with the names and shapes that initialize gives them."""
+    ints, its layers a list of objects of known kinds, and each layer's
+    parameters finite, with the names and shapes that initialize gives them."""
     if check_object(payload, "network").get("format_version") != FORMAT_VERSION:
         raise FraudkitError(f"unsupported model format version {payload.get('format_version')!r}")
     input_shape, specs = payload["input_shape"], payload["layers"]
@@ -239,7 +243,9 @@ def network_from_dict(payload):
         raise ValueError(f"layers is a {type(specs).__name__}, not a list")
     specs = [check_object(spec, f"layers[{i}]") for i, spec in enumerate(specs)]
     layers = [
-        LAYER_KINDS[spec["kind"]](**check_object(spec["hyperparams"], f"layers[{i}] hyperparams"))
+        LAYER_KINDS[check_kind(spec["kind"], LAYER_KINDS, f"layers[{i}] kind")](
+            **check_object(spec["hyperparams"], f"layers[{i}] hyperparams")
+        )
         for i, spec in enumerate(specs)
     ]
     network = Network(layers, input_shape).initialize()

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, NotFittedError, check_X_y
+from fraudkit.base import BaseEstimator, NotFittedError, check_object, check_X_y
 from fraudkit.rng import derive_seed, generator
 
 
@@ -85,17 +85,20 @@ def _preorder(root, expand):
     return tree
 
 
-def _expand_nested(d):
-    if "feature" not in d:
+def _expand_nested(node):
+    d, path = node
+    if "feature" not in check_object(d, path):
         return -1, None, d["prob"], ()
-    return d["feature"], d["threshold"], 0.0, (d["left"], d["right"])
+    children = (d["left"], f"{path}.left"), (d["right"], f"{path}.right")
+    return d["feature"], d["threshold"], 0.0, children
 
 
-def tree_from_nested(root):
+def tree_from_nested(root, name="root"):
     """The preorder lists of a tree in the nested form that bundles held
     before the lists: a leaf is {"prob"}, and a split {"feature",
-    "threshold", "left", "right"} gets prob 0.0."""
-    return _preorder(root, _expand_nested)
+    "threshold", "left", "right"} gets prob 0.0. A node that is not an
+    object raises ValueError naming its path from name, as root.left."""
+    return _preorder((root, name), _expand_nested)
 
 
 class _Node:

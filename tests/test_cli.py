@@ -467,6 +467,19 @@ class TestTrainEvaluate:
              "layers[0] params W is a list, not an object"),
             (logreg_bundle(6, lambda net: net["layers"][0].update(hyperparams=[])),
              "layers[0] hyperparams is a list, not an object"),
+            (logreg_bundle(6, lambda net: net["layers"][1].update(kind="conv9d")),
+             "layers[1] kind 'conv9d' is not one of dense, conv1d, conv2d, maxpool1d, dropout, "
+             "flatten, activation, lstm"),
+            (logreg_bundle(6, lambda net: net["layers"][0].update(kind=["dense"])),
+             "layers[0] kind ['dense'] is not one of dense, conv1d"),
+            (six_feature_bundle(model={"kind": ["dtree"], "flat_tree": ONE_SPLIT}),
+             "model kind ['dtree'] is not one of cnn2d, cnn1d, lstm, logreg, dtree, forest"),
+            (six_feature_bundle(model={"kind": "svm"}), "model kind 'svm' is not one of cnn2d"),
+            (six_feature_bundle(model={"kind": "forest", "trees": [{"prob": 0.5}, []]}),
+             "trees[1] is a list, not an object"),
+            (six_feature_bundle(model={"kind": "dtree", "root": {
+                "feature": 0, "threshold": 0.5, "left": [1], "right": {"prob": 1.0}}}),
+             "root.left is a list, not an object"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
@@ -475,7 +488,9 @@ class TestTrainEvaluate:
              "features-int", "features-repeat", "network-width", "nested-split-feature--1",
              "no-layers-1-feature", "no-layers-3-features", "no-sigmoid-head", "layers-dict",
              "bundle-list", "model-list", "scaler-list", "flat-tree-list", "flat-trees-1-list",
-             "params-list", "param-list", "hyperparams-list"],
+             "params-list", "param-list", "hyperparams-list", "layer-kind-conv9d",
+             "layer-kind-list", "model-kind-list", "model-kind-svm", "nested-trees-1-list",
+             "nested-left-list"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

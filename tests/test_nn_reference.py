@@ -2,9 +2,10 @@
 
 The reference layers below are the plain forms the engine's fast paths
 replace: a loop im2col/col2im Conv2D, a sign-masked sigmoid, the argmax
-MaxPool1D path at every pool size, and the textbook Adam step. The
-engine must agree with them exactly (np.array_equal), not just to a
-tolerance: the fast paths keep every float operation and its order.
+MaxPool1D path at every pool size, a textbook LSTM that computes the
+forget gate and the input gradient at every step, and the textbook Adam
+step. The engine must agree with them exactly (np.array_equal), not just
+to a tolerance: the fast paths keep every float operation and its order.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from fraudkit import models
 from fraudkit.models import build_cnn1d, build_cnn2d, build_logreg, build_lstm
 from fraudkit.nn import layers, network
-from fraudkit.nn.layers import Activation, Conv2D, Dense, Flatten, MaxPool1D, _sigmoid
+from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Flatten, MaxPool1D, _sigmoid
 from fraudkit.nn.network import PREDICT_BLOCK, Network, fit
 from fraudkit.nn.optim import Adam
 
@@ -47,7 +48,7 @@ class RefConv2D(Conv2D):
         self._cols = cols
         return cols @ self.params["K"].reshape(-1, self.channels) + self.params["b"]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         k = self.kernel_size
         _b, oh, ow, _ = grad.shape
         wmat = self.params["K"].reshape(-1, self.channels)
@@ -77,7 +78,7 @@ class RefMaxPool1D(MaxPool1D):
         self._argmax = windows.argmax(axis=2)
         return windows.max(axis=2)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         b, n_win, c = grad.shape
         p = self.pool
         dwin = np.zeros((b, n_win, p, c))
@@ -85,6 +86,52 @@ class RefMaxPool1D(MaxPool1D):
         dwin[bi, wi, self._argmax, ci] = grad
         dx = np.zeros(self._x_shape)
         dx[:, : n_win * p, :] = dwin.reshape(b, n_win * p, c)
+        return dx
+
+
+class RefLSTM(LSTM):
+    """Every step computes the forget gate on its cell state, zero at t = 0,
+    and backward sums all four gates' terms into dz and makes dx."""
+
+    def forward(self, x, train=False, rng=None):
+        b, T, _ = x.shape
+        h = np.zeros((b, self.hidden))
+        c = np.zeros((b, self.hidden))
+        p = self.params
+        self._x_shape, self._steps = x.shape, []
+        for t in range(T):
+            z = np.concatenate([h, x[:, t, :]], axis=1)
+            f = ref_sigmoid(z @ p["W_f"].T + p["b_f"])
+            i = ref_sigmoid(z @ p["W_i"].T + p["b_i"])
+            a_g = z @ p["W_g"].T + p["b_g"]
+            g = self._phi(a_g)
+            o = ref_sigmoid(z @ p["W_o"].T + p["b_o"])
+            c_new = f * c + i * g
+            self._steps.append((z, f, i, a_g, g, o, c, c_new))
+            h, c = o * self._phi(c_new), c_new
+        return h
+
+    def backward(self, grad, input_grad=True):
+        p = self.params
+        H = self.hidden
+        dx = np.zeros(self._x_shape)
+        dh = grad
+        dc = np.zeros_like(grad)
+        for t in range(self._x_shape[1] - 1, -1, -1):
+            z, f, i, a_g, g, o, c_prev, c_new = self._steps[t]
+            do = dh * self._phi(c_new)
+            dc = dc + dh * o * self._dphi(c_new)
+            da_f = dc * c_prev * f * (1.0 - f)
+            da_i = dc * g * i * (1.0 - i)
+            da_g = dc * i * self._dphi(a_g)
+            da_o = do * o * (1.0 - o)
+            for name, da in (("f", da_f), ("i", da_i), ("g", da_g), ("o", da_o)):
+                self.grads[f"W_{name}"] += da.T @ z
+                self.grads[f"b_{name}"] += da.sum(axis=0)
+            dz = da_f @ p["W_f"] + da_i @ p["W_i"] + da_g @ p["W_g"] + da_o @ p["W_o"]
+            dh = dz[:, :H]
+            dx[:, t, :] = dz[:, H:]
+            dc = dc * f
         return dx
 
 
@@ -117,6 +164,7 @@ def reference_engine(monkeypatch):
         monkeypatch.setattr(layers, "_sigmoid", ref_sigmoid)
         monkeypatch.setattr(models, "Conv2D", RefConv2D)
         monkeypatch.setattr(models, "MaxPool1D", RefMaxPool1D)
+        monkeypatch.setattr(models, "LSTM", RefLSTM)
         monkeypatch.setattr(network, "Adam", RefAdam)
         monkeypatch.setattr(Network, "predict_proba", ref_predict_proba)
 
@@ -160,6 +208,52 @@ class TestConv2D:
             assert_same(fast.backward(grad), ref.backward(grad))
         for name in ("K", "b"):
             assert_same(fast.grads[name], ref.grads[name])
+
+
+class TestLSTM:
+    @pytest.mark.parametrize("inner_act", ["relu", "tanh"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_forward_and_backward(self, steps, inner_act):
+        rng = np.random.default_rng(14)
+        fast, ref = LSTM(6, inner_act=inner_act), RefLSTM(6, inner_act=inner_act)
+        fast.init_params((steps, 5), np.random.default_rng(15))
+        ref.init_params((steps, 5), np.random.default_rng(15))
+        x = rng.normal(size=(9, steps, 5))
+        out = fast.forward(x)
+        assert_same(out, ref.forward(x))
+        grad = rng.normal(size=out.shape)
+        for _ in range(2):  # gradients accumulate across calls
+            assert_same(fast.backward(grad), ref.backward(grad))
+        for name in fast.params:
+            assert_same(fast.grads[name], ref.grads[name])
+        # With one step the cell state before it is zero: W_f and b_f get no gradient.
+        assert (steps > 1) == fast.grads["W_f"].any() == fast.grads["b_f"].any()
+
+
+@pytest.mark.parametrize(
+    "make,shape",
+    [
+        (lambda: Dense(4), (7,)),
+        (lambda: Conv1D(5, 2), (4, 3)),
+        (lambda: Conv2D(5, 2), (4, 5, 2)),
+        (lambda: LSTM(6, inner_act="relu"), (1, 5)),
+        (lambda: LSTM(6, inner_act="tanh"), (3, 5)),
+    ],
+    ids=["dense", "conv1d", "conv2d", "lstm-1-step", "lstm-3-steps"],
+)
+def test_no_input_grad_keeps_parameter_gradients(make, shape):
+    rng = np.random.default_rng(16)
+    full, first = make(), make()
+    full.init_params(shape, np.random.default_rng(17))
+    first.init_params(shape, np.random.default_rng(17))
+    x = rng.normal(size=(9, *shape))
+    out = full.forward(x)
+    assert_same(first.forward(x), out)
+    grad = rng.normal(size=out.shape)
+    assert full.backward(grad).shape == x.shape
+    assert first.backward(grad, input_grad=False) is None
+    for name in full.params:
+        assert_same(first.grads[name], full.grads[name])
 
 
 class TestMaxPool1D:
@@ -240,6 +334,27 @@ def test_multichannel_conv2d_stack_matches_reference(reference_engine):
     rng = np.random.default_rng(9)
     X = rng.normal(size=(120, 40))
     y = (rng.random(120) < 0.4).astype(np.int64)
+    runs = []
+    for swap in (None, reference_engine):
+        if swap:
+            swap()
+        net = stack()
+        fit(net, X, y, epochs_max=3, batch_size=16, seed=2)
+        runs.append(net.get_weights())
+    for name in runs[0]:
+        assert_same(runs[0][name], runs[1][name])
+
+
+def test_three_step_lstm_stack_matches_reference(reference_engine):
+    def stack():
+        return Network(
+            [models.LSTM(6, inner_act="tanh"), Dense(1), Activation("sigmoid")],
+            input_shape=(3, 10),
+        )
+
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(120, 30))
+    y = (X[:, 0] + rng.normal(size=120) > 0.5).astype(np.int64)
     runs = []
     for swap in (None, reference_engine):
         if swap:
