@@ -57,6 +57,13 @@ def check_kind(value, kinds, name):
     return value
 
 
+def check_positive_int(value, name):
+    """value if it is an int of at least 1; else ValueError naming it."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} {value!r} is not a positive int")
+    return value
+
+
 def check_X_y(X, y):
     X = check_array(X)
     y = check_labels(y)

@@ -158,9 +158,9 @@ def encode_categoricals(values, categories=None):
 # says when); any other block goes through csv.reader and float() of each
 # cell. A block's cells die before the next block is read, so a load
 # holds the float values of the file's kept columns, the cells of one
-# block (about 2.5 MB at 1,024 lines of 31 cells) and the cells of dirty
-# parts. Blocks of 8,192 records loaded about a tenth slower through
-# csv.reader.
+# block (about 2.5 MB at 1,024 lines of 31 cells) and what it keeps of
+# each missing or bad cell. Blocks of 8,192 records loaded about a tenth
+# slower through csv.reader.
 _READ_BLOCK_ROWS = 1024
 
 # Characters that send a block to csv.reader: a quote may open a quoted
@@ -253,8 +253,8 @@ def load_csv(path, schema):
 
     Errors name the 1-based file line (csv's line_num: the line a record
     ends on) and, for a bad cell, its column. Every missing-value error
-    comes before any parse error, and cells in rows dropped for a missing
-    value are never parsed.
+    comes before any parse error, and a bad cell in a row dropped for a
+    missing value is never reported.
 
     The file is read in blocks of _READ_BLOCK_ROWS raw lines, and each
     block holding a record becomes one float64 array. A block of a schema
@@ -266,18 +266,20 @@ def load_csv(path, schema):
     where a quoted line break crosses the block's end, and float() of
     each cell. Every cell loadtxt takes, float() takes with the same bits,
     so the loaded bits and the errors do not depend on the path. A csv
-    block's array holds its parsed numeric and label cells and a running
-    code for each categorical cell, numbered by first appearance in the
-    file. A column's part of a block is dirty when it holds a
-    missing cell, a cell that does not parse, a non-finite number or a
-    label other than 0 or 1; only dirty parts keep their cells. After the
-    last block, the missing-value pass, the drops and the cell checks run
-    over the dirty parts, in the order above. Category codes are then
-    renumbered by first appearance among the kept rows, and the feature
-    matrix is filled block by block, freeing each block. Blocks sit on
-    their own memory maps, so each one freed returns its pages, and peak
-    memory is about one float matrix plus one block of cells, whatever
-    the file's length.
+    block's array holds float() of each numeric and label cell (NaN where
+    float() rejects it) and a running code for each categorical cell,
+    numbered by first appearance in the file. Each cell is parsed once
+    and judged in its block: a missing cell leaves its record index, and
+    a numeric or label cell that does not parse, is not finite or is a
+    label other than 0 or 1 leaves its record index and text. After the
+    last block, the missing-value pass and the drops read the record
+    indices, then each kept column, in header order, reports its first
+    bad cell in a kept row. Category codes are then renumbered by first
+    appearance among the kept rows, and the feature matrix is filled
+    block by block, freeing each block. Blocks sit on their own memory
+    maps, so each one freed returns its pages, and peak memory is about
+    one float matrix plus one block of cells, 8 bytes per missing cell
+    and the text of each bad cell, whatever the file's length.
     """
     schema = list(schema)
     _validate_schema(schema)
@@ -301,16 +303,18 @@ def load_csv(path, schema):
         mappings = {c.name: {} for c in columns if c.kind == "categorical"}  # cell -> code
         blocks = []  # per block, a (records, len(columns)) float64 array
         starts = []  # per block, the index of its first record
-        dirty = {c.name: [] for c in columns}  # name -> [(block index, cells)]
+        missing = {c.name: array("q") for c in columns}  # name -> records of missing cells
+        bad = {c.name: [] for c in columns}  # name -> [(record, cell)] of other rejected cells
         for block in records:
-            starts.append(len(lines) - len(block))
+            start = len(lines) - len(block)
+            starts.append(start)
             if isinstance(block, np.ndarray):  # clean, from np.loadtxt
                 blocks.append(block)
                 continue
             for i, row in enumerate(block):
                 if len(row) != len(header):
                     raise ParseError(
-                        f"{path}: line {lines[starts[-1] + i]} has {len(row)} cells, "
+                        f"{path}: line {lines[start + i]} has {len(row)} cells, "
                         f"expected {len(header)}"
                     )
             values = _mapped_empty(len(block), len(columns))
@@ -323,33 +327,30 @@ def load_csv(path, schema):
                         np.float64,
                         count=len(cells),
                     )
-                    clean = not any(map(_is_missing, set(cells)))
-                else:
-                    parsed = _parse_floats(cells)
-                    clean = parsed is not None and _ACCEPT[col.kind](parsed).all()
-                    if clean:
-                        values[:, j] = parsed
-                if not clean:
-                    dirty[col.name].append((len(blocks), cells))
+                    if gaps := set(filter(_is_missing, set(cells))):
+                        missing[col.name].extend(
+                            start + i for i, cell in enumerate(cells) if cell in gaps
+                        )
+                    continue
+                # Every missing token fails float() or parses to NaN, so
+                # _ACCEPT rejects it along with the bad cells.
+                values[:, j] = _parse_floats(cells)
+                for i in np.flatnonzero(~_ACCEPT[col.kind](values[:, j])).tolist():
+                    if _is_missing(cells[i]):
+                        missing[col.name].append(start + i)
+                    else:
+                        bad[col.name].append((start + i, cells[i]))
             blocks.append(values)
             del block, cells  # so the next block is read without this one
     file_lines = np.frombuffer(lines, dtype=np.int64)
     keep = np.ones(len(file_lines), dtype=bool)
-    spans = [slice(start, start + len(v)) for start, v in zip(starts, blocks)]
-    keeps = [keep[span] for span in spans]
 
     # Missing-value pass: drop_column removes any column containing a
-    # missing cell; drop_row marks rows; forbid errors out. Every missing
-    # token fails float() or parses to NaN, so only dirty parts hold one.
+    # missing cell; drop_row marks rows; forbid errors out.
     kept = []  # indices into columns
     for j, col in enumerate(columns):
-        miss = [
-            starts[b] + i
-            for b, cells in dirty[col.name]
-            for i, cell in enumerate(cells)
-            if _is_missing(cell)
-        ]
-        if not miss:
+        miss = np.frombuffer(missing[col.name], dtype=np.int64)
+        if not len(miss):
             kept.append(j)
             continue
         if col.missing_policy == "forbid":
@@ -365,6 +366,7 @@ def load_csv(path, schema):
             keep[miss] = False
             kept.append(j)
     lines = file_lines[keep]
+    keeps = [keep[start:start + len(v)] for start, v in zip(starts, blocks)]
 
     # Cell checks and final category codes, column by column in header order.
     out_schema = []
@@ -372,11 +374,9 @@ def load_csv(path, schema):
         col = columns[j]
         out_schema.append(ColumnSchema(col.name, col.kind, col.missing_policy))
         if col.kind != "categorical":
-            for b, cells in dirty[col.name]:
-                block_lines = file_lines[spans[b]][keeps[b]]
-                blocks[b][keeps[b], j] = _checked_floats(
-                    path, col.name, col.kind, list(compress(cells, keeps[b])), block_lines
-                )
+            for record, cell in bad[col.name]:
+                if keep[record]:
+                    raise _cell_error(path, file_lines[record], col, cell)
             continue
         running = np.concatenate([v[k, j] for v, k in zip(blocks, keeps)] or [np.empty(0)])
         codes, first = encode_categoricals(running.astype(np.intp).tolist())
@@ -396,7 +396,7 @@ def load_csv(path, schema):
         recode[list(first)] = final
         for v in blocks:
             v[:, j] = recode[v[:, j].astype(np.intp)]
-    del dirty, mappings
+    del missing, bad, mappings
 
     feature_at = [j for j in kept if columns[j].kind != "label"]
     (label_at,) = (j for j in kept if columns[j].kind == "label")
@@ -420,31 +420,29 @@ def _mapped_empty(rows, cols):
 
 
 def _parse_floats(cells):
-    """float() of every cell as one float64 array, or None if a cell does not parse."""
+    """float() of every cell as one float64 array, NaN where a cell does not parse."""
     try:
         return np.fromiter(map(float, cells), np.float64, count=len(cells))
     except ValueError:
-        return None
+        return np.fromiter(map(_float_or_nan, cells), np.float64, count=len(cells))
 
 
-def _checked_floats(path, name, kind, cells, lines):
-    """The numeric or label cells as float64, or ParseError naming the
-    file line of the first bad one."""
-    values = _parse_floats(cells)
-    accept = _ACCEPT[kind]
-    if values is not None and accept(values).all():
-        return values
-    what = "numeric cell" if kind == "numeric" else "label"
-    problem = "non-finite numeric cell" if kind == "numeric" else "label outside {0,1}"
-    for cell, line in zip(cells, lines):
-        try:
-            ok = accept(float(cell))
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {line}: unparseable {what} in column {name!r}: {cell!r}"
-            ) from None
-        if not ok:
-            raise ParseError(f"{path}: line {line}: {problem} in column {name!r}: {cell!r}")
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
+def _cell_error(path, line, col, cell):
+    """The ParseError for a numeric or label cell, not missing, that
+    float() or _ACCEPT rejects."""
+    try:
+        float(cell)
+        problem = "non-finite numeric cell" if col.kind == "numeric" else "label outside {0,1}"
+    except ValueError:
+        problem = "unparseable numeric cell" if col.kind == "numeric" else "unparseable label"
+    return ParseError(f"{path}: line {line}: {problem} in column {col.name!r}: {cell!r}")
 
 
 # Rows formatted per write. The allocator keeps about one block's worth

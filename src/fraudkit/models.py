@@ -107,7 +107,7 @@ MODEL_KINDS = (*_NETWORK_BUILDERS, "dtree", "forest")
 
 
 class NeuralNetClassifier(BaseEstimator):
-    """fit/predict wrapper over the network engine for one architecture."""
+    """fit/predict_proba wrapper over the network engine for one architecture."""
 
     def __init__(
         self,
@@ -154,9 +154,6 @@ class NeuralNetClassifier(BaseEstimator):
         if self.network_ is None:
             raise NotFittedError(f"{self.kind} model is not fitted")
         return self.network_.predict_proba(np.asarray(X, dtype=np.float64))
-
-    def predict(self, X, threshold=0.5):
-        return classify(self, X, threshold)
 
 
 def make_model(kind, **params):

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator
+from fraudkit.base import BaseEstimator, check_kind, check_positive_int
 
 
 def _relu(x):
@@ -104,10 +104,8 @@ class Dense(Layer):
 
     def __init__(self, units, init="glorot"):
         super().__init__()
-        if units < 1:
-            raise ValueError("units must be positive")
-        self.units = units
-        self.init = init
+        self.units = check_positive_int(units, "units")
+        self.init = check_kind(init, _INITS, "init")
 
     def output_shape(self, in_shape):
         if len(in_shape) != 1:
@@ -150,9 +148,9 @@ class Conv2D(Layer):
 
     def __init__(self, channels, kernel_size, init="he"):
         super().__init__()
-        self.channels = channels
-        self.kernel_size = kernel_size
-        self.init = init
+        self.channels = check_positive_int(channels, "channels")
+        self.kernel_size = check_positive_int(kernel_size, "kernel_size")
+        self.init = check_kind(init, _INITS, "init")
 
     def output_shape(self, in_shape):
         h, w, _c = in_shape
@@ -213,9 +211,9 @@ class Conv1D(Layer):
 
     def __init__(self, channels, kernel_size, init="he"):
         super().__init__()
-        self.channels = channels
-        self.kernel_size = kernel_size
-        self.init = init
+        self.channels = check_positive_int(channels, "channels")
+        self.kernel_size = check_positive_int(kernel_size, "kernel_size")
+        self.init = check_kind(init, _INITS, "init")
 
     def output_shape(self, in_shape):
         length, _c = in_shape
@@ -274,9 +272,7 @@ class MaxPool1D(Layer):
 
     def __init__(self, pool):
         super().__init__()
-        if pool < 1:
-            raise ValueError("pool size must be >= 1")
-        self.pool = pool
+        self.pool = check_positive_int(pool, "pool")
 
     def output_shape(self, in_shape):
         length, c = in_shape
@@ -317,8 +313,8 @@ class Dropout(Layer):
 
     def __init__(self, rate):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        if type(rate) not in (int, float) or not 0.0 <= rate < 1.0:
+            raise ValueError(f"rate {rate!r} is not a number in [0, 1)")
         self.rate = rate
 
     def output_shape(self, in_shape):
@@ -386,14 +382,6 @@ class Activation(Layer):
         return (grad - (grad * out).sum(axis=-1, keepdims=True)) * out
 
 
-def _inner(x, kind):
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "relu":
-        return _relu(x)
-    raise ValueError(f"unknown inner activation {kind!r}")
-
-
 class LSTM(Layer):
     """Sequence LSTM returning the final hidden state.
 
@@ -414,9 +402,9 @@ class LSTM(Layer):
 
     def __init__(self, hidden, inner_act="tanh", init="glorot"):
         super().__init__()
-        self.hidden = hidden
-        self.inner_act = inner_act
-        self.init = init
+        self.hidden = check_positive_int(hidden, "hidden")
+        self.inner_act = check_kind(inner_act, ("tanh", "relu"), "inner_act")
+        self.init = check_kind(init, _INITS, "init")
 
     def output_shape(self, in_shape):
         if len(in_shape) != 2:
@@ -435,7 +423,7 @@ class LSTM(Layer):
         return (h,)
 
     def _phi(self, x):
-        return _inner(x, self.inner_act)
+        return apply_activation(x, self.inner_act)
 
     def _dphi(self, pre):
         if self.inner_act == "tanh":

@@ -230,6 +230,17 @@ def network_to_dict(network):
     }
 
 
+def _layer_from_spec(i, spec):
+    """The untrained layer spec describes; a hyperparameter its constructor
+    rejects is a ValueError naming layers[i]."""
+    cls = LAYER_KINDS[check_kind(spec["kind"], LAYER_KINDS, f"layers[{i}] kind")]
+    hyperparams = check_object(spec["hyperparams"], f"layers[{i}] hyperparams")
+    try:
+        return cls(**hyperparams)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"layers[{i}] hyperparams: {exc}") from None
+
+
 def network_from_dict(payload):
     """The network network_to_dict wrote. Its input_shape must be positive
     ints, its layers a list of objects of known kinds, and each layer's
@@ -242,12 +253,7 @@ def network_from_dict(payload):
     if type(specs) is not list:
         raise ValueError(f"layers is a {type(specs).__name__}, not a list")
     specs = [check_object(spec, f"layers[{i}]") for i, spec in enumerate(specs)]
-    layers = [
-        LAYER_KINDS[check_kind(spec["kind"], LAYER_KINDS, f"layers[{i}] kind")](
-            **check_object(spec["hyperparams"], f"layers[{i}] hyperparams")
-        )
-        for i, spec in enumerate(specs)
-    ]
+    layers = [_layer_from_spec(i, spec) for i, spec in enumerate(specs)]
     network = Network(layers, input_shape).initialize()
     for i, (layer, spec) in enumerate(zip(layers, specs)):
         key = f"layers[{i}] params"

@@ -187,11 +187,12 @@ class NearMiss(BaseEstimator):
 
 @dataclass
 class SmoteProvenance:
-    """Parents of one synthetic row: original dataset row indices and lambda."""
+    """Parents of the synthetic rows, one array entry per row in draw
+    order: original dataset row indices and lambda."""
 
-    parent: int
-    neighbor: int
-    lam: float
+    parent: np.ndarray
+    neighbor: np.ndarray
+    lam: np.ndarray
 
 
 class Smote(BaseEstimator):
@@ -200,8 +201,8 @@ class Smote(BaseEstimator):
     Each synthetic row is x_i + lam * (x_nn - x_i) for a uniformly
     chosen real minority row x_i, one of its k nearest minority
     neighbors x_nn (uniform), and lam ~ Uniform[0, 1]. Original rows
-    are preserved bit-exactly; provenance_ records (parent, neighbor,
-    lam) per synthetic row after fit_resample.
+    are preserved bit-exactly; after fit_resample, provenance_ holds the
+    parent, neighbor and lam arrays of the synthetic rows.
     """
 
     def __init__(self, ratio=1.0, k=5, seed=0):
@@ -244,10 +245,7 @@ class Smote(BaseEstimator):
         nns = neighbors[parents, nn_pick]
         synthetic = Xp[parents] + lams[:, None] * (Xp[nns] - Xp[parents])
 
-        self.provenance_ = [
-            SmoteProvenance(int(pos[p]), int(pos[n]), float(lam))
-            for p, n, lam in zip(parents, nns, lams)
-        ]
+        self.provenance_ = SmoteProvenance(pos[parents], pos[nns], lams)
         X_out = np.vstack([X, synthetic])
         y_out = np.concatenate([y, np.ones(n_syn, dtype=np.int64)])
         return X_out, y_out

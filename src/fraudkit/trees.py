@@ -305,9 +305,6 @@ class DecisionTreeClassifier(BaseEstimator):
             raise NotFittedError("tree is not fitted")
         return _predict(self.tree_, np.asarray(X, dtype=np.float64))
 
-    def predict(self, X, threshold=0.5):
-        return (self.predict_proba(X) >= threshold).astype(np.int64)
-
 
 class RandomForestClassifier(BaseEstimator):
     """Bagged CART trees with per-split random feature subsets; trees_ holds
@@ -364,6 +361,3 @@ class RandomForestClassifier(BaseEstimator):
             raise NotFittedError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
         return np.mean([_predict(tree, X) for tree in self.trees_], axis=0)
-
-    def predict(self, X, threshold=0.5):
-        return (self.predict_proba(X) >= threshold).astype(np.int64)

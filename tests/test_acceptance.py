@@ -212,14 +212,13 @@ def test_sampler_oracles():
         y = np.array([1] * n_pos + [0] * n_neg)
         sampler = Smote(ratio=1.0, k=5, seed=case)
         Xr, yr = sampler.fit_resample(X, y)
-        for s, prov in enumerate(sampler.provenance_):
-            point = Xr[len(y) + s]
-            a, b = X[prov.parent], X[prov.neighbor]
-            on_segment = (
-                0.0 <= prov.lam <= 1.0
-                and np.allclose(point, a + prov.lam * (b - a), atol=1e-12)
-            )
-            ok = ok and on_segment
+        prov = sampler.provenance_
+        a, b, lam = X[prov.parent], X[prov.neighbor], prov.lam
+        on_segment = (
+            np.all((0.0 <= lam) & (lam <= 1.0))
+            and np.allclose(Xr[len(y):], a + lam[:, None] * (b - a), atol=1e-12)
+        )
+        ok = ok and on_segment
 
     # exact class counts across a (ratio, seed) sweep
     rng = np.random.default_rng(7000)

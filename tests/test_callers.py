@@ -1,14 +1,16 @@
 """Every top-level function and class in src/fraudkit/, and every method
 and property of its classes, has a caller.
 
-A definition counts as called when its name is referenced, as a name or
-as an attribute, somewhere in src/fraudkit/ or perfbench/ outside the
-definition itself. A re-export from a package __init__ does not count,
+A top-level definition counts as called when its name is referenced, as
+a name or as an attribute, somewhere in src/fraudkit/ or perfbench/
+outside the definition itself; a method or property only when it is
+referenced as an attribute (x.name), so a function of the same name does
+not stand in for it. A re-export from a package __init__ does not count,
 and neither does a test: code only tests reach belongs in tests/.
 Dunder methods are exempt, and so are methods that override a base
 class from outside fraudkit (argparse calls them). The guard matches
-bare names, so a definition whose name is also used for something else
-passes.
+names, not objects, so a method whose name is also an attribute of
+something else passes.
 """
 
 import ast
@@ -57,12 +59,13 @@ def _uncalled(methods):
     or each method (methods True) of src/fraudkit/ that has no caller."""
     src = sorted(SRC.rglob("*.py"))
     callers = [p for p in src if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
-    sites = {}  # name -> {(file, scope)} of each reference
+    names, attributes = {}, {}  # name -> {(file, scope)} of each reference as x, as y.x
     for path in callers:
         for scope, node in _walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                sites.setdefault(name, set()).add((path, scope))
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, set()).add((path, scope))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, set()).add((path, scope))
     unused = []
     for path in src:
         for qualname, class_name, name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
@@ -70,7 +73,8 @@ def _uncalled(methods):
                 continue
             if methods and (name.startswith("__") or _overrides_outside(path, class_name, name)):
                 continue
-            if not any(f != path or qualname not in scope for f, scope in sites.get(name, ())):
+            sites = attributes.get(name, set()) | (set() if methods else names.get(name, set()))
+            if not any(f != path or qualname not in scope for f, scope in sites):
                 unused.append(f"{path.relative_to(ROOT)}: {qualname}")
     return unused
 

@@ -12,7 +12,7 @@ import fraudkit
 from fraudkit.cli import run_cli
 from fraudkit.experiments import METRIC_NAMES
 from fraudkit.metrics import format_metric
-from fraudkit.models import build_logreg
+from fraudkit.models import build_cnn1d, build_logreg, build_lstm
 from fraudkit.nn.network import network_to_dict
 
 # A dtree bundle whose nested root is 5,000 levels deep: too deep for the JSON decoder.
@@ -46,6 +46,19 @@ def logreg_bundle(width, edit):
     edit(model["network"])
     return six_feature_bundle(model=model, features=[f"f{i}" for i in range(width)],
                               scaler={"mean": [0.0] * width, "std": [1.0] * width})
+
+
+def network_bundle(kind, build, edit):
+    """A kind bundle over f0..f5 of the network build(6), whose network
+    payload edit changes."""
+    model = {"kind": kind, "network": network_to_dict(build(6).initialize(0))}
+    edit(model["network"])
+    return six_feature_bundle(model=model)
+
+
+def hyperparams(i, **values):
+    """An edit that sets layer i's hyperparameters values."""
+    return lambda net: net["layers"][i]["hyperparams"].update(values)
 
 
 ONE_SPLIT = json.loads(six_feature_bundle())["model"]["flat_tree"]
@@ -480,6 +493,14 @@ class TestTrainEvaluate:
             (six_feature_bundle(model={"kind": "dtree", "root": {
                 "feature": 0, "threshold": 0.5, "left": [1], "right": {"prob": 1.0}}}),
              "root.left is a list, not an object"),
+            (network_bundle("lstm", build_lstm, hyperparams(0, inner_act="sigmoid")),
+             "layers[0] hyperparams: inner_act 'sigmoid' is not one of tanh, relu"),
+            (logreg_bundle(6, hyperparams(0, init="xavier")),
+             "layers[0] hyperparams: init 'xavier' is not one of glorot, he"),
+            (network_bundle("lstm", build_lstm, hyperparams(0, hidden="5")),
+             "layers[0] hyperparams: hidden '5' is not a positive int"),
+            (network_bundle("cnn1d", build_cnn1d, hyperparams(4, rate="0.5")),
+             "layers[4] hyperparams: rate '0.5' is not a number in [0, 1)"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
@@ -490,7 +511,8 @@ class TestTrainEvaluate:
              "bundle-list", "model-list", "scaler-list", "flat-tree-list", "flat-trees-1-list",
              "params-list", "param-list", "hyperparams-list", "layer-kind-conv9d",
              "layer-kind-list", "model-kind-list", "model-kind-svm", "nested-trees-1-list",
-             "nested-left-list"],
+             "nested-left-list", "lstm-inner-act-sigmoid", "dense-init-xavier",
+             "lstm-hidden-string", "dropout-rate-string"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

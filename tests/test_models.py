@@ -95,7 +95,7 @@ class TestLogreg:
     def test_separable(self, blobs):
         clf = make_model("logreg", lr=0.05, epochs_max=60, seed=2)
         clf.fit(blobs.features, blobs.labels)
-        acc = np.mean(clf.predict(blobs.features) == blobs.labels)
+        acc = np.mean(classify(clf, blobs.features) == blobs.labels)
         assert acc >= 0.95
 
     def test_not_fitted(self):
@@ -115,15 +115,15 @@ class TestDecisionTree:
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree.tree_["feature"][0] == 0
         assert tree.tree_["threshold"][0] == 1.5
-        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(classify(tree, X), y)
 
     def test_conjunction_needs_depth_two(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 0, 0, 1])  # x0 AND x1
         shallow = DecisionTreeClassifier(max_depth=1).fit(X, y)
         deep = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert not np.array_equal(shallow.predict(X), y)
-        assert np.array_equal(deep.predict(X), y)
+        assert not np.array_equal(classify(shallow, X), y)
+        assert np.array_equal(classify(deep, X), y)
 
     def test_xor_has_no_greedy_split(self):
         # every axis split on XOR leaves Gini unchanged, so greedy CART
@@ -196,7 +196,7 @@ class TestDecisionTree:
         y = np.array([0, 1])
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree.tree_["threshold"][0] == values[0]
-        assert tree.predict(X).tolist() == [0, 1]
+        assert classify(tree, X).tolist() == [0, 1]
 
 
 class TestForest:
@@ -217,7 +217,7 @@ class TestForest:
     def test_accuracy_on_blobs(self, blobs):
         X, y = blobs.features, blobs.labels
         forest = RandomForestClassifier(n_trees=10, seed=1).fit(X, y)
-        assert np.mean(forest.predict(X) == y) >= 0.95
+        assert np.mean(classify(forest, X) == y) >= 0.95
 
     def test_bad_n_trees(self):
         with pytest.raises(ValueError):

@@ -225,8 +225,9 @@ class TestSmote:
         syn = Xr[3]
         assert syn[0] == pytest.approx(syn[1], abs=1e-12)
         assert 0.0 <= syn[0] <= 2.0
-        prov = sampler.provenance_[0]
-        expected = X[prov.parent] + prov.lam * (X[prov.neighbor] - X[prov.parent])
+        prov = sampler.provenance_
+        parent, nn, lam = X[prov.parent[0]], X[prov.neighbor[0]], prov.lam[0]
+        expected = parent + lam * (nn - parent)
         assert np.allclose(syn, expected, atol=1e-12)
 
     def test_count_arithmetic(self):
@@ -243,14 +244,13 @@ class TestSmote:
         sampler = Smote(ratio=1.0, k=3, seed=2)
         Xr, yr = sampler.fit_resample(X, y)
         assert np.array_equal(Xr[: len(y)], X)
-        for s, prov in enumerate(sampler.provenance_):
-            point = Xr[len(y) + s]
-            parent, nn = X[prov.parent], X[prov.neighbor]
-            assert 0.0 <= prov.lam <= 1.0
-            assert np.allclose(point, parent + prov.lam * (nn - parent), atol=1e-12)
-            # convex-hull bound per coordinate
-            assert np.all(point >= np.minimum(parent, nn) - 1e-12)
-            assert np.all(point <= np.maximum(parent, nn) + 1e-12)
+        prov = sampler.provenance_
+        points, parent, nn = Xr[len(y):], X[prov.parent], X[prov.neighbor]
+        assert np.all((0.0 <= prov.lam) & (prov.lam <= 1.0))
+        assert np.allclose(points, parent + prov.lam[:, None] * (nn - parent), atol=1e-12)
+        # convex-hull bound per coordinate
+        assert np.all(points >= np.minimum(parent, nn) - 1e-12)
+        assert np.all(points <= np.maximum(parent, nn) + 1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
