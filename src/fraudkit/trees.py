@@ -5,25 +5,21 @@ and in bundles alike, as scikit-learn's Tree keeps node arrays rather
 than node objects. A leaf has feature -1, threshold None and children
 -1; prob is the positive fraction of a node's training rows.
 
-Split search is exact. A full search (every feature, as a plain tree
-does) is presorted (SLIQ, Mehta, Agrawal & Rissanen 1996): a fit
-argsorts each feature once, and each split partitions those index
-lists, keeping their order, instead of re-sorting every feature at
-every node. A forest node searches only a few drawn features, and
-partitioning every list for them is the cost that made scikit-learn
-drop presorting (deprecated in 0.22, removed in 0.24), so forests keep
-each node's rows only and argsort the drawn features over them.
-
-Either way the search gathers a block of features' value-ordered rows
-as one (features, rows) array from a transposed copy of X and scores
-every candidate threshold in the block at once. It reads class counts
-only where the sorted value changes, so the order of rows with equal
-values never matters, and the trees, ties included, are the ones a
-per-node stable sort gives.
+Split search is exact, and every tree, plain or in a forest, uses the
+same one. A fit computes each feature's dense ranks once (equal values
+share a rank), in place of any copy of X. A node keeps only its rows;
+for a block of its features at a time it sorts the keys rank << 32 |
+row, as scikit-learn has sorted each node's features since it dropped
+presorting (deprecated in 0.22, removed in 0.24), and scores every
+candidate threshold in the block at once. It reads class counts only
+where the rank changes, so the order of rows with equal values never
+matters, and the trees, ties included, are the ones a per-node stable
+sort of the values gives. Rows and ranks are packed in 32 bits each, so
+a fit takes fewer than 2**32 rows.
 
 A forest tree grows on its bootstrap sample as scikit-learn's forests
 do: on the distinct rows drawn (about 1 - 1/e, 63%, of the draws), each
-weighted by its draw count, from the one transposed X of the fit rather
+weighted by its draw count, from the one X and ranks of the fit rather
 than a copy of the sample. Sizes, class counts and probs become sums of
 weights; the counts are small integers, so those sums are exact, every
 candidate split scores as it does on the rows repeated by their counts,
@@ -35,7 +31,7 @@ import math
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, NotFittedError, check_object, check_X_y
+from fraudkit.base import BaseEstimator, NotFittedError, check_object, check_positive_int, check_X_y
 from fraudkit.rng import derive_seed, generator
 
 
@@ -139,55 +135,81 @@ def _split_scores(pos_l, sizes_l, sizes_r, total_pos):
     return left
 
 
-def _gather(XT, features, rows):
-    """XT[features[i], rows[i]] (rows 2-D) or XT[features[i], rows] (1-D)
-    as one (features, rows) array. It takes from the flattened XT with one
-    index array, which runs about twice as fast as numpy's 2-D fancy index."""
-    return XT.ravel()[rows + (features * XT.shape[1])[:, None]]
-
-
-# Elements (features x rows) per gathered search block. A block holds at
+# Elements (features x rows) per sorted search block. A block holds at
 # least one feature, so a root node on many rows searches one at a time.
 SEARCH_BLOCK = 1 << 16
 
 
-def _best_split(XT, y, weight, rows, n, total_pos, features, sorted_idx, min_leaf):
-    """Best (feature, threshold) by Gini over midpoints of sorted distinct
-    values; ties broken by lower feature index, then lower threshold.
+def _dense_ranks(X):
+    """Each value's dense rank within its column, as a (features, rows)
+    uint32 array: equal values, -0.0 and 0.0 among them, share a rank, and
+    the next larger value has the next one. It is built SEARCH_BLOCK
+    elements (at least one column) at a time, so its temporaries are no
+    larger than a column or a search block."""
+    R = np.empty(X.shape[::-1], dtype=np.uint32)
+    step = max(1, SEARCH_BLOCK // len(X))
+    for start in range(0, X.shape[1], step):
+        columns = np.ascontiguousarray(X[:, start : start + step].T)
+        order = np.argsort(columns, axis=1)
+        order += np.arange(0, columns.size, len(X))[:, None]  # flat, for take and put
+        values = np.take(columns, order)
+        ranks = np.zeros(order.shape, dtype=np.uint32)
+        np.cumsum(values[:, 1:] != values[:, :-1], axis=1, dtype=np.uint32, out=ranks[:, 1:])
+        np.put(R[start : start + step], order, ranks)
+    return R
 
-    XT is X transposed and contiguous; features is ascending. y holds each
-    row's label times its weight, and weight is each row's integer weight,
-    or None where every weight is 1; n and total_pos are the node's
-    weighted size and positive count. With sorted_idx, row i lists the
-    node's rows in ascending order of features[i]; without it each block
-    argsorts its features over rows. Rows with equal values may come in
-    any order, because class counts are only read where the value changes.
+
+def _best_split(X, R, y, weight, rows, n, total_pos, features, min_leaf):
+    """Best (feature, threshold, rank) by Gini over midpoints of sorted
+    distinct values, where rank is R's rank of the largest value sent left;
+    ties broken by lower feature index, then lower threshold. feature is
+    None where no split lowers the impurity.
+
+    R is X's dense ranks (_dense_ranks) and features is ascending. y holds
+    each row's label times its weight, and weight is each row's integer
+    weight, or None where every weight is 1; n and total_pos are the node's
+    weighted size and positive count. For each block of features the search
+    sorts the keys rank << 32 | i, where i is a row's place in rows, so the
+    low halves give the rows in value order and the high halves show where
+    the value changes. Rows with equal values may come in any order,
+    because class counts are only read where the value changes.
     """
-    best = (None, None, _gini_part(total_pos, n))
+    best = (None, None, None)
+    best_score = _gini_part(total_pos, n)
+    y = y[rows]
     if weight is None:  # unit weights: every feature shares its left sizes
         sizes_l = np.arange(1, n, dtype=np.float64)
         sizes_r = n - sizes_l
         size_ok = (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+    else:
+        weight = weight[rows]
+    places = np.arange(len(rows), dtype="<u8")
     step = max(1, SEARCH_BLOCK // len(rows))
     for start in range(0, len(features), step):
         block = features[start : start + step]
-        if sorted_idx is None:
-            order = rows[np.argsort(_gather(XT, block, rows), axis=1)]
-        else:
-            order = sorted_idx[start : start + step]
-        xs = _gather(XT, block, order)
+        keys = R.ravel()[rows + (block * R.shape[1])[:, None]].astype("<u8")
+        keys <<= 32
+        keys |= places
+        keys.sort(axis=1)
+        ranks = keys.view("<u4")[:, 1::2]  # the high halves, a view of keys
+        ties = ranks[:, :-1] == ranks[:, 1:]
+        # The low halves, in place, so ranks is read above and no longer.
+        order = np.bitwise_and(keys, 0xFFFFFFFF, out=keys).view("<i8")
         if weight is not None:
             sizes_l = np.cumsum(weight[order], axis=1)[:, :-1]
             sizes_r = n - sizes_l
             size_ok = (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
         pos_l = np.cumsum(y[order], axis=1)[:, :-1]
         score = _split_scores(pos_l, sizes_l, sizes_r, total_pos)
-        score[(xs[:, :-1] == xs[:, 1:]) | ~size_ok] = np.inf
+        score[ties | ~size_ok] = np.inf
         # Row-major argmin: lowest feature, then lowest threshold, on ties.
         f, i = np.unravel_index(np.argmin(score), score.shape)
-        if score[f, i] < best[2]:
-            best = (block[f], _midpoint(xs[f, i], xs[f, i + 1]), score[f, i])
-    return best[0], best[1]
+        if score[f, i] < best_score:
+            feature = block[f]
+            a, b = rows[order[f, i : i + 2]]
+            best = (feature, _midpoint(X[a, feature], X[b, feature]), R[feature, a])
+            best_score = score[f, i]
+    return best
 
 
 def _midpoint(a, b):
@@ -199,68 +221,51 @@ def _midpoint(a, b):
     return mid if a <= mid < b else a
 
 
-def _grow(XT, y, weight, max_depth, min_leaf, max_features, rng):
-    """Grow a tree on XT (X transposed, contiguous) and float labels y,
-    depth-first, left child first, from the rows of nonzero weight: weight
-    is each row's integer weight (a forest tree's draw counts), or None
-    where every row counts once.
+def _grow(X, R, y, weight, max_depth, min_leaf, max_features, rng):
+    """Grow a tree on X, its dense ranks R and float labels y, depth-first,
+    left child first, from the rows of nonzero weight: weight is each row's
+    integer weight (a forest tree's draw counts), or None where every row
+    counts once. A node searches max_features features drawn at random, or
+    every feature where max_features is at least their number.
 
-    A full search presorts: each feature is argsorted once, and a split
-    partitions every list with one gather, keeping each list's order, so
-    every node's lists are sorted by their feature. A forest node keeps
-    only its rows and its search sorts the drawn features. A node's
-    index arrays are dropped when the next node is taken, and the
-    pending nodes hold disjoint rows, so index memory stays
-    O(features * rows) for a full search and O(rows) for a forest at
-    any depth. Nodes are grown in the order recursion would grow them,
-    so the forest's feature draws come in the same order.
+    A node holds only its rows, in ascending order, and a split keeps that
+    order, sending left the rows whose rank in the split's feature is at
+    most the split's rank: the rows whose value is at most the threshold.
+    A node's rows are dropped when the next node is taken, and the pending
+    nodes hold disjoint rows, so index memory stays O(rows) at any depth.
+    Nodes are grown in the order recursion would grow them, so the feature
+    draws come in the same order.
     """
-    n_features = XT.shape[0]
+    n_features = X.shape[1]
     rows = np.arange(len(y))
     if weight is not None:  # y becomes each row's positive count
         rows, y = np.flatnonzero(weight), y * weight
 
-    def size_pos(rows):  # weighted size and positive count; sums of integers
-        n = len(rows) if weight is None else int(weight[rows].sum())
-        return n, int(y[rows].sum())
-
-    if n_features == 0:
-        n, pos = size_pos(rows)
-        return _preorder(None, lambda _: (-1, None, pos / n, ()))
-    full = max_features is None or max_features >= n_features
-    goes_left = np.zeros(len(y), dtype=bool)
-
     def expand(node):
-        idx, depth = node  # presorted lists (full search) or rows, and depth
-        rows = idx[0] if full else idx
-        n, pos = size_pos(rows)
-        prob = pos / n  # exact integers: the correctly rounded mean of the rows
+        rows, depth = node
+        # Weighted size and positive count, sums of integers, so prob is
+        # the correctly rounded mean of the rows.
+        n = len(rows) if weight is None else int(weight[rows].sum())
+        pos = int(y[rows].sum())
+        prob = pos / n
         if (
             n < 2 * min_leaf
             or (max_depth is not None and depth >= max_depth)
             or prob in (0.0, 1.0)
         ):
             return -1, None, prob, ()
-        if full:
+        if max_features >= n_features:
             features = np.arange(n_features)
         else:
             features = np.sort(rng.choice(n_features, size=max_features, replace=False))
-        feature, threshold = _best_split(
-            XT, y, weight, rows, n, pos, features, idx if full else None, min_leaf
-        )
+        feature, threshold, rank = _best_split(X, R, y, weight, rows, n, pos, features, min_leaf)
         if feature is None:
             return -1, None, prob, ()
-        goes_left[rows] = XT[feature, rows] <= threshold
-        left = goes_left[idx]
-        shape = (*idx.shape[:-1], -1)  # every presorted list keeps the same rows
-        children = [(idx[mask].reshape(shape), depth + 1) for mask in (left, ~left)]
-        return int(feature), float(threshold), prob, children
+        left = R[feature, rows] <= rank
+        children = [(rows[left], depth + 1), (rows[~left], depth + 1)]
+        return int(feature), threshold, prob, children
 
-    if full:
-        root = np.argsort(XT, axis=1) if weight is None else rows[np.argsort(XT[:, rows], axis=1)]
-    else:
-        root = rows
-    return _preorder((root, 0), expand)
+    return _preorder((rows, 0), expand)
 
 
 def _predict(tree, X):
@@ -278,13 +283,40 @@ def _predict(tree, X):
     return out
 
 
+def _check_params(max_depth, min_leaf, max_features):
+    """max_depth, min_leaf and max_features if max_depth is None or an int
+    of at least 0, min_leaf a positive int, and max_features None, "sqrt"
+    or a positive int; else ValueError naming the one that is not."""
+    if max_depth is not None and (type(max_depth) is not int or max_depth < 0):
+        raise ValueError(f"max_depth {max_depth!r} is not None or an int >= 0")
+    if max_features is not None and max_features != "sqrt":
+        check_positive_int(max_features, "max_features")
+    return max_depth, check_positive_int(min_leaf, "min_leaf"), max_features
+
+
+def _fit_inputs(X, y, min_leaf, max_features):
+    """The checked X, its dense ranks, y as floats, and how many features a
+    node searches: every feature for max_features None, the integer square
+    root of their number (at least 1) for "sqrt", else max_features."""
+    X, y = check_X_y(X, y)
+    if len(y) < min_leaf:
+        raise ValueError(f"need at least min_leaf={min_leaf} rows")
+    if len(y) >= 1 << 32:  # rows and ranks are packed in 32 bits each
+        raise ValueError(f"a tree fits fewer than 2**32 rows, not {len(y)}")
+    if max_features is None:
+        max_features = X.shape[1]
+    elif max_features == "sqrt":
+        max_features = max(1, math.isqrt(X.shape[1]))
+    return X, _dense_ranks(X), y.astype(np.float64), max_features
+
+
 class DecisionTreeClassifier(BaseEstimator):
     """Greedy binary CART on Gini impurity; leaves hold positive fractions."""
 
     def __init__(self, max_depth=None, min_leaf=1, max_features=None, seed=0):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.max_features = max_features
+        self.max_depth, self.min_leaf, self.max_features = _check_params(
+            max_depth, min_leaf, max_features
+        )
         self.seed = seed
         self.tree_ = None  # the preorder lists of TREE_KEYS once fitted
 
@@ -292,12 +324,9 @@ class DecisionTreeClassifier(BaseEstimator):
     root_ = property(lambda self: _Node(self.tree_, 0))
 
     def fit(self, X, y):
-        X, y = check_X_y(X, y)
-        if len(y) < self.min_leaf:
-            raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
+        X, R, y, max_features = _fit_inputs(X, y, self.min_leaf, self.max_features)
         rng = generator(self.seed)
-        XT, y = np.ascontiguousarray(X.T), y.astype(np.float64)
-        self.tree_ = _grow(XT, y, None, self.max_depth, self.min_leaf, self.max_features, rng)
+        self.tree_ = _grow(X, R, y, None, self.max_depth, self.min_leaf, max_features, rng)
         return self
 
     def predict_proba(self, X):
@@ -323,27 +352,16 @@ class RandomForestClassifier(BaseEstimator):
         bootstrap=True,
         seed=0,
     ):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.max_features = max_features
+        self.n_trees = check_positive_int(n_trees, "n_trees")
+        self.max_depth, self.min_leaf, self.max_features = _check_params(
+            max_depth, min_leaf, max_features
+        )
         self.bootstrap = bootstrap
         self.seed = seed
         self.trees_ = None
 
-    def _resolve_max_features(self, n_features):
-        if self.max_features == "sqrt":
-            return max(1, int(math.isqrt(n_features)))
-        return self.max_features
-
     def fit(self, X, y):
-        X, y = check_X_y(X, y)
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if len(y) < self.min_leaf:
-            raise ValueError(f"need at least min_leaf={self.min_leaf} rows")
-        max_features = self._resolve_max_features(X.shape[1])
-        XT, y = np.ascontiguousarray(X.T), y.astype(np.float64)
+        X, R, y, max_features = _fit_inputs(X, y, self.min_leaf, self.max_features)
         self.trees_ = []
         for t in range(self.n_trees):
             weight = None
@@ -352,7 +370,7 @@ class RandomForestClassifier(BaseEstimator):
                 draw = rng.integers(0, len(y), size=len(y))
                 weight = np.bincount(draw, minlength=len(y)).astype(np.float64)
             rng = generator(derive_seed(self.seed, f"tree/{t}"))
-            tree = _grow(XT, y, weight, self.max_depth, self.min_leaf, max_features, rng)
+            tree = _grow(X, R, y, weight, self.max_depth, self.min_leaf, max_features, rng)
             self.trees_.append(tree)
         return self
 

@@ -1,4 +1,4 @@
-"""Exactness of the blocked samplers and the presorted tree against reference code.
+"""Exactness of the blocked samplers and the sorted-rank tree search against reference code.
 
 The references below are the plain forms the fast paths replace: NearMiss
 over the full n_neg x n_pos distance matrix with full sorts, SMOTE
@@ -102,7 +102,11 @@ def ref_best_split(X, y, features, min_leaf):
         score[~valid] = np.inf
         i = int(np.argmin(score))
         if score[i] < best[2]:
-            best = (j, (xs[i] + xs[i + 1]) / 2.0, score[i])
+            # The midpoint, or the lower value where the midpoint rounds up
+            # to the upper one or overflows, so the lower value goes left.
+            a, b = float(xs[i]), float(xs[i + 1])
+            mid = (a + b) / 2.0
+            best = (j, mid if a <= mid < b else a, score[i])
     return best[0], best[1]
 
 
@@ -317,12 +321,8 @@ def test_trees_match_reference_on_sampler_outputs(sampler_outputs, sampler):
     tree = DecisionTreeClassifier(seed=4).fit(X, y)
     assert json.dumps(tree_lists(tree)) == json.dumps(ref_tree_lists(X, y, seed=4))
     forest = RandomForestClassifier(n_trees=3, seed=6).fit(X, y)
-    max_features = forest._resolve_max_features(X.shape[1])
-    for t, lists in enumerate(model_to_dict(forest)["flat_trees"]):
-        boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
-        want = ref_tree_lists(X[boot], y[boot], max_features=max_features,
-                              seed=derive_seed(6, f"tree/{t}"))
-        assert json.dumps(lists) == json.dumps(want), t
+    got = model_to_dict(forest)["flat_trees"]
+    assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, n_trees=3, seed=6))
 
 
 def test_tree_matches_reference_on_rounded_grids():
@@ -343,7 +343,7 @@ def test_tree_matches_reference_on_rounded_grids():
 @pytest.mark.parametrize("data", ["rounded", "repeated"])
 def test_forest_trees_match_reference_across_parameters(data, max_features):
     # Weighted bootstrap trees against trees grown on the repeated rows: min_leaf
-    # then counts a row once per draw, and max_features >= 6 is the presorted search.
+    # then counts a row once per draw, and max_features >= 6 searches every feature.
     if data == "rounded":
         rng = np.random.default_rng(21)
         X = np.round(rng.normal(size=(240, 6)), 1)

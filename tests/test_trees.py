@@ -1,9 +1,12 @@
 """The blocked split search against the per-node sort reference at several
-block sizes, deep trees without recursion, the flat tree payload, tree
-bundles written before the lists became the in-memory form, and forest
-bundles written before trees grew on weighted bootstrap rows."""
+block sizes, on tie-heavy rows and on -0.0, 0.0, subnormals and values near
+the float limits; deep trees without recursion, hyperparameter checks, the
+flat tree payload, tree bundles written before the lists became the
+in-memory form, and forest bundles written before trees grew on weighted
+bootstrap rows."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,20 @@ def tie_heavy(seed, n=400, n_features=6):
     return X, y
 
 
+# -0.0 and 0.0 must share a rank; the subnormals and the values near the
+# float limits sit next to zero or overflow a midpoint.
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, 1.5e308, -1e308, -1.7e308, -1.0, 0.5, 2.0]
+
+
+def extreme_rows(seed, n=200, n_distinct=60, n_features=5):
+    """Rows drawn with repeats from n_distinct rows of EXTREMES, each with
+    its own label, so a bootstrap draws many rows several times."""
+    rng = np.random.default_rng(seed)
+    base = rng.choice(EXTREMES, size=(n_distinct, n_features))
+    X = base[rng.integers(0, n_distinct, size=n)]
+    return X, (rng.random(n) < 0.3 + 0.3 * (X[:, 0] > 0)).astype(np.int64)
+
+
 def test_split_scores_equal_the_gini_formula_bit_for_bit():
     rng = np.random.default_rng(4)
     for n in (2, 3, 50, 5000):
@@ -58,24 +75,27 @@ def test_split_scores_equal_the_gini_formula_bit_for_bit():
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_tree_and_forest_match_reference_at_block_sizes(monkeypatch, block):
-    X, y = tie_heavy(3)
-    monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
-    tree = DecisionTreeClassifier(min_leaf=2, seed=4).fit(X, y)
-    assert json.dumps(tree_lists(tree)) == json.dumps(ref_tree_lists(X, y, min_leaf=2, seed=4))
-    forest = RandomForestClassifier(n_trees=3, max_features=5, seed=6).fit(X, y)
-    for t, lists in enumerate(model_to_dict(forest)["flat_trees"]):
-        boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
-        want = ref_tree_lists(X[boot], y[boot], max_features=5, seed=derive_seed(6, f"tree/{t}"))
-        assert json.dumps(lists) == json.dumps(want), t
+    for X, y in [tie_heavy(3), extreme_rows(13)]:
+        monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
+        tree = DecisionTreeClassifier(min_leaf=2, seed=4).fit(X, y)
+        want = ref_tree_lists(X, y, min_leaf=2, seed=4)
+        assert json.dumps(tree_lists(tree)) == json.dumps(want)
+        forest = RandomForestClassifier(n_trees=3, max_features=5, seed=6).fit(X, y)
+        for t, lists in enumerate(model_to_dict(forest)["flat_trees"]):
+            boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
+            want = ref_tree_lists(X[boot], y[boot], max_features=5,
+                                  seed=derive_seed(6, f"tree/{t}"))
+            assert json.dumps(lists) == json.dumps(want), t
 
 
 @pytest.mark.parametrize("max_features", [1, 3, 6])
 @pytest.mark.parametrize("block", BLOCKS)
 def test_forest_matches_reference_across_parameters_at_block_sizes(monkeypatch, block,
                                                                    max_features):
-    for data, (X, y) in enumerate([tie_heavy(8, n=200), repeated_rows(9, n=200)]):
+    sets = [tie_heavy(8, n=200), repeated_rows(9, n=200), extreme_rows(10)]
+    for data, (X, y) in enumerate(sets):
         monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
-        for case, (min_leaf, max_depth, bootstrap) in enumerate(FOREST_SETTINGS[data::2]):
+        for case, (min_leaf, max_depth, bootstrap) in enumerate(FOREST_SETTINGS[data % 2::2]):
             params = dict(n_trees=2, max_depth=max_depth, min_leaf=min_leaf,
                           max_features=max_features, bootstrap=bootstrap, seed=case)
             got = model_to_dict(RandomForestClassifier(**params).fit(X, y))["flat_trees"]
@@ -114,6 +134,29 @@ def test_deep_tree_predicts_and_round_trips_a_bundle(tmp_path):
         save_bundle(path, model, scaler, 0.5, ["x"], {})
         loaded = load_bundle(path)[0]
         assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+
+
+@pytest.mark.parametrize("cls, params, message", [
+    (DecisionTreeClassifier, {"max_features": 0}, "max_features 0 is not a positive int"),
+    (DecisionTreeClassifier, {"max_features": -1}, "max_features -1 is not a positive int"),
+    (RandomForestClassifier, {"max_features": 2.5}, "max_features 2.5 is not a positive int"),
+    (RandomForestClassifier, {"max_features": "log2"}, "max_features 'log2' is not a positive"),
+    (RandomForestClassifier, {"n_trees": 2.0}, "n_trees 2.0 is not a positive int"),
+    (DecisionTreeClassifier, {"max_depth": -1}, "max_depth -1 is not None or an int >= 0"),
+    (RandomForestClassifier, {"max_depth": 2.0}, "max_depth 2.0 is not None or an int >= 0"),
+    (DecisionTreeClassifier, {"min_leaf": 0}, "min_leaf 0 is not a positive int"),
+], ids=["tree-max-features-0", "tree-max-features--1", "forest-max-features-2.5",
+        "forest-max-features-log2", "forest-n-trees-2.0", "tree-max-depth--1",
+        "forest-max-depth-2.0", "tree-min-leaf-0"])
+def test_bad_hyperparameter_fails_loudly(cls, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**params).fit(*deep_set(8))
+
+
+def test_tree_takes_sqrt_max_features_as_the_forest_does():
+    X, y = tie_heavy(5, n=200, n_features=9)
+    got = tree_lists(DecisionTreeClassifier(max_features="sqrt", seed=3).fit(X, y))
+    assert json.dumps(got) == json.dumps(ref_tree_lists(X, y, max_features=3, seed=3))
 
 
 def test_bundles_written_before_the_lists_score_as_stored():
