@@ -17,7 +17,7 @@ from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Dropout,
 from fraudkit.nn.network import Network, fit as fit_network
 from fraudkit.preprocess import StandardScaler
 from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier
-from fraudkit.trees import check_tree, tree_from_nested
+from fraudkit.trees import check_tree
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -198,9 +198,7 @@ def model_to_dict(model):
 
 def model_from_dict(payload):
     """The model model_to_dict wrote. Its kind must be one of MODEL_KINDS;
-    load_bundle checks its trees against the bundle's features. Trees are
-    also read in the nested form ("root" and "trees") of bundles written
-    before the lists."""
+    load_bundle checks its trees against the bundle's features."""
     from fraudkit.nn.network import network_from_dict
 
     kind = check_kind(payload["kind"], MODEL_KINDS, "model kind")
@@ -208,13 +206,9 @@ def model_from_dict(payload):
     if kind in _NETWORK_BUILDERS:
         model.network_ = network_from_dict(payload["network"])
     elif kind == "dtree":
-        flat = "flat_tree" in payload
-        model.tree_ = payload["flat_tree"] if flat else tree_from_nested(payload["root"])
+        model.tree_ = payload["flat_tree"]
     else:
-        flat = "flat_trees" in payload
-        model.trees_ = payload["flat_trees"] if flat else [
-            tree_from_nested(root, f"trees[{i}]") for i, root in enumerate(payload["trees"])
-        ]
+        model.trees_ = payload["flat_trees"]
     return model
 
 
@@ -244,8 +238,10 @@ def load_bundle(path):
     distinct strings, the scaler's mean and std finite and one per feature,
     the threshold a number in [0, 1], a network as wide as the features
     and ending in a one-unit sigmoid head, and every tree pass
-    trees.check_tree. A part of the wrong JSON type fails naming its key.
-    A bundle written before categories were stored loads with none.
+    trees.check_tree. A part of the wrong JSON type fails naming its key,
+    and a categories list that repeats a value names its feature. A bundle
+    loads only in the form save_bundle writes: one that lacks categories,
+    or holds trees in any form but the flat lists, fails naming the key.
     """
     try:
         payload = check_object(json.loads(Path(path).read_text(encoding="utf-8")), "bundle")
@@ -271,11 +267,14 @@ def load_bundle(path):
         threshold = payload["threshold"]
         if type(threshold) not in (int, float) or not 0 <= threshold <= 1:
             raise ValueError(f"threshold {threshold!r} is not a number in [0, 1]")
-        categories = payload.get("categories", {})
+        categories = payload["categories"]
         if type(categories) is not dict or any(
             type(v) is not list or any(type(c) is not str for c in v) for v in categories.values()
         ):
             raise ValueError("categories must map feature names to lists of strings")
+        for name, values in categories.items():
+            if len(set(values)) != len(values):
+                raise ValueError(f"categories of {name!r} {values} repeat a value")
         categories = {name: tuple(v) for name, v in categories.items()}
         model = model_from_dict(check_object(payload["model"], "model"))
         if isinstance(model, NeuralNetClassifier):

@@ -83,8 +83,7 @@ class Layer(BaseEstimator):
         self.saved = None
 
     def init_params(self, in_shape, rng):
-        """Allocate parameters for the per-sample input shape; returns out shape."""
-        return self.output_shape(in_shape)
+        """Allocate parameters for the per-sample input shape."""
 
     def output_shape(self, in_shape):
         raise NotImplementedError
@@ -119,7 +118,6 @@ class Dense(Layer):
             "b": np.zeros(self.units),
         }
         self.zero_grads()
-        return (self.units,)
 
     def forward(self, x, train=False, rng=None):
         if x.shape[1] != self.params["W"].shape[1]:
@@ -169,7 +167,6 @@ class Conv2D(Layer):
             "b": np.zeros(self.channels),
         }
         self.zero_grads()
-        return self.output_shape(in_shape)
 
     def forward(self, x, train=False, rng=None):
         k = self.kernel_size
@@ -231,7 +228,6 @@ class Conv1D(Layer):
             "b": np.zeros(self.channels),
         }
         self.zero_grads()
-        return self.output_shape(in_shape)
 
     def forward(self, x, train=False, rng=None):
         k = self.kernel_size
@@ -420,7 +416,6 @@ class LSTM(Layer):
             self.params[f"W_{gate}"] = _INITS[self.init](rng, (h, zdim), zdim, h)
             self.params[f"b_{gate}"] = np.zeros(h)
         self.zero_grads()
-        return (h,)
 
     def _phi(self, x):
         return apply_activation(x, self.inner_act)

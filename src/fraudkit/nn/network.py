@@ -43,9 +43,8 @@ class Network:
 
     def initialize(self, seed=0):
         rng = generator(seed)
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer.init_params(shape, rng)
+        for layer, shape in zip(self.layers, self.shapes):
+            layer.init_params(shape, rng)
         self.initialized = True
         return self
 

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, NotFittedError, check_object, check_positive_int, check_X_y
+from fraudkit.base import BaseEstimator, NotFittedError, check_positive_int, check_X_y
 from fraudkit.rng import derive_seed, generator
 
 
@@ -79,22 +79,6 @@ def _preorder(root, expand):
         if children:
             stack += [(children[1], i, "right"), (children[0], i, "left")]
     return tree
-
-
-def _expand_nested(node):
-    d, path = node
-    if "feature" not in check_object(d, path):
-        return -1, None, d["prob"], ()
-    children = (d["left"], f"{path}.left"), (d["right"], f"{path}.right")
-    return d["feature"], d["threshold"], 0.0, children
-
-
-def tree_from_nested(root, name="root"):
-    """The preorder lists of a tree in the nested form that bundles held
-    before the lists: a leaf is {"prob"}, and a split {"feature",
-    "threshold", "left", "right"} gets prob 0.0. A node that is not an
-    object raises ValueError naming its path from name, as root.left."""
-    return _preorder((root, name), _expand_nested)
 
 
 class _Node:

@@ -15,7 +15,8 @@ from fraudkit.metrics import format_metric
 from fraudkit.models import build_cnn1d, build_logreg, build_lstm
 from fraudkit.nn.network import network_to_dict
 
-# A dtree bundle whose nested root is 5,000 levels deep: too deep for the JSON decoder.
+# A bundle whose model nests 5,000 levels deep: it tests the JSON decoder's
+# depth limit, which fails before any key is read.
 DEEP_BUNDLE = (
     '{"format_version": 1, "features": ["f0"], "categories": {}, "threshold": 0.5, '
     '"scaler": {"mean": [0.0], "std": [1.0]}, "model": {"kind": "dtree", "root": '
@@ -457,9 +458,7 @@ class TestTrainEvaluate:
             (six_feature_bundle(features=5), "features 5 are not a list of strings"),
             (six_feature_bundle(features=["f0"] * 6), "repeat a name"),
             (six_feature_bundle(model=logreg_payload(5)), "network input shape [5] does not fit 6 features"),
-            (six_feature_bundle(model={"kind": "dtree", "root": {
-                "feature": -1, "threshold": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0}}}),
-             "tree node 0: leaf with children 1, 2"),
+            (six_feature_bundle(feature=-1), "tree node 0: leaf with children 1, 2"),
             (logreg_bundle(1, lambda net: net.update(layers=[])),
              "network layers do not end in a one-unit sigmoid head"),
             (logreg_bundle(3, lambda net: net.update(layers=[])),
@@ -489,10 +488,10 @@ class TestTrainEvaluate:
              "model kind ['dtree'] is not one of cnn2d, cnn1d, lstm, logreg, dtree, forest"),
             (six_feature_bundle(model={"kind": "svm"}), "model kind 'svm' is not one of cnn2d"),
             (six_feature_bundle(model={"kind": "forest", "trees": [{"prob": 0.5}, []]}),
-             "trees[1] is a list, not an object"),
+             "missing key 'flat_trees'"),
             (six_feature_bundle(model={"kind": "dtree", "root": {
                 "feature": 0, "threshold": 0.5, "left": [1], "right": {"prob": 1.0}}}),
-             "root.left is a list, not an object"),
+             "missing key 'flat_tree'"),
             (network_bundle("lstm", build_lstm, hyperparams(0, inner_act="sigmoid")),
              "layers[0] hyperparams: inner_act 'sigmoid' is not one of tanh, relu"),
             (logreg_bundle(6, hyperparams(0, init="xavier")),
@@ -501,18 +500,20 @@ class TestTrainEvaluate:
              "layers[0] hyperparams: hidden '5' is not a positive int"),
             (network_bundle("cnn1d", build_cnn1d, hyperparams(4, rate="0.5")),
              "layers[4] hyperparams: rate '0.5' is not a number in [0, 1)"),
+            (six_feature_bundle(categories={"f1": ["a", "b", "a"]}),
+             "categories of 'f1' ['a', 'b', 'a'] repeat a value"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
              "tree-split-nan", "tree-split-null", "tree-prob-string", "forest-no-trees",
              "scaler-mean-null", "scaler-std-nan", "threshold-string", "threshold-5",
-             "features-int", "features-repeat", "network-width", "nested-split-feature--1",
+             "features-int", "features-repeat", "network-width", "tree-feature--1-children",
              "no-layers-1-feature", "no-layers-3-features", "no-sigmoid-head", "layers-dict",
              "bundle-list", "model-list", "scaler-list", "flat-tree-list", "flat-trees-1-list",
              "params-list", "param-list", "hyperparams-list", "layer-kind-conv9d",
              "layer-kind-list", "model-kind-list", "model-kind-svm", "nested-trees-1-list",
              "nested-left-list", "lstm-inner-act-sigmoid", "dense-init-xavier",
-             "lstm-hidden-string", "dropout-rate-string"],
+             "lstm-hidden-string", "dropout-rate-string", "categories-repeat"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"
@@ -604,7 +605,7 @@ class TestCategoricalBundle:
         assert code == 1
         assert "line 7: category 'NZ' in column 'country'" in captured.err
 
-    def test_bundle_without_categories_still_loads(self, plan_file, tmp_path, capsys):
+    def test_bundle_without_categories_exits_one(self, plan_file, tmp_path, capsys):
         assert run_cli(["train", str(plan_file), "--set", "models.kinds=dtree"]) == 0
         bundle = tmp_path / "out" / "trained.model"
         payload = json.loads(bundle.read_text())
@@ -613,4 +614,5 @@ class TestCategoricalBundle:
         data = tmp_path / "eval.csv"
         assert run_cli(["gen-synth", str(data), "--n-rows", "50", "--n-features", "6",
                         "--seed", "7", "--separation", "4.0", "--fraud-fraction", "0.2"]) == 0
-        assert run_cli(["evaluate", str(bundle), str(data), "--label", "is_fraud"]) == 0
+        assert run_cli(["evaluate", str(bundle), str(data), "--label", "is_fraud"]) == 1
+        assert f"{bundle}: not a model bundle: missing key 'categories'" in capsys.readouterr().err

@@ -161,14 +161,23 @@ def test_tree_takes_sqrt_max_features_as_the_forest_does():
 
 def test_bundles_written_before_the_lists_score_as_stored():
     # tree_bundles/ holds a depth-4 CART and a 2-tree depth-3 forest, each
-    # as written by fraudkit 2a2f6a3 (flat lists) and with the nested trees
-    # of older bundles, and their probabilities on 40 fixed rows.
+    # as written by fraudkit 2a2f6a3 (flat lists), and their probabilities
+    # on 40 fixed rows.
     expected = json.loads((TREE_BUNDLES / "expected.json").read_text())
     for kind in ("dtree", "forest"):
-        for form in ("flat", "nested"):
-            model, scaler, *_ = load_bundle(TREE_BUNDLES / f"{kind}_{form}.model")
-            got = model.predict_proba(scaler.transform(expected["rows"]))
-            assert got.tolist() == expected["probabilities"][kind], (kind, form)
+        model, scaler, *_ = load_bundle(TREE_BUNDLES / f"{kind}_flat.model")
+        got = model.predict_proba(scaler.transform(expected["rows"]))
+        assert got.tolist() == expected["probabilities"][kind], kind
+
+
+@pytest.mark.parametrize("kind,key", [("dtree", "flat_tree"), ("forest", "flat_trees")])
+def test_nested_tree_bundles_fail_naming_the_missing_key(kind, key):
+    # The same two models with the nested trees of bundles older than the
+    # lists: save_bundle no longer writes that form, so it does not load.
+    path = TREE_BUNDLES / f"{kind}_nested.model"
+    with pytest.raises(FraudkitError) as info:
+        load_bundle(path)
+    assert str(info.value) == f"{path}: not a model bundle: missing key '{key}'"
 
 
 # Forests whose bundles fraudkit 47311aa wrote to tree_bundles/, from a
