@@ -239,9 +239,10 @@ def load_bundle(path):
     the threshold a number in [0, 1], a network as wide as the features
     and ending in a one-unit sigmoid head, and every tree pass
     trees.check_tree. A part of the wrong JSON type fails naming its key,
-    and a categories list that repeats a value names its feature. A bundle
-    loads only in the form save_bundle writes: one that lacks categories,
-    or holds trees in any form but the flat lists, fails naming the key.
+    and a categories key that is not a feature, or a categories list that
+    repeats a value, names that feature. A bundle loads only in the form
+    save_bundle writes: one that lacks categories, or holds trees in any
+    form but the flat lists, fails naming the key.
     """
     try:
         payload = check_object(json.loads(Path(path).read_text(encoding="utf-8")), "bundle")
@@ -273,6 +274,8 @@ def load_bundle(path):
         ):
             raise ValueError("categories must map feature names to lists of strings")
         for name, values in categories.items():
+            if name not in features:
+                raise ValueError(f"categories key {name!r} is not one of the features")
             if len(set(values)) != len(values):
                 raise ValueError(f"categories of {name!r} {values} repeat a value")
         categories = {name: tuple(v) for name, v in categories.items()}

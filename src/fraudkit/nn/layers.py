@@ -1,7 +1,9 @@
 """Layer forward/backward passes for the dense-tensor network engine.
 
-All arrays are batch-first float64. Convolutions are valid-padding,
-stride 1. A layer's forward keeps what its backward needs in one
+All arrays are batch-first float64. Conv1D and Conv2D are one
+convolution, valid-padding and stride 1, over one or two spatial axes;
+tests/test_nn_reference.py holds each to a loop im2col reference, bit
+for bit. A layer's forward keeps what its backward needs in one
 attribute, `saved`, which the network clears as soon as it no longer
 needs it: after each layer's forward when scoring, after its backward
 when training. Layers expose params/grads dicts for the optimizer.
@@ -15,6 +17,7 @@ float operation and its order, so every gradient keeps its bits.
 """
 
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -133,16 +136,19 @@ class Dense(Layer):
         return grad @ self.params["W"] if input_grad else None
 
 
-class Conv2D(Layer):
-    """Valid-padding stride-1 cross-correlation over [h, w, c_in] inputs.
+class _Conv(Layer):
+    """Valid-padding stride-1 cross-correlation over `rank` spatial axes:
+    inputs [*spatial, c_in], a k x ... x k kernel K of shape
+    (k,) * rank + (c_in, channels), outputs [*spatial - k + 1, channels].
 
-    im2col copies a sliding-window view once into [b, oh, ow, k*k*c_in]
-    columns ordered (di, dj, channel), as in K.reshape(-1, channels).
-    The 4-D stacked GEMMs and the (di, dj)-ordered col2im adds stay:
-    2-D GEMMs would round differently in the last bits.
+    im2col copies one sliding-window view into C-contiguous columns
+    [b, *out, k**rank * c_in], ordered (window offsets, channel) as in
+    K.reshape(-1, channels): the strided view itself would round some
+    products differently. The stacked GEMMs and the col2im adds in offset
+    order stay: 2-D GEMMs would round differently in the last bits.
     """
 
-    kind = "conv2d"
+    rank = None
 
     def __init__(self, channels, kernel_size, init="he"):
         super().__init__()
@@ -151,114 +157,65 @@ class Conv2D(Layer):
         self.init = check_kind(init, _INITS, "init")
 
     def output_shape(self, in_shape):
-        h, w, _c = in_shape
-        k = self.kernel_size
-        if k > h or k > w:
-            raise ValueError(f"kernel {k}x{k} larger than input {h}x{w}")
-        return (h - k + 1, w - k + 1, self.channels)
+        k, spatial = self.kernel_size, in_shape[:-1]
+        if len(in_shape) != self.rank + 1 or k > min(spatial):
+            raise ValueError(
+                f"{self.kind} kernel {'x'.join([str(k)] * self.rank)} does not fit input "
+                f"shape {list(in_shape)}: it needs {self.rank + 1} axes, the spatial ones "
+                f"at least {k} long"
+            )
+        return (*(n - k + 1 for n in spatial), self.channels)
 
     def init_params(self, in_shape, rng):
-        _h, _w, c_in = in_shape
-        k = self.kernel_size
-        fan_in = k * k * c_in
-        fan_out = k * k * self.channels
+        c_in, size = in_shape[-1], self.kernel_size**self.rank
+        shape = (self.kernel_size,) * self.rank + (c_in, self.channels)
         self.params = {
-            "K": _INITS[self.init](rng, (k, k, c_in, self.channels), fan_in, fan_out),
+            "K": _INITS[self.init](rng, shape, size * c_in, size * self.channels),
             "b": np.zeros(self.channels),
         }
         self.zero_grads()
 
     def forward(self, x, train=False, rng=None):
-        k = self.kernel_size
-        b, h, w, c = x.shape
-        oh, ow = h - k + 1, w - k + 1
-        if oh < 1 or ow < 1:
-            raise ValueError(f"kernel {k}x{k} larger than input {x.shape[1:3]}")
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, oh, ow, k * k * c)
+        k, r = self.kernel_size, self.rank
+        axes = tuple(range(1, r + 1))
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k,) * r, axis=axes)
+        # [b, *out, c, *offsets] -> [b, *out, *offsets, c]
+        order = (0, *axes, *range(r + 2, 2 * r + 2), r + 1)
+        cols = np.ascontiguousarray(windows.transpose(order))
+        wmat = self.params["K"].reshape(-1, self.channels)
+        cols = cols.reshape(*cols.shape[: r + 1], len(wmat))
         self.saved = (x.shape, cols)
-        out = cols @ self.params["K"].reshape(-1, self.channels)
+        out = cols @ wmat
         out += self.params["b"]
         return out
 
     def backward(self, grad, input_grad=True):
-        k = self.kernel_size
-        b, oh, ow, _ = grad.shape
         x_shape, cols = self.saved
         wmat = self.params["K"].reshape(-1, self.channels)
-        dK = cols.reshape(-1, wmat.shape[0]).T @ grad.reshape(-1, self.channels)
+        dK = cols.reshape(-1, len(wmat)).T @ grad.reshape(-1, self.channels)
         self.grads["K"] += dK.reshape(self.params["K"].shape)
-        self.grads["b"] += grad.sum(axis=(0, 1, 2))
+        self.grads["b"] += grad.sum(axis=tuple(range(grad.ndim - 1)))
         if not input_grad:
             return None
         dcols = grad @ wmat.T
         dx = np.zeros(x_shape)
-        c = x_shape[3]
-        for di in range(k):
-            for dj in range(k):
-                sl = dcols[:, :, :, (di * k + dj) * c : (di * k + dj + 1) * c]
-                dx[:, di : di + oh, dj : dj + ow, :] += sl
+        c, out = x_shape[-1], grad.shape[1:-1]
+        for i, offset in enumerate(product(range(self.kernel_size), repeat=self.rank)):
+            window = tuple(slice(d, d + n) for d, n in zip(offset, out))
+            dx[(slice(None), *window)] += dcols[..., i * c : (i + 1) * c]
         return dx
 
 
-class Conv1D(Layer):
-    """Valid-padding stride-1 cross-correlation over [length, c_in] inputs."""
+class Conv1D(_Conv):
+    """Convolution over [length, c_in] inputs, as in the 1DCNN."""
 
-    kind = "conv1d"
+    kind, rank = "conv1d", 1
 
-    def __init__(self, channels, kernel_size, init="he"):
-        super().__init__()
-        self.channels = check_positive_int(channels, "channels")
-        self.kernel_size = check_positive_int(kernel_size, "kernel_size")
-        self.init = check_kind(init, _INITS, "init")
 
-    def output_shape(self, in_shape):
-        length, _c = in_shape
-        k = self.kernel_size
-        if k > length:
-            raise ValueError(f"kernel {k} longer than input {length}")
-        return (length - k + 1, self.channels)
+class Conv2D(_Conv):
+    """Convolution over [h, w, c_in] inputs, as in the 2DCNN."""
 
-    def init_params(self, in_shape, rng):
-        _length, c_in = in_shape
-        k = self.kernel_size
-        fan_in = k * c_in
-        self.params = {
-            "K": _INITS[self.init](rng, (k, c_in, self.channels), fan_in, k * self.channels),
-            "b": np.zeros(self.channels),
-        }
-        self.zero_grads()
-
-    def forward(self, x, train=False, rng=None):
-        k = self.kernel_size
-        ol = x.shape[1] - k + 1
-        if ol < 1:
-            raise ValueError(f"kernel {k} longer than input {x.shape[1]}")
-        b, _, c = x.shape
-        cols = np.empty((b, ol, k * c))
-        for d in range(k):
-            cols[:, :, d * c : (d + 1) * c] = x[:, d : d + ol, :]
-        self.saved = (x.shape, cols)
-        wmat = self.params["K"].reshape(-1, self.channels)
-        return cols @ wmat + self.params["b"]
-
-    def backward(self, grad, input_grad=True):
-        k = self.kernel_size
-        ol = grad.shape[1]
-        x_shape, cols = self.saved
-        c = x_shape[2]
-        wmat = self.params["K"].reshape(-1, self.channels)
-        self.grads["K"] += np.tensordot(cols, grad, axes=([0, 1], [0, 1])).reshape(
-            self.params["K"].shape
-        )
-        self.grads["b"] += grad.sum(axis=(0, 1))
-        if not input_grad:
-            return None
-        dcols = grad @ wmat.T
-        dx = np.zeros(x_shape)
-        for d in range(k):
-            dx[:, d : d + ol, :] += dcols[:, :, d * c : (d + 1) * c]
-        return dx
+    kind, rank = "conv2d", 2
 
 
 class MaxPool1D(Layer):
@@ -271,10 +228,12 @@ class MaxPool1D(Layer):
         self.pool = check_positive_int(pool, "pool")
 
     def output_shape(self, in_shape):
-        length, c = in_shape
-        if self.pool > length:
-            raise ValueError(f"pool {self.pool} larger than input length {length}")
-        return (length // self.pool, c)
+        if len(in_shape) != 2 or self.pool > in_shape[0]:
+            raise ValueError(
+                f"maxpool1d pool {self.pool} does not fit input shape {list(in_shape)}: "
+                f"it needs 2 axes, the length at least {self.pool} long"
+            )
+        return (in_shape[0] // self.pool, in_shape[1])
 
     def forward(self, x, train=False, rng=None):
         p = self.pool

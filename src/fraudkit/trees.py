@@ -61,26 +61,6 @@ def check_tree(tree, n_features):
             raise ValueError(f"tree node {i}: children {left!r}, {right!r} do not follow it")
 
 
-def _preorder(root, expand):
-    """The preorder lists of the tree below root, left child first, built
-    from an explicit stack, so depth is no limit. expand(node), called on
-    the nodes in preorder, gives a node's feature (-1 for a leaf),
-    threshold, prob, and its (left, right) nodes or () for a leaf."""
-    tree = {k: [] for k in TREE_KEYS}
-    stack = [(root, -1, None)]  # (node, parent index, parent's child list)
-    while stack:
-        node, parent, side = stack.pop()
-        i = len(tree["prob"])
-        if parent >= 0:
-            tree[side][parent] = i
-        feature, threshold, prob, children = expand(node)
-        for key, value in zip(TREE_KEYS, (feature, threshold, -1, -1, prob)):
-            tree[key].append(value)
-        if children:
-            stack += [(children[1], i, "right"), (children[0], i, "left")]
-    return tree
-
-
 class _Node:
     """Read-only view of node i of a tree's lists."""
 
@@ -206,11 +186,13 @@ def _midpoint(a, b):
 
 
 def _grow(X, R, y, weight, max_depth, min_leaf, max_features, rng):
-    """Grow a tree on X, its dense ranks R and float labels y, depth-first,
-    left child first, from the rows of nonzero weight: weight is each row's
-    integer weight (a forest tree's draw counts), or None where every row
-    counts once. A node searches max_features features drawn at random, or
-    every feature where max_features is at least their number.
+    """Grow a tree on X, its dense ranks R and float labels y into its
+    preorder lists, depth-first, left child first, from an explicit stack,
+    so depth is no limit. It grows from the rows of nonzero weight: weight
+    is each row's integer weight (a forest tree's draw counts), or None
+    where every row counts once. A node searches max_features features
+    drawn at random, or every feature where max_features is at least their
+    number.
 
     A node holds only its rows, in ascending order, and a split keeps that
     order, sending left the rows whose rank in the split's feature is at
@@ -225,31 +207,38 @@ def _grow(X, R, y, weight, max_depth, min_leaf, max_features, rng):
     if weight is not None:  # y becomes each row's positive count
         rows, y = np.flatnonzero(weight), y * weight
 
-    def expand(node):
-        rows, depth = node
+    tree = {k: [] for k in TREE_KEYS}
+    stack = [(rows, 0, -1, None)]  # (rows, depth, parent index, parent's child list)
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        i = len(tree["prob"])
+        if parent >= 0:
+            tree[side][parent] = i
         # Weighted size and positive count, sums of integers, so prob is
         # the correctly rounded mean of the rows.
         n = len(rows) if weight is None else int(weight[rows].sum())
         pos = int(y[rows].sum())
         prob = pos / n
-        if (
+        feature = threshold = None
+        if not (
             n < 2 * min_leaf
             or (max_depth is not None and depth >= max_depth)
             or prob in (0.0, 1.0)
         ):
-            return -1, None, prob, ()
-        if max_features >= n_features:
-            features = np.arange(n_features)
-        else:
-            features = np.sort(rng.choice(n_features, size=max_features, replace=False))
-        feature, threshold, rank = _best_split(X, R, y, weight, rows, n, pos, features, min_leaf)
-        if feature is None:
-            return -1, None, prob, ()
-        left = R[feature, rows] <= rank
-        children = [(rows[left], depth + 1), (rows[~left], depth + 1)]
-        return int(feature), threshold, prob, children
-
-    return _preorder((rows, 0), expand)
+            if max_features >= n_features:
+                features = np.arange(n_features)
+            else:
+                features = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            feature, threshold, rank = _best_split(
+                X, R, y, weight, rows, n, pos, features, min_leaf
+            )
+        leaf = feature is None
+        for key, value in zip(TREE_KEYS, (-1 if leaf else int(feature), threshold, -1, -1, prob)):
+            tree[key].append(value)
+        if not leaf:
+            left = R[feature, rows] <= rank
+            stack += [(rows[~left], depth + 1, i, "right"), (rows[left], depth + 1, i, "left")]
+    return tree
 
 
 def _predict(tree, X):

@@ -12,7 +12,7 @@ import fraudkit
 from fraudkit.cli import run_cli
 from fraudkit.experiments import METRIC_NAMES
 from fraudkit.metrics import format_metric
-from fraudkit.models import build_cnn1d, build_logreg, build_lstm
+from fraudkit.models import build_cnn1d, build_cnn2d, build_logreg, build_lstm
 from fraudkit.nn.network import network_to_dict
 
 # A bundle whose model nests 5,000 levels deep: it tests the JSON decoder's
@@ -502,6 +502,13 @@ class TestTrainEvaluate:
              "layers[4] hyperparams: rate '0.5' is not a number in [0, 1)"),
             (six_feature_bundle(categories={"f1": ["a", "b", "a"]}),
              "categories of 'f1' ['a', 'b', 'a'] repeat a value"),
+            (six_feature_bundle(categories={"zzz": ["a"]}),
+             "categories key 'zzz' is not one of the features"),
+            (network_bundle("cnn2d", lambda _: build_cnn2d(),
+                            lambda net: net.update(input_shape=[30])),
+             "conv2d kernel 3x3 does not fit input shape [30]"),
+            (network_bundle("cnn1d", build_cnn1d, lambda net: net.update(input_shape=[5, 6, 1])),
+             "conv1d kernel 1 does not fit input shape [5, 6, 1]"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
@@ -513,7 +520,8 @@ class TestTrainEvaluate:
              "params-list", "param-list", "hyperparams-list", "layer-kind-conv9d",
              "layer-kind-list", "model-kind-list", "model-kind-svm", "nested-trees-1-list",
              "nested-left-list", "lstm-inner-act-sigmoid", "dense-init-xavier",
-             "lstm-hidden-string", "dropout-rate-string", "categories-repeat"],
+             "lstm-hidden-string", "dropout-rate-string", "categories-repeat",
+             "categories-unknown-feature", "cnn2d-input-30", "cnn1d-input-5x6x1"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

@@ -1,11 +1,14 @@
 """Bit-identity of the network engine against straightforward reference code.
 
 The reference layers below are the plain forms the engine's fast paths
-replace: a loop im2col/col2im Conv2D, a sign-masked sigmoid, the argmax
-MaxPool1D path at every pool size, a textbook LSTM that computes the
-forget gate and the input gradient at every step, and the textbook Adam
-step. The engine must agree with them exactly (np.array_equal), not just
-to a tolerance: the fast paths keep every float operation and its order.
+replace: loop im2col/col2im Conv1D and Conv2D with a tensordot kernel
+gradient, a sign-masked sigmoid, the argmax MaxPool1D path at every pool
+size, a textbook LSTM that computes the forget gate and the input gradient
+at every step, and the textbook Adam step. The engine runs both
+convolutions as one layer over one or two spatial axes, from a
+sliding-window view; each is held to its own reference. The engine must
+agree with them exactly (np.array_equal), not just to a tolerance: the
+fast paths keep every float operation and its order.
 """
 
 import numpy as np
@@ -63,6 +66,36 @@ class RefConv2D(Conv2D):
             for dj in range(k):
                 sl = dcols[:, :, :, (di * k + dj) * c : (di * k + dj + 1) * c]
                 dx[:, di : di + oh, dj : dj + ow, :] += sl
+        return dx
+
+
+class RefConv1D(Conv1D):
+    """k slice copies into the im2col buffer, tensordot for dK."""
+
+    def forward(self, x, train=False, rng=None):
+        k = self.kernel_size
+        b, length, c = x.shape
+        ol = length - k + 1
+        cols = np.empty((b, ol, k * c))
+        for d in range(k):
+            cols[:, :, d * c : (d + 1) * c] = x[:, d : d + ol, :]
+        self._x_shape = x.shape
+        self._cols = cols
+        return cols @ self.params["K"].reshape(-1, self.channels) + self.params["b"]
+
+    def backward(self, grad, input_grad=True):
+        k = self.kernel_size
+        ol = grad.shape[1]
+        wmat = self.params["K"].reshape(-1, self.channels)
+        self.grads["K"] += np.tensordot(self._cols, grad, axes=([0, 1], [0, 1])).reshape(
+            self.params["K"].shape
+        )
+        self.grads["b"] += grad.sum(axis=(0, 1))
+        dcols = grad @ wmat.T
+        dx = np.zeros(self._x_shape)
+        c = self._x_shape[2]
+        for d in range(k):
+            dx[:, d : d + ol, :] += dcols[:, :, d * c : (d + 1) * c]
         return dx
 
 
@@ -162,6 +195,7 @@ def reference_engine(monkeypatch):
 
     def use():
         monkeypatch.setattr(layers, "_sigmoid", ref_sigmoid)
+        monkeypatch.setattr(models, "Conv1D", RefConv1D)
         monkeypatch.setattr(models, "Conv2D", RefConv2D)
         monkeypatch.setattr(models, "MaxPool1D", RefMaxPool1D)
         monkeypatch.setattr(models, "LSTM", RefLSTM)
@@ -193,11 +227,22 @@ class TestSigmoid:
         assert np.isnan(got[-1])
 
 
-class TestConv2D:
-    @pytest.mark.parametrize("shape,k,channels", [((5, 6, 1), 3, 64), ((5, 6, 3), 2, 4), ((4, 4, 2), 4, 3)])
-    def test_forward_and_backward(self, shape, k, channels):
+class TestConv:
+    @pytest.mark.parametrize(
+        "cls,shape,k,channels",
+        [
+            (Conv2D, (5, 6, 1), 3, 64),
+            (Conv2D, (5, 6, 3), 2, 4),
+            (Conv2D, (4, 4, 2), 4, 3),
+            # The overlapping windows of a strided view round this one differently.
+            (Conv1D, (9, 2), 3, 1),
+            (Conv1D, (1, 30), 1, 64),
+        ],
+    )
+    def test_forward_and_backward(self, cls, shape, k, channels):
         rng = np.random.default_rng(1)
-        fast, ref = Conv2D(channels, k), RefConv2D(channels, k)
+        ref_cls = {Conv1D: RefConv1D, Conv2D: RefConv2D}[cls]
+        fast, ref = cls(channels, k), ref_cls(channels, k)
         fast.init_params(shape, np.random.default_rng(2))
         ref.init_params(shape, np.random.default_rng(2))
         x = rng.normal(size=(9, *shape))
