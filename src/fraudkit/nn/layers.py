@@ -6,7 +6,14 @@ tests/test_nn_reference.py holds each to a loop im2col reference, bit
 for bit. A layer's forward keeps what its backward needs in one
 attribute, `saved`, which the network clears as soon as it no longer
 needs it: after each layer's forward when scoring, after its backward
-when training. Layers expose params/grads dicts for the optimizer.
+when training.
+
+A layer's params and grads are dicts of arrays that init_params
+allocates. After that a layer updates a grads entry only in place (+=)
+and never rebinds an entry of params or grads: once a network has
+initialized the layer, each entry is a view into the network's one
+parameter vector or its one gradient vector, which the optimizer updates
+as a whole, and an array bound in its place would no longer be trained.
 
 backward(grad, input_grad=True) accumulates the parameter gradients and
 returns the gradient with respect to the layer's input. The network asks

@@ -12,6 +12,7 @@ from fraudkit.rng import derive_seed, generator
 
 FORMAT_VERSION = 1
 PREDICT_BLOCK = 512  # rows per forward pass in predict_proba
+ALIGN = 8  # float64s in 64 bytes: each tensor's view starts on such a boundary
 
 
 class TrainingError(FraudkitError):
@@ -24,6 +25,13 @@ class Network:
     Rows arrive flat (batch x n_features) and are reshaped to
     input_shape; shape algebra across all layers is verified at
     construction, so mismatches fail before any training.
+
+    Training state is four vectors: initialize packs every parameter
+    into one float64 vector `theta` and every gradient into one `grad` of
+    the same length, and each entry of a layer's params and grads is a
+    reshaped view into them; Adam keeps one moment vector of each kind
+    over theta. The gap between two tensors, there only to align the next,
+    stays zero in both vectors, so Adam leaves it at zero.
     """
 
     def __init__(self, layers, input_shape):
@@ -37,6 +45,13 @@ class Network:
         self.output_shape = self.shapes[-1]
         self.initialized = False
 
+    def __setstate__(self, state):
+        """pickle and copy.deepcopy copy each view as an array of its own,
+        which training would no longer reach: point them back into theta."""
+        self.__dict__.update(state)
+        if self.initialized:
+            self._pack()
+
     @property
     def n_inputs(self):
         return int(np.prod(self.input_shape))
@@ -45,8 +60,25 @@ class Network:
         rng = generator(seed)
         for layer, shape in zip(self.layers, self.shapes):
             layer.init_params(shape, rng)
+        self._pack()
         self.initialized = True
         return self
+
+    def _pack(self):
+        """Move every layer's parameters into theta and point its grads
+        into grad, each tensor on a 64-byte boundary."""
+        tensors = [(layer, name) for layer in self.layers for name in layer.params]
+        starts, end = [], 0
+        for layer, name in tensors:
+            starts.append(end)
+            end += -(-layer.params[name].size // ALIGN) * ALIGN
+        self.theta, self.grad = _aligned_zeros(end), _aligned_zeros(end)
+        for (layer, name), start in zip(tensors, starts):
+            arr = layer.params[name]
+            window = slice(start, start + arr.size)
+            layer.params[name] = self.theta[window].reshape(arr.shape)
+            layer.params[name][...] = arr
+            layer.grads[name] = self.grad[window].reshape(arr.shape)
 
     def named_params(self):
         return {
@@ -99,8 +131,7 @@ class Network:
         return out.reshape(len(X))
 
     def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
+        self.grad.fill(0.0)
 
     def loss_and_grads(self, X, y, rng=None, train=True):
         """Mean batch BCE plus accumulated parameter gradients. The one path
@@ -115,9 +146,6 @@ class Network:
             grad = layer.backward(grad, input_grad=k > 0)
             layer.saved = None
         return loss
-
-    def get_weights(self):
-        return {k: v.copy() for k, v in self.named_params().items()}
 
     def set_weights(self, weights):
         for k, v in self.named_params().items():
@@ -168,7 +196,7 @@ def fit(
     optimizer = Adam(lr=lr)
     have_val = X_val is not None and len(X_val) > 0
     best_loss = np.inf
-    best_weights = network.get_weights()
+    best_theta = network.theta.copy()
     epochs_since_best = 0
 
     for epoch in range(epochs_max):
@@ -181,7 +209,7 @@ def fit(
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
                 )
-            optimizer.step(network.named_params(), network.named_grads())
+            optimizer.step({"theta": network.theta}, {"theta": network.grad})
             epoch_loss += loss * len(batch)
         history.train_loss.append(epoch_loss / len(order))
 
@@ -196,7 +224,7 @@ def fit(
 
         if monitored < best_loss:
             best_loss = monitored
-            best_weights = network.get_weights()
+            best_theta[...] = network.theta
             history.best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -205,7 +233,7 @@ def fit(
                 history.stopped_early = True
                 break
 
-    network.set_weights(best_weights)
+    network.theta[...] = best_theta
     return history
 
 
@@ -254,6 +282,7 @@ def network_from_dict(payload):
     specs = [check_object(spec, f"layers[{i}]") for i, spec in enumerate(specs)]
     layers = [_layer_from_spec(i, spec) for i, spec in enumerate(specs)]
     network = Network(layers, input_shape).initialize()
+    weights = {}
     for i, (layer, spec) in enumerate(zip(layers, specs)):
         key = f"layers[{i}] params"
         params = {}
@@ -264,6 +293,13 @@ def network_from_dict(payload):
             raise ValueError(f"{spec['kind']} parameters do not have the layer's shapes")
         if not all(np.isfinite(v).all() for v in params.values()):
             raise ValueError(f"{spec['kind']} parameters must be finite")
-        layer.params = params
-        layer.zero_grads()
+        weights.update((f"{i}.{name}", v) for name, v in params.items())
+    network.set_weights(weights)
     return network
+
+
+def _aligned_zeros(n):
+    """n float64 zeros starting on a 64-byte boundary."""
+    buf = np.zeros(n + ALIGN)
+    skip = -buf.ctypes.data % (ALIGN * buf.itemsize) // buf.itemsize
+    return buf[skip : skip + n]

@@ -1,4 +1,5 @@
-"""Central finite-difference gradient checking for network layers."""
+"""Central finite-difference gradient checking for network layers, and a
+copy of a network's weights for tests that compare trained networks."""
 
 import numpy as np
 
@@ -53,3 +54,8 @@ def check_layers(layers, input_shape, n_rows, seed):
     X = rng.normal(size=(n_rows, n_inputs))
     y = rng.integers(0, 2, size=n_rows)
     return max_rel_error(net, X, y, rng=rng)
+
+
+def get_weights(network):
+    """A copy of every parameter array of network, by name."""
+    return {k: v.copy() for k, v in network.named_params().items()}

@@ -1,9 +1,20 @@
+import copy
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from fraudkit.models import (
+    NeuralNetClassifier,
+    build_cnn1d,
+    build_cnn2d,
+    build_logreg,
+    build_lstm,
+    load_bundle,
+    save_bundle,
+)
 from fraudkit.nn.layers import (
     LSTM,
     Activation,
@@ -24,8 +35,9 @@ from fraudkit.nn.network import (
     network_to_dict,
 )
 from fraudkit.nn.optim import Adam
+from fraudkit.preprocess import StandardScaler
 
-from gradcheck import check_layers
+from gradcheck import check_layers, get_weights
 
 
 def prob_head(*layers):
@@ -366,6 +378,64 @@ class TestNetwork:
             network_from_dict(payload)
 
 
+class TestFlatParameters:
+    """Every params and grads entry of every layer is a view into the
+    network's one parameter vector theta or its one gradient vector grad,
+    each on a 64-byte boundary, and what lies between the views stays zero.
+    A layer that rebound an entry would silently stop training."""
+
+    BUILDERS = {"cnn2d": build_cnn2d, "cnn1d": build_cnn1d, "lstm": build_lstm, "logreg": build_logreg}
+
+    @staticmethod
+    def assert_packed(net):
+        params = [layer.params for layer in net.layers]
+        grads = [layer.grads for layer in net.layers]
+        assert [d.keys() for d in params] == [d.keys() for d in grads]
+        for dicts, flat in ((params, net.theta), (grads, net.grad)):
+            gap = np.ones(len(flat), dtype=bool)
+            for arr in (a for d in dicts for a in d.values()):
+                assert np.shares_memory(arr, flat)
+                assert arr.ctypes.data % 64 == 0 and arr.flags.c_contiguous
+                start = (arr.ctypes.data - flat.ctypes.data) // flat.itemsize
+                assert gap[start : start + arr.size].all()  # no two views overlap
+                gap[start : start + arr.size] = False
+            assert not flat[gap].any()
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_views_survive_every_step(self, kind, tmp_path):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(96, 30))
+        y = (X[:, 0] + rng.normal(size=96) > 0.5).astype(np.int64)
+        net = self.BUILDERS[kind](30).initialize(3)
+        self.assert_packed(net)
+        net.loss_and_grads(X, y, rng=rng)
+        assert net.grad.any()
+        net.zero_grads()
+        self.assert_packed(net)
+        assert not net.grad.any()
+
+        other = self.BUILDERS[kind](30).initialize(4)
+        net.set_weights(get_weights(other))
+        self.assert_packed(net)
+        assert np.array_equal(net.theta, other.theta)
+
+        fit(net, X[:64], y[:64], X[64:], y[64:], epochs_max=3, batch_size=16, seed=5)
+        self.assert_packed(net)
+        assert not np.array_equal(net.theta, other.theta)
+
+        model = NeuralNetClassifier(kind=kind)
+        model.network_ = net
+        path = tmp_path / f"{kind}.model"
+        save_bundle(path, model, StandardScaler().fit(X), 0.5, [f"f{j}" for j in range(30)], {})
+        loaded = load_bundle(path)[0].network_
+        self.assert_packed(loaded)
+        assert network_to_dict(loaded) == network_to_dict(net)
+        for clone in (network_from_dict(network_to_dict(loaded)),
+                      pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            self.assert_packed(clone)
+            assert network_to_dict(clone) == network_to_dict(net)
+
+
 class TestFit:
     @staticmethod
     def logreg_net(n):
@@ -387,7 +457,7 @@ class TestFit:
         for _ in range(2):
             net = self.logreg_net(X.shape[1])
             fit(net, X, y, epochs_max=3, seed=42)
-            weights.append(net.get_weights())
+            weights.append(get_weights(net))
         for k in weights[0]:
             assert np.array_equal(weights[0][k], weights[1][k])
 

@@ -21,6 +21,8 @@ from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Flatten,
 from fraudkit.nn.network import PREDICT_BLOCK, Network, fit
 from fraudkit.nn.optim import Adam
 
+from gradcheck import get_weights
+
 
 EPS = np.finfo(np.float64).eps
 
@@ -337,6 +339,38 @@ class TestAdam:
             assert_same(fast._m[k], ref._m[k])
             assert_same(fast._v[k], ref._v[k])
 
+    def test_one_flat_vector_matches_per_tensor_steps(self):
+        """fit steps Adam once over the network's whole parameter vector:
+        each tensor's slice of it, and of both moments, must take the bits
+        the textbook step gives that tensor alone, and the zero gap
+        between two slices must stay zero."""
+        rng = np.random.default_rng(19)
+        shapes = {"W": (4, 6), "b": (4,), "K": (3, 3, 1, 8)}
+        starts = dict(zip(shapes, (0, 32, 40)))
+        per_p = {k: rng.normal(size=s) for k, s in shapes.items()}
+        theta = np.zeros(112)
+        flat_p = {k: theta[starts[k] : starts[k] + np.prod(s)].reshape(s) for k, s in shapes.items()}
+        for k in shapes:
+            flat_p[k][...] = per_p[k]
+        flat, per = Adam(lr=0.003), RefAdam(lr=0.003)
+        for _ in range(25):
+            grad = np.zeros_like(theta)
+            grads = {k: rng.normal(scale=10.0, size=s) for k, s in shapes.items()}
+            grads["b"][0] = 0.0
+            for k in shapes:
+                grad[starts[k] : starts[k] + grads[k].size] = grads[k].ravel()
+            flat.step({"theta": theta}, {"theta": grad})
+            per.step(per_p, grads)
+        gap = np.ones(len(theta), dtype=bool)
+        for k, s in shapes.items():
+            window = slice(starts[k], starts[k] + np.prod(s))
+            gap[window] = False
+            assert_same(flat_p[k], per_p[k])
+            assert_same(flat._m["theta"][window].reshape(s), per._m[k])
+            assert_same(flat._v["theta"][window].reshape(s), per._v[k])
+        for arr in (theta, flat._m["theta"], flat._v["theta"]):
+            assert not arr[gap].any()
+
 
 BUILDERS = {
     "cnn2d": lambda: build_cnn2d(30),
@@ -353,7 +387,7 @@ def _train(kind):
     y = (X[:, 0] + rng.normal(size=300) > 1.0).astype(np.int64)
     net = BUILDERS[kind]()
     history = fit(net, X[:240], y[:240], X[240:], y[240:], epochs_max=3, batch_size=32, seed=8)
-    return net.get_weights(), history.to_dict(), net.predict_proba(X)
+    return get_weights(net), history.to_dict(), net.predict_proba(X)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -385,7 +419,7 @@ def test_multichannel_conv2d_stack_matches_reference(reference_engine):
             swap()
         net = stack()
         fit(net, X, y, epochs_max=3, batch_size=16, seed=2)
-        runs.append(net.get_weights())
+        runs.append(get_weights(net))
     for name in runs[0]:
         assert_same(runs[0][name], runs[1][name])
 
@@ -406,7 +440,7 @@ def test_three_step_lstm_stack_matches_reference(reference_engine):
             swap()
         net = stack()
         fit(net, X, y, epochs_max=3, batch_size=16, seed=2)
-        runs.append(net.get_weights())
+        runs.append(get_weights(net))
     for name in runs[0]:
         assert_same(runs[0][name], runs[1][name])
 
