@@ -146,17 +146,23 @@ def load_dataset(plan):
 
 
 def prepare(plan, ds=None):
-    """Split, then standardize all partitions with train-fitted statistics."""
+    """Split, then standardize all partitions with train-fitted statistics.
+
+    The training rows are gathered once, for both the fit and the
+    transform: beyond its output the call holds at most that one copy.
+    """
     if ds is None:
         ds = load_dataset(plan)
     idx = split(
         ds.n_rows, plan.test_frac, plan.val_frac, seed=derive_seed(plan.seed, "split")
     )
     X, y = ds.features, ds.labels
-    scaler = StandardScaler().fit(X[idx.train])
+    X_train = X[idx.train]
+    scaler = StandardScaler().fit(X_train)
+    X_train = scaler.transform(X_train)
     return Prepared(
         name=plan.dataset_name,
-        X_train=scaler.transform(X[idx.train]),
+        X_train=X_train,
         y_train=y[idx.train],
         X_val=scaler.transform(X[idx.validation]),
         y_val=y[idx.validation],
@@ -205,7 +211,8 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
 
     Precondition violations (unsuitable model shape, unreachable sampler
     target) become skipped cells, and numeric breakdowns (a TrainingError
-    or FloatingPointError) failed cells, never grid aborts. An ok cell
+    or FloatingPointError) and allocations that fail (a MemoryError)
+    failed cells, never grid aborts. An ok cell
     saves its bundle to model_path when one is given. sample, when
     given, is what the cell's sampler returned, (X_fit, y_fit), or the
     error it raised; cells that share it time only their own work.
@@ -254,7 +261,7 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
             )
     except ValueError as exc:
         return ended(f"skipped: {exc}")
-    except (TrainingError, FloatingPointError) as exc:
+    except (TrainingError, FloatingPointError, MemoryError) as exc:
         return ended(f"failed: {exc}")
 
     if model_path is not None:
@@ -310,7 +317,7 @@ def _work(points, state=None):
     if len(points) > 1:
         try:
             sample = _resample(prepared, _cell_sampler(plan, *points[0]))
-        except (ValueError, FloatingPointError) as exc:
+        except (ValueError, FloatingPointError, MemoryError) as exc:
             sample = exc  # each cell reports it
         else:
             for array in sample:

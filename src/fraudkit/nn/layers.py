@@ -151,8 +151,10 @@ class _Conv(Layer):
     im2col copies one sliding-window view into C-contiguous columns
     [b, *out, k**rank * c_in], ordered (window offsets, channel) as in
     K.reshape(-1, channels): the strided view itself would round some
-    products differently. The stacked GEMMs and the col2im adds in offset
-    order stay: 2-D GEMMs would round differently in the last bits.
+    products differently. The stacked GEMMs stay: 2-D GEMMs would round
+    differently in the last bits. col2im adds one output position's whole
+    window at a time: the 2DCNN's second conv has 2 output positions
+    against 9 window offsets.
     """
 
     rank = None
@@ -206,10 +208,13 @@ class _Conv(Layer):
             return None
         dcols = grad @ wmat.T
         dx = np.zeros(x_shape)
-        c, out = x_shape[-1], grad.shape[1:-1]
-        for i, offset in enumerate(product(range(self.kernel_size), repeat=self.rank)):
-            window = tuple(slice(d, d + n) for d, n in zip(offset, out))
-            dx[(slice(None), *window)] += dcols[..., i * c : (i + 1) * c]
+        k = self.kernel_size
+        window_shape = (len(dx),) + (k,) * self.rank + x_shape[-1:]
+        # Output positions in reverse lexicographic order give every dx
+        # element its terms in ascending window-offset order.
+        for pos in product(*(range(n - 1, -1, -1) for n in grad.shape[1:-1])):
+            window = tuple(slice(o, o + k) for o in pos)
+            dx[(slice(None), *window)] += dcols[(slice(None), *pos)].reshape(window_shape)
         return dx
 
 

@@ -30,6 +30,9 @@ class StandardScaler(BaseEstimator):
         return self
 
     def transform(self, X):
+        """X standardized into one new array: the result of X - mean_,
+        divided by std_ in place, so the call holds its output and no
+        second copy."""
         if self.mean_ is None:
             raise NotFittedError("scaler is not fitted")
         X = check_array(X)
@@ -38,7 +41,8 @@ class StandardScaler(BaseEstimator):
                 f"scaler fitted on {self.mean_.shape[0]} features, got {X.shape[1]}"
             )
         safe = np.where(self.std_ > 0, self.std_, 1.0)
-        out = (X - self.mean_) / safe
+        out = X - self.mean_
+        out /= safe
         out[:, self.std_ == 0] = 0.0
         return out
 
@@ -65,6 +69,11 @@ def correlation_matrix(ds, include_label=False):
 
     Exactly symmetric with unit diagonal; pairs involving a
     zero-variance column are reported as 0 (with a warning).
+
+    Beyond its p x p output it holds two n x p working arrays at once,
+    the centered columns and their transposed copy, plus one block of
+    products; include_label stacks one more copy that is freed once the
+    columns are centered.
     """
     X = ds.features
     names = list(ds.feature_names)
@@ -75,6 +84,7 @@ def correlation_matrix(ds, include_label=False):
         raise ValueError("correlation requires at least 2 rows")
 
     centered = X - X.mean(axis=0)
+    del X  # the stacked copy, when include_label made one
     std = np.sqrt((centered**2).mean(axis=0))
     constant = std == 0
     if constant.any():
@@ -86,7 +96,9 @@ def correlation_matrix(ds, include_label=False):
     # Columns as contiguous rows: each pair's mean is then numpy's pairwise
     # sum along one contiguous row of products, as it is for the product
     # of two columns, so a block of pairs gives the same bits as one pair.
-    zT = np.ascontiguousarray((centered / np.where(constant, 1.0, std)).T)
+    centered /= np.where(constant, 1.0, std)
+    zT = np.ascontiguousarray(centered.T)
+    del centered
     p, n = zT.shape
     step = max(1, _CORRELATION_BLOCK // n)  # column pairs per product
     m = np.zeros((p, p))

@@ -34,14 +34,18 @@ def pairwise_distances(a, b):
     """Euclidean distance matrix between the rows of a and b.
 
     Quadratic expansion keeps memory at O(len(a) * len(b)) instead of
-    materializing the difference tensor.
+    materializing the difference tensor: two len(a) x len(b) arrays, the
+    product and the result, with the rest done in place. The operations
+    are those of sqrt(max(|a|^2 + |b|^2 - 2 * (a @ b.T), 0)) in that
+    order; 2 * ab is taken as ab * 2, which IEEE multiplication rounds
+    the same.
     """
-    sq = (
-        (a**2).sum(axis=1)[:, None]
-        + (b**2).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    ab = a @ b.T
+    ab *= 2.0
+    sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :]
+    sq -= ab
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 # Rows per distance block. A multiple of 3 * 2**10, so every block but
@@ -52,18 +56,24 @@ def pairwise_distances(a, b):
 BLOCK_ROWS = 3072
 
 
-def _distance_blocks(A, B):
-    """Yield (start, distances from A[start:stop] to every row of B) over
-    consecutive row blocks of A.
+def _distance_blocks(A, B, rows=None):
+    """Yield (start, distances from A[rows[start:stop]] to every row of B)
+    over consecutive blocks of rows (by default every row of A, in order).
 
-    A single trailing row joins the block before it: a one-row product
-    takes another BLAS path and would round differently.
+    Only one block's rows are gathered at a time, so the blocks hold
+    O(BLOCK_ROWS * len(B)) memory and never a copy of A. Without rows,
+    each block is a slice of A itself: numpy computes A[start:stop] @ B.T
+    with syrk when that slice and B are the same array, which a gathered
+    copy would not be. A single trailing row joins the block before it: a
+    one-row product takes another BLAS path and would round differently.
     """
-    starts = list(range(0, len(A), BLOCK_ROWS))
-    if len(starts) > 1 and len(A) - starts[-1] == 1:
+    n = len(A) if rows is None else len(rows)
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    for start, stop in zip(starts, starts[1:] + [len(A)]):
-        yield start, pairwise_distances(A[start:stop], B)
+    for start, stop in zip(starts, starts[1:] + [n]):
+        block = A[start:stop] if rows is None else A[rows[start:stop]]
+        yield start, pairwise_distances(block, B)
 
 
 def _row_kmean(dist, k, largest=False):
@@ -163,7 +173,7 @@ class NearMiss(BaseEstimator):
 
         score = np.empty(neg.size)
         nearest = _NO_NEAREST
-        for start, dist in _distance_blocks(X[neg], X[pos]):
+        for start, dist in _distance_blocks(X, X[pos], neg):
             score[start : start + len(dist)] = _row_kmean(dist, self.k, largest=self.version == 2)
             if self.version == 3:
                 nearest = _merge_nearest(nearest, start, dist, self.k)
@@ -212,6 +222,12 @@ class Smote(BaseEstimator):
         self.provenance_ = None
 
     def fit_resample(self, X, y):
+        """(X, y) with the synthetic rows and their 1 labels appended.
+
+        The synthetic rows are written straight into the output,
+        BLOCK_ROWS at a time, so beyond its output and the random draws
+        the call holds the minority rows and one block.
+        """
         X, y = check_X_y(X, y)
         _check_params(self.ratio, self.k)
         pos = np.flatnonzero(y == 1)
@@ -243,10 +259,23 @@ class Smote(BaseEstimator):
         nn_pick = rng.integers(0, self.k, size=n_syn)
         lams = rng.uniform(0.0, 1.0, size=n_syn)
         nns = neighbors[parents, nn_pick]
-        synthetic = Xp[parents] + lams[:, None] * (Xp[nns] - Xp[parents])
+
+        # Each block is Xp[parents] + lams * (Xp[nns] - Xp[parents]), with
+        # the product and the sum taken in the other operand order, which
+        # IEEE multiplication and addition round the same.
+        X_out = np.empty((len(X) + n_syn, X.shape[1]))
+        X_out[: len(X)] = X
+        synthetic = X_out[len(X) :]
+        for start in range(0, n_syn, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            base = Xp[parents[rows]]
+            block = synthetic[rows]
+            Xp.take(nns[rows], axis=0, out=block)
+            block -= base
+            block *= lams[rows, None]
+            block += base
 
         self.provenance_ = SmoteProvenance(pos[parents], pos[nns], lams)
-        X_out = np.vstack([X, synthetic])
         y_out = np.concatenate([y, np.ones(n_syn, dtype=np.int64)])
         return X_out, y_out
 

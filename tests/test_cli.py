@@ -14,6 +14,7 @@ from fraudkit.experiments import METRIC_NAMES
 from fraudkit.metrics import format_metric
 from fraudkit.models import build_cnn1d, build_cnn2d, build_logreg, build_lstm
 from fraudkit.nn.network import network_to_dict
+from fraudkit.trees import DecisionTreeClassifier
 
 # A bundle whose model nests 5,000 levels deep: it tests the JSON decoder's
 # depth limit, which fails before any key is read.
@@ -361,6 +362,31 @@ class TestPlanCommands:
         assert len(failed) == n_failed and {r["model"] for r in failed} == {"cnn1d"}
         assert all(r["status"] == "ok" for r in rows if r["model"] == "logreg")
         for name in ("record.json", "timings.csv", "resolved.cfg"):
+            assert (out / name).exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "command,n_failed", [("run", 2), ("sweep-imbalance", 4), ("compare-sampling", 2)]
+    )
+    def test_cells_that_cannot_allocate_fail_and_exit_one(self, plan_file, tmp_path, capsys,
+                                                          monkeypatch, command, n_failed, jobs):
+        # Forked workers inherit the patch, so both jobs counts see it.
+        message = "Unable to allocate 1.64 GiB for an array with shape (219872, 1000) and data type float64"
+
+        def fit(self, X, y):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(DecisionTreeClassifier, "fit", fit)
+        out = tmp_path / "out"
+        argv = [command, str(plan_file), "--set", "models.kinds=dtree, logreg", "--jobs", str(jobs),
+                "--set", "train.epochs_max=2", "--set", "sweep.ratios=1, 2"]
+        assert run_cli(argv) == 1
+        assert f"error: {n_failed} cells failed" in capsys.readouterr().err
+        rows = json.loads((out / "record.json").read_text())["cells"]
+        failed = [r for r in rows if r["status"] == f"failed: {message}"]
+        assert len(failed) == n_failed and {r["model"] for r in failed} == {"dtree"}
+        assert all(r["status"] == "ok" for r in rows if r["model"] == "logreg")
+        for name in ("cells.csv", "timings.csv", "resolved.cfg"):
             assert (out / name).exists()
 
     def test_jobs_echo_is_the_plans(self, plan_file, tmp_path, capsys):

@@ -12,12 +12,13 @@ from fraudkit.experiments import (
     _plan_hash,
     emit_report,
     imbalance_points,
+    load_dataset,
     prepare,
     run_experiment,
 )
 from fraudkit.metrics import evaluate_predictions
 from fraudkit.models import classify, make_model
-from fraudkit.preprocess import StandardScaler
+from fraudkit.preprocess import StandardScaler, split
 from fraudkit.resample import RandomUnderSampler, SamplerConfig
 from fraudkit.rng import derive_seed
 from fraudkit.synth import SyntheticSpec
@@ -44,7 +45,26 @@ def sweep(plan):
     return run_experiment(plan, prepared, imbalance_points(plan, prepared))
 
 
+def ref_prepare(plan, ds):
+    """(X, y) of each partition as prepare built them with two gathers of
+    the training rows, one to fit and one to transform."""
+    idx = split(ds.n_rows, plan.test_frac, plan.val_frac, seed=derive_seed(plan.seed, "split"))
+    X, y = ds.features, ds.labels
+    scaler = StandardScaler().fit(X[idx.train])
+    return [(scaler.transform(X[rows]), y[rows]) for rows in (idx.train, idx.validation, idx.test)]
+
+
 class TestPrepare:
+    def test_partitions_match_the_two_gather_form_bit_for_bit(self, tmp_path):
+        plan = small_plan(tmp_path, synthetic=SyntheticSpec(n_rows=5000, n_features=9, seed=4))
+        ds = load_dataset(plan)
+        prepared = prepare(plan, ds)
+        got = [(prepared.X_train, prepared.y_train), (prepared.X_val, prepared.y_val),
+               (prepared.X_test, prepared.y_test)]
+        for (X, y), (X_ref, y_ref) in zip(got, ref_prepare(plan, ds)):
+            assert X.tobytes() == X_ref.tobytes() and X.shape == X_ref.shape
+            assert np.array_equal(y, y_ref)
+
     def test_partition_sizes(self, tmp_path):
         plan = small_plan(tmp_path)
         prepared = prepare(plan)

@@ -256,6 +256,25 @@ class TestConv:
         for name in ("K", "b"):
             assert_same(fast.grads[name], ref.grads[name])
 
+    def test_input_gradient_on_random_shapes(self):
+        # Outputs wider than the kernel too, where one add per output
+        # position makes more adds than one per window offset.
+        rng = np.random.default_rng(3)
+        for case in range(120):
+            cls = (Conv1D, Conv2D)[case % 2]
+            k = int(rng.integers(1, 5))
+            spatial = tuple(int(n) for n in rng.integers(k, k + 6, size=cls.rank))
+            shape = (*spatial, int(rng.integers(1, 4)))
+            channels = int(rng.integers(1, 5))
+            ref_cls = {Conv1D: RefConv1D, Conv2D: RefConv2D}[cls]
+            fast, ref = cls(channels, k), ref_cls(channels, k)
+            fast.init_params(shape, np.random.default_rng(case))
+            ref.init_params(shape, np.random.default_rng(case))
+            x = rng.normal(size=(int(rng.integers(1, 6)), *shape))
+            grad = rng.normal(size=fast.forward(x).shape)
+            ref.forward(x)
+            assert_same(fast.backward(grad), ref.backward(grad))
+
 
 class TestLSTM:
     @pytest.mark.parametrize("inner_act", ["relu", "tanh"])

@@ -19,6 +19,31 @@ def column_dataset(*cols, labels=None):
     return Dataset(schema, X, labels)
 
 
+def ref_transform(scaler, X):
+    """StandardScaler.transform as one out-of-place expression."""
+    safe = np.where(scaler.std_ > 0, scaler.std_, 1.0)
+    out = (X - scaler.mean_) / safe
+    out[:, scaler.std_ == 0] = 0.0
+    return out
+
+
+def edge_columns(rows, seed):
+    """Columns that stress the rounding of centering and scaling: ordinary
+    values, a constant, signed zeros, subnormals, values near 1e300 whose
+    squares overflow, and values whose squares sit near the top of the
+    range."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        rng.normal(size=rows) * 37.0,
+        np.full(rows, 2.5),
+        np.where(rng.random(rows) < 0.5, -0.0, 0.0),
+        5e-324 * rng.integers(-40, 40, size=rows),
+        1e300 * rng.uniform(0.5, 1.0, size=rows),
+        1e150 * rng.normal(size=rows),
+        np.where(rng.random(rows) < 0.3, -0.0, rng.normal(size=rows)),
+    ])
+
+
 class TestScaler:
     def test_mean_and_population_std(self):
         s = StandardScaler().fit([[1.0], [2.0], [3.0]])
@@ -51,6 +76,15 @@ class TestScaler:
         s = StandardScaler().fit(Z)
         assert np.all(np.abs(s.mean_) < 1e-12)
         assert np.all(np.abs(s.std_ - 1.0) < 1e-12)
+
+    @pytest.mark.parametrize("rows", [2, 9, 5000])
+    def test_transform_matches_the_out_of_place_expression_bit_for_bit(self, rows):
+        X = edge_columns(rows, rows)
+        with np.errstate(over="ignore"):
+            scaler = StandardScaler().fit(X[: max(2, rows // 2)])
+        for data in (X, X[::-1], np.asfortranarray(X)):
+            got = scaler.transform(data)
+            assert got.tobytes() == ref_transform(scaler, data).tobytes()
 
     def test_width_mismatch(self):
         s = StandardScaler().fit([[1.0, 2.0]])
@@ -111,6 +145,16 @@ class TestCorrelation:
             got = correlation_matrix(column_dataset(*X.T, labels=labels), include_label=True)
         want = pair_by_pair_correlation(np.column_stack([X, labels]))
         assert got.constant.tolist() == [j in (4, 5) for j in range(31)]
+        assert got.matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("include_label", [False, True])
+    def test_matches_pair_by_pair_on_edge_values(self, include_label):
+        X = edge_columns(3000, 1)
+        labels = [0] * 2990 + [1] * 10
+        with pytest.warns(UserWarning, match="zero-variance"), np.errstate(over="ignore"):
+            got = correlation_matrix(column_dataset(*X.T, labels=labels), include_label=include_label)
+            want = pair_by_pair_correlation(np.column_stack([X, labels]) if include_label else X)
+        assert got.constant.tolist() == [j in (1, 2, 3) for j in range(X.shape[1] + include_label)]
         assert got.matrix.tobytes() == want.tobytes()
 
 

@@ -36,6 +36,12 @@ from fraudkit.models import model_to_dict
 from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier, _gini_part
 
 
+def ref_pairwise_distances(a, b):
+    """Euclidean distances as one out-of-place expression."""
+    sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def ref_nearmiss(X, y, version, k, ratio):
     pos = np.flatnonzero(y == 1)
     neg = np.flatnonzero(y == 0)
@@ -44,7 +50,7 @@ def ref_nearmiss(X, y, version, k, ratio):
     target = round_half_away(ratio * pos.size)
     if target > neg.size:
         raise ValueError("target exceeds majority count")
-    dist = pairwise_distances(X[neg], X[pos])
+    dist = ref_pairwise_distances(X[neg], X[pos])
     if version in (1, 2):
         part = np.sort(dist, axis=1)
         score = part[:, :k].mean(axis=1) if version == 1 else part[:, -k:].mean(axis=1)
@@ -67,7 +73,7 @@ def ref_smote(X, y, ratio, k, seed):
     pos = np.flatnonzero(y == 1)
     n_syn = round_half_away(ratio * int((y == 0).sum())) - pos.size
     Xp = X[pos]
-    dist = pairwise_distances(Xp, Xp)
+    dist = ref_pairwise_distances(Xp, Xp)
     np.fill_diagonal(dist, np.inf)
     neighbors = np.stack([np.argsort(dist[i], kind="stable")[:k] for i in range(pos.size)])
     rng = generator(seed)
@@ -262,15 +268,32 @@ def test_nearmiss_matches_reference_over_several_blocks(version):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_pairwise_distances_match_the_out_of_place_expression():
+    # Also a @ a.T itself, which numpy computes with syrk, and slices of one
+    # array against the whole of it, as SMOTE's blocks are.
+    rng = np.random.default_rng(13)
+    for case in range(60):
+        n_a, n_b, p = (int(v) for v in rng.integers(1, 80, size=3))
+        a = rng.normal(size=(n_a, p)) * 10.0 ** rng.integers(-150, 150)
+        b = rng.normal(size=(n_b, p)) * 10.0 ** rng.integers(-150, 150)
+        cut = int(rng.integers(0, n_a))
+        pairs = [(a, b), (b, a), (a, a), (a[cut:], a), (a[:cut + 1], a)]
+        with np.errstate(over="ignore", under="ignore"):
+            for x, z in pairs:
+                assert pairwise_distances(x, z).tobytes() == ref_pairwise_distances(x, z).tobytes(), case
+
+
 def test_smote_matches_reference_on_continuous_data():
+    # 8,000 rows give about 3,500 synthetic rows: more than one block of them.
     rng = np.random.default_rng(9)
-    X = rng.normal(size=(800, 6))
-    y = (rng.random(800) < 0.2).astype(np.int64)
-    sampler = Smote(ratio=0.8, k=5, seed=3)
-    X_out, y_out = sampler.fit_resample(X, y)
-    X_ref, y_ref, prov = ref_smote(X, y, 0.8, 5, 3)
-    assert np.array_equal(X_out, X_ref) and np.array_equal(y_out, y_ref)
-    assert _provenance_tuples(sampler) == prov
+    for n_rows in (800, 8000):
+        X = rng.normal(size=(n_rows, 6))
+        y = (rng.random(n_rows) < 0.2).astype(np.int64)
+        sampler = Smote(ratio=0.8, k=5, seed=3)
+        X_out, y_out = sampler.fit_resample(X, y)
+        X_ref, y_ref, prov = ref_smote(X, y, 0.8, 5, 3)
+        assert X_out.tobytes() == X_ref.tobytes() and np.array_equal(y_out, y_ref), n_rows
+        assert _provenance_tuples(sampler) == prov, n_rows
 
 
 BLAS_PROBE = """
@@ -283,6 +306,10 @@ for n_rows, n_cols in [(3 * resample.BLOCK_ROWS + 1, 127), (2 * resample.BLOCK_R
     B = rng.normal(size=(n_cols, 30))
     blocks = [d for _, d in resample._distance_blocks(A, B)]
     assert np.array_equal(np.vstack(blocks), resample.pairwise_distances(A, B)), (n_rows, n_cols)
+    # Rows gathered block by block, as NearMiss takes its majority rows.
+    rows = np.flatnonzero(rng.random(len(A)) < 0.7)
+    blocks = [d for _, d in resample._distance_blocks(A, B, rows)]
+    assert np.array_equal(np.vstack(blocks), resample.pairwise_distances(A[rows], B)), (n_rows, n_cols)
 print("ok")
 """
 
