@@ -1,6 +1,7 @@
 """Estimator base class and input validation helpers."""
 
 import inspect
+import math
 
 import numpy as np
 
@@ -18,12 +19,19 @@ class ConfigError(ValueError):
     check; plan errors name the [section] key."""
 
 
+# Elements per block of check_array's finiteness flags.
+FINITE_BLOCK = 1 << 16
+
+
 def check_array(X, *, ndim=2, name="X"):
-    """Coerce to a float64 ndarray of the given rank and reject non-finite values."""
+    """Coerce to a float64 ndarray of the given rank and reject non-finite
+    values, flagged a block of rows at a time so that the flags stay small
+    whatever the size of X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    step = max(1, FINITE_BLOCK // max(1, math.prod(X.shape[1:])))
+    if not all(np.isfinite(X[i : i + step]).all() for i in range(0, len(X), step)):
         raise ValueError(f"{name} contains non-finite values")
     return X
 

@@ -9,6 +9,7 @@ the plan plus its global seed.
 """
 
 import concurrent.futures
+import csv
 import hashlib
 import json
 import math
@@ -428,25 +429,26 @@ def emit_report(record, output_dir, chart_name="experiment"):
     an ok cell, a grouped-bar chart in charts/.
 
     Wall-clock seconds live in record.json/timings.csv only, so
-    cells.csv is byte-identical across reruns of a seeded plan.
+    cells.csv is byte-identical across reruns of a seeded plan. A field
+    that holds a comma, as a status may, is quoted.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "record.json").write_text(json.dumps(record.to_dict(), indent=2) + "\n")
-    lines = [",".join(CSV_COLUMNS)]
+    cell_rows = [CSV_COLUMNS]
     for cell in record.cells:
         row = cell.to_row()
-        lines.append(",".join(
+        cell_rows.append([
             format_metric(row[c]) if c in METRIC_NAMES else str(row[c]) for c in CSV_COLUMNS
-        ))
-    (out / "cells.csv").write_text("\n".join(lines) + "\n")
-    tlines = ["dataset,model,sampler,ratio,partition,seconds"]
-    for cell in record.cells:
-        tlines.append(
-            f"{cell.dataset},{cell.model},{cell.sampler},{cell.ratio},"
-            f"{cell.partition},{cell.seconds:.6f}"
-        )
-    (out / "timings.csv").write_text("\n".join(tlines) + "\n")
+        ])
+    timing_rows = [("dataset", "model", "sampler", "ratio", "partition", "seconds")]
+    timing_rows += [
+        (c.dataset, c.model, c.sampler, str(c.ratio), c.partition, f"{c.seconds:.6f}")
+        for c in record.cells
+    ]
+    for name, rows in (("cells.csv", cell_rows), ("timings.csv", timing_rows)):
+        with open(out / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     charts = out / "charts"
     charts.mkdir(exist_ok=True)
     for partition in ("validation", "test"):

@@ -3,10 +3,14 @@
 All arrays are batch-first float64. Conv1D and Conv2D are one
 convolution, valid-padding and stride 1, over one or two spatial axes;
 tests/test_nn_reference.py holds each to a loop im2col reference, bit
-for bit. A layer's forward keeps what its backward needs in one
-attribute, `saved`, which the network clears as soon as it no longer
-needs it: after each layer's forward when scoring, after its backward
-when training.
+for bit. The sequence layers take one step, as every model here sees a
+transaction as a sequence of length 1: MaxPool1D pools windows of one
+step, the identity, and LSTM runs one step from a zero state.
+
+A layer's forward keeps what its backward needs in one attribute,
+`saved`, which the network clears as soon as it no longer needs it:
+after each layer's forward when scoring, after its backward when
+training.
 
 A layer's params and grads are dicts of arrays that init_params
 allocates. After that a layer updates a grads entry only in place (+=)
@@ -23,7 +27,6 @@ without parameters ignores the flag. What is still computed keeps every
 float operation and its order, so every gradient keeps its bits.
 """
 
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -46,13 +49,7 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "softmax")
+ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def apply_activation(x, kind):
@@ -62,8 +59,6 @@ def apply_activation(x, kind):
         return _sigmoid(x)
     if kind == "tanh":
         return np.tanh(x)
-    if kind == "softmax":
-        return _softmax(x)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -231,46 +226,28 @@ class Conv2D(_Conv):
 
 
 class MaxPool1D(Layer):
-    """Channel-wise max over non-overlapping windows; pool=1 is the identity."""
+    """Channel-wise max over windows of one step, so the identity: every
+    sequence here has one step. The kind and its pool hyperparameter stay
+    so that bundles keep their format."""
 
     kind = "maxpool1d"
 
     def __init__(self, pool):
         super().__init__()
-        self.pool = check_positive_int(pool, "pool")
+        if type(pool) is not int or pool != 1:
+            raise ValueError(f"pool {pool!r} is not 1: a window is one step")
+        self.pool = pool
 
     def output_shape(self, in_shape):
-        if len(in_shape) != 2 or self.pool > in_shape[0]:
-            raise ValueError(
-                f"maxpool1d pool {self.pool} does not fit input shape {list(in_shape)}: "
-                f"it needs 2 axes, the length at least {self.pool} long"
-            )
-        return (in_shape[0] // self.pool, in_shape[1])
+        if len(in_shape) != 2:
+            raise ValueError(f"maxpool1d needs 2 axes, got input shape {list(in_shape)}")
+        return in_shape
 
     def forward(self, x, train=False, rng=None):
-        p = self.pool
-        b, length, c = x.shape
-        if p > length:
-            raise ValueError(f"pool {p} larger than input length {length}")
-        if p == 1:
-            return x
-        n_win = length // p
-        windows = x[:, : n_win * p, :].reshape(b, n_win, p, c)
-        self.saved = (x.shape, windows.argmax(axis=2))
-        return windows.max(axis=2)
+        return x
 
     def backward(self, grad, input_grad=True):
-        b, n_win, c = grad.shape
-        p = self.pool
-        if p == 1:
-            return grad
-        x_shape, argmax = self.saved
-        dwin = np.zeros((b, n_win, p, c))
-        bi, wi, ci = np.ogrid[:b, :n_win, :c]
-        dwin[bi, wi, argmax, ci] = grad
-        dx = np.zeros(x_shape)
-        dx[:, : n_win * p, :] = dwin.reshape(b, n_win * p, c)
-        return dx
+        return grad
 
 
 class Dropout(Layer):
@@ -343,26 +320,22 @@ class Activation(Layer):
         out = self.saved
         if a == "sigmoid":
             return grad * out * (1.0 - out)
-        if a == "tanh":
-            return grad * (1.0 - out**2)
-        # softmax over the last axis
-        return (grad - (grad * out).sum(axis=-1, keepdims=True)) * out
+        return grad * (1.0 - out**2)  # tanh
 
 
 class LSTM(Layer):
-    """Sequence LSTM returning the final hidden state.
+    """LSTM over a sequence of one step, returning its hidden state.
 
-    Input shape [T, input_dim]; output [hidden]. The inner activation
+    Input shape [1, input_dim]; output [hidden]. The inner activation
     phi applies to both the candidate transform and the cell-state
     output path; gate activations are always sigmoid.
 
-    The cell state before the first step is zero, so at t = 0 the forget
-    gate multiplies nothing: forward sets c = i * g and skips W_f, and
-    backward gives W_f and b_f no gradient there. With one step, as every
-    model here has, they never get one, and Adam leaves them as
-    initialized; they stay in params, so bundles keep their format. At
-    t = 0 nothing reads the recurrent gradient either, so dz there serves
-    only the input gradient and is skipped without input_grad.
+    The state before the step is zero, so z = [h, x] = [0, x] and the
+    forget gate multiplies nothing: c = i * g. W_f and b_f never get a
+    gradient, and Adam leaves them as initialized. They stay in params, as
+    do the hidden columns of each W, so bundles keep their format; the
+    products stay over the whole of z too, as products over x alone round
+    differently.
     """
 
     kind = "lstm"
@@ -374,8 +347,8 @@ class LSTM(Layer):
         self.init = check_kind(init, _INITS, "init")
 
     def output_shape(self, in_shape):
-        if len(in_shape) != 2:
-            raise ValueError(f"lstm expects [T, input_dim], got {in_shape}")
+        if len(in_shape) != 2 or in_shape[0] != 1:
+            raise ValueError(f"lstm expects input shape [1, input_dim], got {list(in_shape)}")
         return (self.hidden,)
 
     def init_params(self, in_shape, rng):
@@ -397,58 +370,31 @@ class LSTM(Layer):
         return (pre > 0).astype(np.float64)
 
     def forward(self, x, train=False, rng=None):
-        b, T, _ = x.shape
-        h = np.zeros((b, self.hidden))
-        c = f = None  # the state before t = 0 is zero: step 0 has no forget gate
-        steps = []
         p = self.params
-        for t in range(T):
-            z = np.concatenate([h, x[:, t, :]], axis=1)
-            if t:
-                f = _sigmoid(z @ p["W_f"].T + p["b_f"])
-            i = _sigmoid(z @ p["W_i"].T + p["b_i"])
-            a_g = z @ p["W_g"].T + p["b_g"]
-            g = self._phi(a_g)
-            o = _sigmoid(z @ p["W_o"].T + p["b_o"])
-            c_new = f * c + i * g if t else i * g
-            h_new = o * self._phi(c_new)
-            steps.append((z, f, i, a_g, g, o, c, c_new))
-            h, c = h_new, c_new
-        self.saved = (x.shape, steps)
-        return h
+        z = np.concatenate([np.zeros((len(x), self.hidden)), x[:, 0, :]], axis=1)
+        i = _sigmoid(z @ p["W_i"].T + p["b_i"])
+        a_g = z @ p["W_g"].T + p["b_g"]
+        g = self._phi(a_g)
+        o = _sigmoid(z @ p["W_o"].T + p["b_o"])
+        c = i * g
+        self.saved = (z, i, a_g, g, o, c)
+        return o * self._phi(c)
 
     def backward(self, grad, input_grad=True):
         p = self.params
-        H = self.hidden
-        x_shape, steps = self.saved
-        dx = np.zeros(x_shape) if input_grad else None
-        dh = grad
-        dc = np.zeros_like(grad)
-        for t in range(x_shape[1] - 1, -1, -1):
-            z, f, i, a_g, g, o, c_prev, c_new = steps[t]
-            do = dh * self._phi(c_new)
-            dc = dc + dh * o * self._dphi(c_new)
-            di = dc * g
-            dg = dc * i
-            da_i = di * i * (1.0 - i)
-            da_g = dg * self._dphi(a_g)
-            da_o = do * o * (1.0 - o)
-            gates = [("i", da_i), ("g", da_g), ("o", da_o)]
-            if t:
-                df = dc * c_prev
-                gates.insert(0, ("f", df * f * (1.0 - f)))
-            for name, da in gates:
-                self.grads[f"W_{name}"] += da.T @ z
-                self.grads[f"b_{name}"] += da.sum(axis=0)
-            if t == 0 and not input_grad:
-                break
-            # Summed left to right in gate order f, i, g, o, as the bits depend on it.
-            dz = reduce(np.add, (da @ p[f"W_{name}"] for name, da in gates))
-            if input_grad:
-                dx[:, t, :] = dz[:, H:]
-            if t:
-                dh, dc = dz[:, :H], dc * f
-        return dx
+        z, i, a_g, g, o, c = self.saved
+        dc = grad * o * self._dphi(c)
+        da_i = dc * g * i * (1.0 - i)
+        da_g = dc * i * self._dphi(a_g)
+        da_o = grad * self._phi(c) * o * (1.0 - o)
+        for name, da in (("i", da_i), ("g", da_g), ("o", da_o)):
+            self.grads[f"W_{name}"] += da.T @ z
+            self.grads[f"b_{name}"] += da.sum(axis=0)
+        if not input_grad:
+            return None
+        # Summed left to right in gate order i, g, o, as the bits depend on it.
+        dz = da_i @ p["W_i"] + da_g @ p["W_g"] + da_o @ p["W_o"]
+        return dz[:, None, self.hidden :]
 
 
 LAYER_KINDS = {

@@ -382,11 +382,16 @@ class TestPlanCommands:
                 "--set", "train.epochs_max=2", "--set", "sweep.ratios=1, 2"]
         assert run_cli(argv) == 1
         assert f"error: {n_failed} cells failed" in capsys.readouterr().err
-        rows = json.loads((out / "record.json").read_text())["cells"]
-        failed = [r for r in rows if r["status"] == f"failed: {message}"]
-        assert len(failed) == n_failed and {r["model"] for r in failed} == {"dtree"}
-        assert all(r["status"] == "ok" for r in rows if r["model"] == "logreg")
-        for name in ("cells.csv", "timings.csv", "resolved.cfg"):
+        # The message holds commas: cells.csv quotes it, so its reader gets it whole.
+        with open(out / "cells.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        json_rows = json.loads((out / "record.json").read_text())["cells"]
+        for rows in (csv_rows, json_rows):
+            failed = [r for r in rows if r["status"] == f"failed: {message}"]
+            assert len(failed) == n_failed and {r["model"] for r in failed} == {"dtree"}
+            assert all(r["status"] == "ok" for r in rows if r["model"] == "logreg")
+        assert all(None not in r for r in csv_rows)  # no field past the header's
+        for name in ("timings.csv", "resolved.cfg"):
             assert (out / name).exists()
 
     def test_jobs_echo_is_the_plans(self, plan_file, tmp_path, capsys):
@@ -535,6 +540,12 @@ class TestTrainEvaluate:
              "conv2d kernel 3x3 does not fit input shape [30]"),
             (network_bundle("cnn1d", build_cnn1d, lambda net: net.update(input_shape=[5, 6, 1])),
              "conv1d kernel 1 does not fit input shape [5, 6, 1]"),
+            (network_bundle("cnn1d", build_cnn1d, hyperparams(5, pool=2)),
+             "layers[5] hyperparams: pool 2 is not 1"),
+            (network_bundle("cnn1d", build_cnn1d, hyperparams(1, activation="softmax")),
+             "layers[1] hyperparams: unknown activation 'softmax'"),
+            (network_bundle("lstm", build_lstm, lambda net: net.update(input_shape=[3, 6])),
+             "lstm expects input shape [1, input_dim], got [3, 6]"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
@@ -547,7 +558,8 @@ class TestTrainEvaluate:
              "layer-kind-list", "model-kind-list", "model-kind-svm", "nested-trees-1-list",
              "nested-left-list", "lstm-inner-act-sigmoid", "dense-init-xavier",
              "lstm-hidden-string", "dropout-rate-string", "categories-repeat",
-             "categories-unknown-feature", "cnn2d-input-30", "cnn1d-input-5x6x1"],
+             "categories-unknown-feature", "cnn2d-input-30", "cnn1d-input-5x6x1",
+             "maxpool1d-pool-2", "activation-softmax", "lstm-input-3x6"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraudkit.base import FINITE_BLOCK
 from fraudkit.ingest import ColumnSchema, Dataset
 from fraudkit.preprocess import (
     StandardScaler,
@@ -55,6 +56,22 @@ class TestScaler:
         assert s.mean_[0] == 5.0
         assert s.std_[0] == 0.0
         assert np.all(s.transform([[5.0], [7.0]]) == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_value_in_any_block_of_rows(self, bad):
+        step = FINITE_BLOCK // 30
+        X = np.zeros((2 * step + 1, 30))
+        scaler = StandardScaler().fit(X)
+        for row in (0, step - 1, step, 2 * step):
+            X[row, 29] = bad
+            for call in (StandardScaler().fit, scaler.transform):
+                with pytest.raises(ValueError, match="X contains non-finite values"):
+                    call(X)
+            X[row, 29] = 0.0
+        wide = np.zeros((3, FINITE_BLOCK + 1))  # a block of one row
+        wide[2, -1] = bad
+        with pytest.raises(ValueError, match="X contains non-finite values"):
+            StandardScaler().fit(wide)
 
     def test_transform_values(self):
         X = [[1.0], [2.0], [3.0]]

@@ -1,5 +1,6 @@
 """Split and scale memory is bounded: each stage holds its output plus at
-most one working copy of its input rows."""
+most one working copy of its input rows, and the finiteness check of its
+input one block of flags."""
 
 import pytest
 
@@ -16,6 +17,7 @@ SETUP = """
 import sys
 import warnings
 import numpy as np
+from fraudkit.base import check_array
 from fraudkit.experiments import ExperimentPlan, prepare
 from fraudkit.ingest import Dataset
 from fraudkit.preprocess import StandardScaler, correlation_matrix
@@ -28,6 +30,7 @@ y = (rng.random(200_000) < 0.002).astype(np.int64)
 ds = Dataset(gen_synthetic(SyntheticSpec(n_rows=50, n_features=30, seed=1)).schema, X, y)
 small = Dataset(ds.schema, X[:2000], y[:2000])
 plan = ExperimentPlan(synthetic=SyntheticSpec(n_features=30), seed=3)
+check_array(X[:2000])
 scaler = StandardScaler().fit(X[:2000])  # a fit on every row would set the peak
 scaler.transform(X[:2000])
 warnings.simplefilter("ignore")  # the zero-variance column
@@ -42,6 +45,11 @@ def _assert_bounded(stage, rise_mb, bound_mb):
         f"{stage} on {N_ROWS:,} x {N_FEATURES} raised peak RSS by {rise_mb:.0f} MB "
         f"(bound {bound_mb:.0f})"
     )
+
+
+def test_finiteness_check_holds_one_block_of_flags():
+    # One n x p bool array would be 5.7 MB here; a block of flags is 64 KB.
+    _assert_bounded("check_array", peak_rise_mb(SETUP, "check_array(X)"), 1)
 
 
 def test_transform_holds_only_its_output():
