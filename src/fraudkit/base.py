@@ -23,13 +23,13 @@ class ConfigError(ValueError):
 FINITE_BLOCK = 1 << 16
 
 
-def check_array(X, *, ndim=2, name="X"):
-    """Coerce to a float64 ndarray of the given rank and reject non-finite
-    values, flagged a block of rows at a time so that the flags stay small
+def check_array(X, *, name="X"):
+    """Coerce to a 2-D float64 ndarray and reject non-finite values,
+    flagged a block of rows at a time so that the flags stay small
     whatever the size of X."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {X.shape}")
+    if X.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     step = max(1, FINITE_BLOCK // max(1, math.prod(X.shape[1:])))
     if not all(np.isfinite(X[i : i + step]).all() for i in range(0, len(X), step)):
         raise ValueError(f"{name} contains non-finite values")
@@ -96,7 +96,7 @@ class BaseEstimator:
             if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
 
-    def get_params(self, deep=True):
+    def get_params(self):
         return {name: getattr(self, name) for name in self._param_names()}
 
     def __repr__(self):

@@ -42,13 +42,16 @@ def _holds(test, text):
 
 
 def _members(choices, what):
-    """Check that a list value is non-empty and each item is one of choices."""
+    """Check that a list value is non-empty and each item is one of choices,
+    named once."""
     def check(values):
         if not values:
             return f" must be non-empty, got {values!r}"
-        for v in values:
+        for n, v in enumerate(values):
             if v not in choices:
                 return f": unknown {what} {v!r}, expected one of {', '.join(choices)}"
+            if v in values[:n]:
+                return f": {what} {v!r} is listed twice"
         return None
     return check
 
@@ -107,8 +110,8 @@ PLAN_TABLE = (
     Key("samplers", "ratio", float, _FINITE_POSITIVE),
     Key("samplers", "nearmiss_version", int, _holds(lambda v: v in (1, 2, 3), "1, 2 or 3")),
     Key("samplers", "k_neighbors", int, _at_least(0)),
-    Key("sweep", "ratios", _numbers,
-        _holds(lambda v: v and sweep_ratios_ok(v), "non-empty, finite, >= 1 and ascending")),
+    Key("sweep", "ratios", _numbers, _holds(
+        lambda v: v and sweep_ratios_ok(v), "non-empty, finite, >= 1 and strictly ascending")),
     Key("train", "lr", float, _FINITE_POSITIVE),
     Key("train", "epochs_max", int, _at_least(1)),
     Key("train", "batch_size", int, _at_least(1)),

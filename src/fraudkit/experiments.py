@@ -274,8 +274,9 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
 
 
 def sweep_ratios_ok(ratios):
-    """Sweep ratios must be finite, at least 1 and ascending."""
-    return all(1 <= r < math.inf for r in ratios) and sorted(ratios) == list(ratios)
+    """Sweep ratios must be finite, at least 1 and strictly ascending."""
+    in_range = all(1 <= r < math.inf for r in ratios)
+    return in_range and all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
 def imbalance_points(plan, prepared):
@@ -285,7 +286,7 @@ def imbalance_points(plan, prepared):
     requested ratio as their label."""
     ratios = list(plan.ratios)
     if not sweep_ratios_ok(ratios):
-        raise ValueError("ratios must be finite, >= 1 and ascending")
+        raise ValueError("ratios must be finite, >= 1 and strictly ascending")
     n_pos = int(np.sum(prepared.y_train == 1))
     n_neg = int(np.sum(prepared.y_train == 0))
     points = []

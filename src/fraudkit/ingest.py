@@ -492,7 +492,7 @@ def profile(ds):
     )
 
 
-def infer_schema(path, label, categorical=(), drop=(), missing_policy="drop_row"):
+def infer_schema(path, label, categorical=(), drop=()):
     """Build a schema from a file header: named label, listed drops and
     categoricals, everything else numeric. A listed column that is not in
     the header is a SchemaError naming it."""
@@ -511,7 +511,7 @@ def infer_schema(path, label, categorical=(), drop=(), missing_policy="drop_row"
         elif name in drop:
             schema.append(ColumnSchema(name, "drop"))
         elif name in categorical:
-            schema.append(ColumnSchema(name, "categorical", missing_policy))
+            schema.append(ColumnSchema(name, "categorical"))
         else:
-            schema.append(ColumnSchema(name, "numeric", missing_policy))
+            schema.append(ColumnSchema(name, "numeric"))
     return schema

@@ -32,7 +32,7 @@ def build_cnn2d(input_features=30):
         raise ValueError(
             f"not reshapeable to 5x6: {input_features} features (expected 30)"
         )
-    net = Network(
+    return Network(
         [
             Conv2D(64, 3, init="he"),
             Activation("relu"),
@@ -44,16 +44,13 @@ def build_cnn2d(input_features=30):
         ],
         input_shape=(5, 6, 1),
     )
-    flat = net.shapes[5][0]
-    assert flat == 64, f"flatten width {flat} != 64 for the 5x6 grid"
-    return net
 
 
 def build_cnn1d(input_features):
     """Length-1 sequence with input_features channels, per the 1DCNN layout:
     conv1d(64,k=1) x2 -> dropout(0.5) -> maxpool(1) -> flatten(64) ->
     dense(100,relu) -> dense(1,sigmoid)."""
-    net = Network(
+    return Network(
         [
             Conv1D(64, 1, init="he"),
             Activation("relu"),
@@ -69,9 +66,6 @@ def build_cnn1d(input_features):
         ],
         input_shape=(1, input_features),
     )
-    flat = net.shapes[7][0]
-    assert flat == 64, f"flatten width {flat} != 64"
-    return net
 
 
 def build_lstm(input_features, hidden=50, inner_act="relu"):
@@ -172,8 +166,7 @@ def make_model(kind, **params):
 
 
 def predict(model, rows):
-    p = model.predict_proba(np.asarray(rows, dtype=np.float64))
-    return np.clip(p, 0.0, 1.0)
+    return model.predict_proba(np.asarray(rows, dtype=np.float64))
 
 
 def classify(model, rows, threshold=0.5):

@@ -7,6 +7,10 @@ for bit. The sequence layers take one step, as every model here sees a
 transaction as a sequence of length 1: MaxPool1D pools windows of one
 step, the identity, and LSTM runs one step from a zero state.
 
+Each activation is defined once, in _ACTIVATIONS, with its derivative
+taken from its output. The Activation layer saves its output; the LSTM
+saves z, its gate outputs and phi(c), so its backward evaluates none.
+
 A layer's forward keeps what its backward needs in one attribute,
 `saved`, which the network clears as soon as it no longer needs it:
 after each layer's forward when scoring, after its backward when
@@ -34,10 +38,6 @@ import numpy as np
 from fraudkit.base import BaseEstimator, check_kind, check_positive_int
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
 def _sigmoid(x):
     """Branch-free logistic: e = exp(-|x|) <= 1, so nothing overflows.
 
@@ -49,17 +49,20 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh")
+# kind -> (forward(x), backward(grad, out)), out the forward's output (relu:
+# out > 0 exactly where x > 0). _sigmoid is looked up per call, so a swap reaches it.
+_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda grad, out: grad * (out > 0)),
+    "sigmoid": (lambda x: _sigmoid(x), lambda grad, out: grad * out * (1.0 - out)),
+    "tanh": (np.tanh, lambda grad, out: grad * (1.0 - out**2)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 def apply_activation(x, kind):
-    if kind == "relu":
-        return _relu(x)
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unknown activation {kind!r}")
+    if kind not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {kind!r}")
+    return _ACTIVATIONS[kind][0](x)
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -306,21 +309,11 @@ class Activation(Layer):
         return in_shape
 
     def forward(self, x, train=False, rng=None):
-        if self.activation == "relu":
-            self.saved = x
-            return _relu(x)
-        out = apply_activation(x, self.activation)
-        self.saved = out
-        return out
+        self.saved = apply_activation(x, self.activation)
+        return self.saved
 
     def backward(self, grad, input_grad=True):
-        a = self.activation
-        if a == "relu":
-            return grad * (self.saved > 0)
-        out = self.saved
-        if a == "sigmoid":
-            return grad * out * (1.0 - out)
-        return grad * (1.0 - out**2)  # tanh
+        return _ACTIVATIONS[self.activation][1](grad, self.saved)
 
 
 class LSTM(Layer):
@@ -361,32 +354,24 @@ class LSTM(Layer):
             self.params[f"b_{gate}"] = np.zeros(h)
         self.zero_grads()
 
-    def _phi(self, x):
-        return apply_activation(x, self.inner_act)
-
-    def _dphi(self, pre):
-        if self.inner_act == "tanh":
-            return 1.0 - np.tanh(pre) ** 2
-        return (pre > 0).astype(np.float64)
-
     def forward(self, x, train=False, rng=None):
-        p = self.params
+        p, act = self.params, self.inner_act
         z = np.concatenate([np.zeros((len(x), self.hidden)), x[:, 0, :]], axis=1)
         i = _sigmoid(z @ p["W_i"].T + p["b_i"])
-        a_g = z @ p["W_g"].T + p["b_g"]
-        g = self._phi(a_g)
+        g = apply_activation(z @ p["W_g"].T + p["b_g"], act)
         o = _sigmoid(z @ p["W_o"].T + p["b_o"])
-        c = i * g
-        self.saved = (z, i, a_g, g, o, c)
-        return o * self._phi(c)
+        phi_c = apply_activation(i * g, act)
+        self.saved = (z, i, g, o, phi_c)
+        return o * phi_c
 
     def backward(self, grad, input_grad=True):
         p = self.params
-        z, i, a_g, g, o, c = self.saved
-        dc = grad * o * self._dphi(c)
-        da_i = dc * g * i * (1.0 - i)
-        da_g = dc * i * self._dphi(a_g)
-        da_o = grad * self._phi(c) * o * (1.0 - o)
+        z, i, g, o, phi_c = self.saved
+        dphi, dsigmoid = _ACTIVATIONS[self.inner_act][1], _ACTIVATIONS["sigmoid"][1]
+        dc = dphi(grad * o, phi_c)
+        da_i = dsigmoid(dc * g, i)
+        da_g = dphi(dc * i, g)
+        da_o = dsigmoid(grad * phi_c, o)
         for name, da in (("i", da_i), ("g", da_g), ("o", da_o)):
             self.grads[f"W_{name}"] += da.T @ z
             self.grads[f"b_{name}"] += da.sum(axis=0)

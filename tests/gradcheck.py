@@ -1,5 +1,6 @@
 """Central finite-difference gradient checking for network layers, and a
-copy of a network's weights for tests that compare trained networks."""
+copy of a network's weights, and its write-back, for tests that compare
+trained networks."""
 
 import numpy as np
 
@@ -28,9 +29,9 @@ def max_rel_error(network, X, y, h=1e-5, rng=None, max_entries=40):
 
             def numeric_grad(step):
                 flat[j] = orig + step
-                hi = bce_loss(network.forward(X, train=False).reshape(len(X)), y)
+                hi = bce_loss(network.forward(X).reshape(len(X)), y)
                 flat[j] = orig - step
-                lo = bce_loss(network.forward(X, train=False).reshape(len(X)), y)
+                lo = bce_loss(network.forward(X).reshape(len(X)), y)
                 flat[j] = orig
                 return (hi - lo) / (2.0 * step)
 
@@ -59,3 +60,10 @@ def check_layers(layers, input_shape, n_rows, seed):
 def get_weights(network):
     """A copy of every parameter array of network, by name."""
     return {k: v.copy() for k, v in network.named_params().items()}
+
+
+def set_weights(network, weights):
+    """Write each array of weights, by name as get_weights gives it, into
+    network's parameters in place, so they stay views into its theta."""
+    for k, v in network.named_params().items():
+        v[...] = weights[k]

@@ -265,7 +265,8 @@ def test_bad_synthetic_value_names_its_key(tmp_path, capsys, override, named):
     [
         ("models.kinds=", "[models] kinds must be non-empty, got []"),
         ("samplers.methods= , ", "[samplers] methods must be non-empty, got []"),
-        ("sweep.ratios=", "[sweep] ratios must be non-empty, finite, >= 1 and ascending, got []"),
+        ("sweep.ratios=",
+         "[sweep] ratios must be non-empty, finite, >= 1 and strictly ascending, got []"),
     ],
 )
 def test_empty_grid_list_names_its_key(tmp_path, capsys, override, named):
@@ -274,6 +275,29 @@ def test_empty_grid_list_names_its_key(tmp_path, capsys, override, named):
     assert run_cli(["run", str(path), "--output-dir", str(tmp_path / "out"), "--set", override]) == 1
     assert f"error: {named}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "resolved.cfg").exists()
+
+
+@pytest.mark.parametrize(
+    "override,named",
+    [
+        ("models.kinds=dtree, dtree", "[models] kinds: model kind 'dtree' is listed twice"),
+        ("models.kinds=logreg, dtree, logreg",
+         "[models] kinds: model kind 'logreg' is listed twice"),
+        ("samplers.methods=none, rus, rus", "[samplers] methods: method 'rus' is listed twice"),
+        ("sweep.ratios=1, 1, 2",
+         "[sweep] ratios must be non-empty, finite, >= 1 and strictly ascending, got [1, 1, 2]"),
+        ("sweep.ratios=1, 2, 2.0",
+         "[sweep] ratios must be non-empty, finite, >= 1 and strictly ascending, got [1, 2, 2]"),
+    ],
+)
+def test_repeated_grid_entry_names_its_key_and_value(tmp_path, override, named):
+    """A repeated entry would run the same cells twice, writing one model
+    file from two tasks."""
+    path = tmp_path / "plan.cfg"
+    path.write_text("[dataset]\ntype = synthetic\n")
+    with pytest.raises(ConfigError) as err:
+        load_plan(path, [override])
+    assert str(err.value) == named
 
 
 FUZZ_VALUES = st.one_of(

@@ -9,9 +9,18 @@ version. A change that moves any metric of any cell, or the resolved
 plan echo, fails here and has to re-baseline the files openly. Every
 saved model must be a bundle that reproduces its cell's test row of the
 committed cells.csv.
+
+bundles.sha256 holds the sha256 and path of every model bundle and chart
+the four runs write, in `sha256sum` format, paths relative to the
+directory each test runs in; each run's files must match it byte for
+byte, so a change that moves any trained weight fails here even when
+every metric stays put. A numpy or BLAS upgrade that moves a last bit is
+re-baselined openly, as cells.csv is: rerun the plans as above and
+regenerate the file with `sha256sum`.
 """
 
 import csv
+import hashlib
 import shutil
 from pathlib import Path
 
@@ -25,6 +34,32 @@ from fraudkit.metrics import evaluate_predictions, format_metric
 from fraudkit.models import classify, load_bundle
 
 GOLDEN = Path(__file__).parent / "golden"
+RUN_DIRS = ("out", *(f"samplers/nearmiss{v}" for v in (1, 2, 3)))
+
+
+def committed_digests():
+    """Path -> sha256 from bundles.sha256."""
+    pairs = (line.split("  ", 1) for line in (GOLDEN / "bundles.sha256").read_text().splitlines())
+    return {path: digest for digest, path in pairs}
+
+
+def assert_digests(root, out):
+    """Every bundle and chart under root/out has its committed sha256, and
+    bundles.sha256 lists no other file under out."""
+    got = {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (root / out).rglob("*")
+        if p.suffix in (".model", ".svg")
+    }
+    want = {k: v for k, v in committed_digests().items() if k.startswith(f"{out}/")}
+    assert got == want
+
+
+def test_digests_cover_the_golden_runs():
+    paths = committed_digests()
+    assert all(path.startswith(tuple(f"{d}/" for d in RUN_DIRS)) for path in paths)
+    assert sum(path.endswith(".model") for path in paths) == 10 + 3 * 6
+    assert sum(path.endswith(".svg") for path in paths) == 2 * len(RUN_DIRS)
 
 
 def test_golden_nets_plan(tmp_path, monkeypatch):
@@ -34,6 +69,7 @@ def test_golden_nets_plan(tmp_path, monkeypatch):
     assert run_cli(["run", "nets.cfg"]) == 0
     for name in ("cells.csv", "resolved.cfg"):
         assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert_digests(tmp_path, "out")
 
     plan = load_plan(GOLDEN / "nets.cfg")
     prep = prepare(plan)
@@ -63,3 +99,4 @@ def test_golden_samplers_plan(tmp_path, monkeypatch, version):
     assert run_cli(["run", "samplers.cfg", *overrides]) == 0
     for name in ("cells.csv", "resolved.cfg"):
         assert (tmp_path / out / name).read_bytes() == (GOLDEN / out / name).read_bytes(), name
+    assert_digests(tmp_path, out)

@@ -238,9 +238,20 @@ class TestPredictClassify:
         assert classify(model, np.zeros((2, 1)), threshold=5.0).tolist() == [0, 1]
         assert classify(model, np.zeros((2, 1)), threshold=-1.0).tolist() == [1, 1]
 
-    def test_probabilities_clipped(self):
-        model = _Stub([-0.1, 1.3])
-        assert predict(model, np.zeros((2, 1))).tolist() == [0.0, 1.0]
+    def test_probabilities_pass_through_in_the_unit_interval(self, blobs):
+        """predict clips nothing: every model keeps its scores in [0, 1],
+        at saturated sigmoid heads and pure leaves too."""
+        X, y = blobs.features, blobs.labels
+        far = X * 1e3
+        for model in (
+            DecisionTreeClassifier(max_depth=3).fit(X, y),
+            RandomForestClassifier(n_trees=3, seed=1).fit(X, y),
+            NeuralNetClassifier(kind="logreg", epochs_max=2, seed=1).fit(X, y),
+        ):
+            p = predict(model, far)
+            assert np.array_equal(p, model.predict_proba(far))
+            assert ((p >= 0.0) & (p <= 1.0)).all()
+            assert {0.0, 1.0} <= set(p.tolist()), type(model).__name__
 
     def test_permutation_invariance(self, blobs):
         X, y = blobs.features, blobs.labels

@@ -37,7 +37,7 @@ from fraudkit.nn.network import (
 from fraudkit.nn.optim import Adam
 from fraudkit.preprocess import StandardScaler
 
-from gradcheck import check_layers, get_weights
+from gradcheck import check_layers, get_weights, set_weights
 
 
 def prob_head(*layers):
@@ -419,7 +419,7 @@ class TestFlatParameters:
         assert not net.grad.any()
 
         other = self.BUILDERS[kind](30).initialize(4)
-        net.set_weights(get_weights(other))
+        set_weights(net, get_weights(other))
         self.assert_packed(net)
         assert np.array_equal(net.theta, other.theta)
 

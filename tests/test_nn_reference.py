@@ -127,7 +127,16 @@ class RefMaxPool1D(MaxPool1D):
 
 class RefLSTM(LSTM):
     """Every step computes the forget gate on its cell state, zero at t = 0,
-    and backward sums all four gates' terms into dz and makes dx."""
+    and backward sums all four gates' terms into dz and makes dx. phi' is
+    taken from the pre-activation, phi re-evaluated where backward needs it."""
+
+    def _phi(self, x):
+        return np.tanh(x) if self.inner_act == "tanh" else np.maximum(x, 0.0)
+
+    def _dphi(self, pre):
+        if self.inner_act == "tanh":
+            return 1.0 - np.tanh(pre) ** 2
+        return (pre > 0).astype(np.float64)
 
     def forward(self, x, train=False, rng=None):
         b, T, _ = x.shape
@@ -189,7 +198,7 @@ class RefAdam(Adam):
 
 
 def ref_predict_proba(self, X):
-    return self.forward(X, train=False).reshape(len(X))
+    return self.forward(X).reshape(len(X))
 
 
 @pytest.fixture
@@ -228,6 +237,58 @@ class TestSigmoid:
         assert_same(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.isnan(got[-1])
+
+
+def ref_activation(x, kind):
+    """An activation's forward, from its input."""
+    if kind == "relu":
+        return np.maximum(x, 0.0)
+    return ref_sigmoid(x) if kind == "sigmoid" else np.tanh(x)
+
+
+def ref_activation_backward(grad, x, kind):
+    """An activation's backward from its input x: relu masks on x > 0,
+    sigmoid and tanh recompute their output from x."""
+    if kind == "relu":
+        return grad * (x > 0)
+    out = ref_activation(x, kind)
+    if kind == "sigmoid":
+        return grad * out * (1.0 - out)
+    return grad * (1.0 - out**2)
+
+
+class TestActivation:
+    @pytest.fixture(scope="class")
+    def x(self):
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, -0.0, tiny, -tiny, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        normals = np.random.default_rng(21).normal(scale=20.0, size=200)
+        return np.concatenate([edges, normals]).reshape(1, -1)
+
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
+    def test_layer_matches_formulas_from_the_input(self, x, kind):
+        grad = np.random.default_rng(22).normal(size=x.shape)
+        layer = Activation(kind)
+        out = layer.forward(x)
+        want = ref_activation(x, kind)
+        assert_same(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert_same(layer.backward(grad), ref_activation_backward(grad, x, kind))
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
+    def test_derivative_from_output_matches_lstm_from_pre_activation(self, x, kind):
+        """phi' read off phi(pre) equals RefLSTM's phi' from the
+        pre-activation: (pre > 0) and 1 - tanh(pre)**2."""
+        grad = np.random.default_rng(23).normal(size=x.shape)
+        phi, dphi = layers._ACTIVATIONS[kind]
+        assert_same(dphi(grad, phi(x)), grad * RefLSTM(1, inner_act=kind)._dphi(x))
+
+    def test_sigmoid_is_looked_up_at_call_time(self, monkeypatch):
+        def sentinel(x):
+            return np.full_like(x, 0.25)
+
+        monkeypatch.setattr(layers, "_sigmoid", sentinel)
+        assert Activation("sigmoid").forward(np.zeros((2, 3))).tolist() == [[0.25] * 3] * 2
 
 
 class TestConv:
