@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import os
 
 import numpy as np
 
@@ -70,6 +71,13 @@ def check_positive_int(value, name):
     if type(value) is not int or value < 1:
         raise ValueError(f"{name} {value!r} is not a positive int")
     return value
+
+
+def usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def check_X_y(X, y):

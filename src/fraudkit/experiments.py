@@ -14,13 +14,13 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from fraudkit import base
 from fraudkit.base import ConfigError
 from fraudkit.ingest import infer_schema, load_csv
 from fraudkit.metrics import evaluate_predictions, format_metric
@@ -77,6 +77,14 @@ class ExperimentPlan:
     def validate(self):
         if not self.models or not self.samplers or not self.ratios:
             raise ValueError("plan grids must be non-empty")
+        # A repeat would run its cells twice and save both to one bundle file.
+        for name, what, values in (
+            ("models", "model kind", [m.kind for m in self.models]),
+            ("samplers", "sampler cell", [_cell_names(s, None) for s in self.samplers]),
+        ):
+            for n, v in enumerate(values):
+                if v in values[:n]:
+                    raise ValueError(f"{name}: {what} {v!r} is listed twice")
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("plan needs a dataset path or a synthetic spec")
         if self.dataset_path is not None and not Path(self.dataset_path).exists():
@@ -362,13 +370,6 @@ def _expected_cost(point, n_pos, n_neg):
     return rows
 
 
-def _cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(plan, prepared=None, points=None):
     """Run grid points and assemble their cells in point order.
 
@@ -398,7 +399,7 @@ def run_experiment(plan, prepared=None, points=None):
     record = RunRecord(plan_hash=_plan_hash(plan))
     groups = _share_groups(plan, points)
 
-    workers = min(plan.jobs, _cpus(), len(groups))
+    workers = min(plan.jobs, base.usable_cpus(), len(groups))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         n_pos = int(np.sum(prepared.y_train == 1))
         n_neg = len(prepared.y_train) - n_pos

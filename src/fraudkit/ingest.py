@@ -8,14 +8,20 @@ binary label (0 = non-fraud, 1 = fraud).
 
 import csv
 import mmap
+import os
+import signal
+import stat
+import tempfile
+import traceback
 from array import array
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, compress, islice
 
 import numpy as np
 
+from fraudkit import base
 from fraudkit.base import FraudkitError, check_array, check_labels
 
 KINDS = ("numeric", "categorical", "label", "drop")
@@ -459,16 +465,98 @@ def write_csv(ds, path):
     then the integer label, and ends in CRLF: the bytes csv.writer's
     excel dialect writes for those cells, so load_csv(write_csv(ds)) is
     bit-exact.
+
+    Rows are formatted on every CPU this process may run on, and the
+    bytes do not depend on how many there are: the rows are cut into one
+    contiguous range of whole _WRITE_BLOCK_ROWS-row blocks per CPU (no
+    more ranges than blocks). This process writes the header and the
+    first range; a forked child writes each other range to an unnamed
+    temporary file in path's directory, and this process appends those
+    files in order with an in-kernel copy, so no child's text passes
+    through its memory. A failed child raises OSError naming path; any
+    exception here, KeyboardInterrupt included, first kills and reaps
+    every child. With one range, without fork or os.copy_file_range
+    (Linux only), or where path is not a regular file (a pipe, say),
+    this process writes every row.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.feature_names + [ds.label_name])
-        for start in range(0, ds.n_rows, _WRITE_BLOCK_ROWS):
-            block = slice(start, start + _WRITE_BLOCK_ROWS)
-            # A float repr or int str never holds a comma, quote or line
-            # break, so no cell needs quoting.
-            cells = [map(repr, col) for col in ds.features[block].T.tolist()]
-            cells.append(map(str, ds.labels[block].tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        blocks = range(0, ds.n_rows, _WRITE_BLOCK_ROWS)
+        workers = min(base.usable_cpus(), len(blocks))
+        if (
+            workers > 1
+            and hasattr(os, "fork")
+            and hasattr(os, "copy_file_range")
+            and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        ):
+            ends = [i * len(blocks) // workers for i in range(workers + 1)]
+            _write_ranges(ds, fh, path, [blocks[a:b] for a, b in zip(ends, ends[1:])])
+        else:
+            _write_blocks(ds, fh, blocks)
+
+
+def _write_blocks(ds, fh, blocks):
+    """Write the rows of the blocks that start at the rows in blocks."""
+    for start in blocks:
+        block = slice(start, start + _WRITE_BLOCK_ROWS)
+        # A float repr or int str never holds a comma, quote or line
+        # break, so no cell needs quoting.
+        cells = [map(repr, col) for col in ds.features[block].T.tolist()]
+        cells.append(map(str, ds.labels[block].tolist()))
+        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _write_ranges(ds, fh, path, ranges):
+    """write_csv's rows on len(ranges) CPUs: ranges[0] here, each other
+    range in a forked child, appended to fh in order. fork, not spawn,
+    so that a child reads ds where it lies and nothing is pickled; a
+    child only formats text and writes its file."""
+    fh.flush()  # so that no child holds a copy of buffered text
+    # realpath, so that a link such as /dev/stdout puts the parts beside
+    # the file it names, on the file system the copy stays within.
+    directory = os.path.dirname(os.path.realpath(path))
+    running = []  # children not yet reaped
+    with ExitStack() as parts:
+        try:
+            children = []
+            for blocks in ranges[1:]:
+                part = parts.enter_context(tempfile.TemporaryFile(dir=directory))
+                pid = os.fork()
+                if pid == 0:
+                    _write_part(ds, part, blocks)
+                running.append(pid)
+                children.append((pid, part, blocks))
+            _write_blocks(ds, fh, ranges[0])
+            fh.flush()
+            for pid, part, blocks in children:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                running.remove(pid)
+                if code:
+                    last = min(blocks[-1] + _WRITE_BLOCK_ROWS, ds.n_rows)
+                    raise OSError(
+                        f"{path}: the process writing rows {blocks[0] + 1}-{last} "
+                        f"exited with status {code}"
+                    )
+                size, done = os.fstat(part.fileno()).st_size, 0
+                while done < size:
+                    done += os.copy_file_range(part.fileno(), fh.fileno(), size - done, done)
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _write_part(ds, part, blocks):
+    """A forked child's whole run: write the blocks' rows to the file
+    part, then exit, 0 on success and 1 after printing the traceback."""
+    try:
+        with open(part.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
+            _write_blocks(ds, out, blocks)
+        os._exit(0)
+    except BaseException:
+        traceback.print_exc()  # the parent's error names only the path and rows
+    finally:
+        os._exit(1)
 
 
 def profile(ds):

@@ -221,6 +221,25 @@ class TestPlanHash:
         with pytest.raises(ValueError):
             plan.validate()
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"models": [ModelSpec("dtree"), ModelSpec("logreg"), ModelSpec("dtree", {"max_depth": 3})]},
+         "models: model kind 'dtree' is listed twice"),
+        ({"samplers": [SamplerConfig("rus"), SamplerConfig("rus", seed=5)]},
+         r"samplers: sampler cell \('rus', 1.0\) is listed twice"),
+        ({"samplers": [SamplerConfig("nearmiss", 2, ratio=2.0),
+                       SamplerConfig("nearmiss", 2, k_neighbors=3, ratio=2.0)]},
+         r"samplers: sampler cell \('nearmiss2', 2.0\) is listed twice"),
+    ])
+    def test_validate_rejects_repeated_cells(self, tmp_path, grid, message):
+        with pytest.raises(ValueError, match=message):
+            small_plan(tmp_path, **grid).validate()
+
+    def test_validate_keeps_distinct_cells(self, tmp_path):
+        small_plan(tmp_path, samplers=[
+            SamplerConfig("nearmiss", 1), SamplerConfig("nearmiss", 2),
+            SamplerConfig("rus"), SamplerConfig("rus", ratio=2.0),
+        ]).validate()
+
     def test_validate_needs_source(self, tmp_path):
         plan = small_plan(tmp_path, synthetic=None)
         with pytest.raises(ValueError):

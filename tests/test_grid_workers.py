@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fraudkit
-from fraudkit import experiments
+from fraudkit import base, experiments
 from fraudkit.base import FraudkitError, NotFittedError
 from fraudkit.config import ConfigError
 from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig, emit_report, run_experiment
@@ -72,7 +72,7 @@ def pool_spy(monkeypatch):
     monkeypatch.setattr(PoolSpy, "workers", [])
     monkeypatch.setattr(PoolSpy, "submitted", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
-    monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+    monkeypatch.setattr(base, "usable_cpus", lambda: 4)
     return PoolSpy
 
 
@@ -92,10 +92,10 @@ PROBE = """
 import hashlib, sys
 from pathlib import Path
 sys.path.insert(0, {tests!r})
-from fraudkit import experiments
+from fraudkit import base
 from test_grid_workers import grid_bytes
 
-experiments._cpus = lambda: 4
+base.usable_cpus = lambda: 4
 for jobs in (1, 2, 4):
     files = grid_bytes(Path({work!r}) / f"jobs{{jobs}}", jobs)
     print(hashlib.sha256(b"".join(k.encode() + v for k, v in sorted(files.items()))).hexdigest())
@@ -245,9 +245,9 @@ def test_a_shared_sample_is_read_only(tmp_path, monkeypatch):
 
 
 def test_workers_capped_at_usable_cpus(tmp_path, pool_spy, monkeypatch):
-    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    monkeypatch.setattr(base, "usable_cpus", lambda: 2)
     run_experiment(ExperimentPlan(**MIXED, jobs=8, output_dir=str(tmp_path / "a")))
-    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    monkeypatch.setattr(base, "usable_cpus", lambda: 1)
     run_experiment(ExperimentPlan(**MIXED, jobs=8, output_dir=str(tmp_path / "b")))
     assert pool_spy.workers == [2]
 

@@ -1,6 +1,9 @@
 import csv
 import io
+import os
 import struct
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fraudkit import ingest
+from fraudkit import base, ingest
 from fraudkit.ingest import (
     ColumnSchema,
     Dataset,
@@ -557,6 +560,120 @@ class TestWriteCsv:
         assert back.features.shape == X.shape
         assert back.features.tobytes() == np.ascontiguousarray(X).tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+# write_csv's CPU count before any test sets it.
+REAL_CPUS = base.usable_cpus()
+
+
+def use_cpus(monkeypatch, n):
+    """Make write_csv see n usable CPUs; never more than one beyond the
+    real count, so a test starts at most one child the machine has no CPU for."""
+    if n > REAL_CPUS + 1:
+        pytest.skip(f"{n} writers on {REAL_CPUS} CPUs")
+    monkeypatch.setattr(base, "usable_cpus", lambda: n)
+
+
+def assert_no_residue(directory, *names):
+    """No child process is left, and directory holds only names."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(directory)) == sorted(names)
+
+
+def varied_dataset(n_rows):
+    """Rows whose text lengths vary, so range ends fall mid-file at odd byte offsets."""
+    rng = np.random.default_rng(n_rows)
+    X = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-8, 8, size=(n_rows, 3))
+    return make_dataset(X, rng.integers(0, 2, size=n_rows))
+
+
+def serial_bytes(ds, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 1)
+    write_csv(ds, tmp_path / "serial.csv")
+    return (tmp_path / "serial.csv").read_bytes()
+
+
+class TestWriteCsvRanges:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [0, 1, 127, 128, 129, 5000])
+    def test_bytes_do_not_depend_on_cpus(self, tmp_path, monkeypatch, cpus, n_rows):
+        ds = varied_dataset(n_rows)
+        expected = serial_bytes(ds, tmp_path, monkeypatch)
+        assert expected.count(b"\r\n") == n_rows + 1
+        use_cpus(monkeypatch, cpus)
+        write_csv(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == expected
+        assert_no_residue(tmp_path, "serial.csv", "out.csv")
+
+    def test_this_process_formats_only_the_first_range(self, tmp_path, monkeypatch):
+        # 5,000 rows are 40 blocks: 13, 13 and 14 of them on three writers.
+        calls, real = [], ingest._write_blocks
+
+        def spy(ds, fh, blocks):
+            calls.append(blocks)  # a child appends to its own copy
+            real(ds, fh, blocks)
+
+        monkeypatch.setattr(ingest, "_write_blocks", spy)
+        use_cpus(monkeypatch, 3)
+        write_csv(varied_dataset(5000), tmp_path / "out.csv")
+        assert calls == [range(0, 13 * 128, 128)]
+        assert_no_residue(tmp_path, "out.csv")
+
+    def test_serial_without_fork(self, tmp_path, monkeypatch):
+        ds = varied_dataset(5000)
+        expected = serial_bytes(ds, tmp_path, monkeypatch)
+        use_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        write_csv(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_that_is_not_a_regular_file_is_written_serially(self, tmp_path, monkeypatch):
+        ds = varied_dataset(5000)
+        expected = serial_bytes(ds, tmp_path, monkeypatch)
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to write a pipe"))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_csv(ds, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [expected]
+        assert_no_residue(tmp_path, "serial.csv", "pipe")
+
+    def test_failed_child_names_the_path(self, tmp_path, monkeypatch):
+        parent, real = os.getpid(), ingest._write_blocks
+
+        def fail_in_child(ds, fh, blocks):
+            if os.getpid() != parent:
+                raise OSError("no space left in this test")
+            real(ds, fh, blocks)
+
+        monkeypatch.setattr(ingest, "_write_blocks", fail_in_child)
+        use_cpus(monkeypatch, 2)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match=f"{path}: the process writing rows 2561-5000 exited with status 1"):
+            write_csv(varied_dataset(5000), path)
+        assert_no_residue(tmp_path, "out.csv")
+
+    def test_exception_in_parent_range_reaps_children(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(ds, fh, blocks):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child the parent must kill
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "_write_blocks", interrupted)
+        use_cpus(monkeypatch, 3)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(varied_dataset(5000), tmp_path / "out.csv")
+        assert time.monotonic() - started < 30
+        assert_no_residue(tmp_path, "out.csv")
 
 
 class TestProfile:

@@ -1,4 +1,6 @@
-"""Load memory is bounded: load_csv reads its file in fixed record blocks."""
+"""Ingest memory is bounded: load_csv reads its file in fixed record
+blocks, and write_csv's parent holds one block of text whatever the
+number of writers."""
 
 import numpy as np
 
@@ -69,3 +71,41 @@ def test_load_with_scattered_missing_cells_is_bounded(tmp_path):
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
     _assert_bounded(peak_rise_mb(SETUP, GAPPED_STEP, str(path), str(warm)))
+
+
+# The set is drawn in place, so that the set-up peaks no higher than the
+# matrix it keeps, and the warm-up write is small, so that its peak does
+# not hide the step's.
+WRITE_SETUP = """
+import sys
+import numpy as np
+from fraudkit import base
+from fraudkit.ingest import ColumnSchema, Dataset, write_csv
+
+path, warm = sys.argv[1:]
+base.usable_cpus = lambda: 2  # one child, so the parallel path runs
+rng = np.random.default_rng(3)
+schema = [ColumnSchema(f"V{j}", "numeric") for j in range(30)] + [ColumnSchema("Class", "label")]
+ds = Dataset(schema, rng.normal(size=(40_000, 30)), rng.integers(0, 2, size=40_000))
+write_csv(Dataset(schema, ds.features[:300], ds.labels[:300]), warm)
+"""
+
+WRITE_STEP = """
+write_csv(ds, path)
+"""
+
+# The child's half of the 23 MB file is about 12 MB of text. Reading it
+# back into the parent, as bytes and then as str, raised the peak by
+# 23 MB, where the in-kernel copy and one block's strings raise it by
+# about 0.3 MB.
+WRITE_ALLOWANCE_MB = 6
+
+
+def test_write_peak_rss_holds_no_child_text(tmp_path):
+    path, warm = tmp_path / "data.csv", tmp_path / "warm.csv"
+    rise_mb = peak_rise_mb(WRITE_SETUP, WRITE_STEP, str(path), str(warm))
+    assert path.stat().st_size > 20 * 2**20
+    assert rise_mb <= WRITE_ALLOWANCE_MB, (
+        f"writing 40,000 rows raised the parent's peak RSS by {rise_mb:.1f} MB "
+        f"(allowance {WRITE_ALLOWANCE_MB})"
+    )
