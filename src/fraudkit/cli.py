@@ -2,8 +2,11 @@
 
 Subcommands: profile, explore, gen-synth, train, evaluate,
 sweep-imbalance, compare-sampling, run. Exit codes: 0 success,
-1 validation error, 2 runtime failure. Human-readable output goes to
-stdout, diagnostics to stderr, machine formats only to files.
+1 validation error (a data, plan or bundle path that names a directory,
+or that cannot be opened for want of permission, among them), 2 runtime
+failure. Human-readable output goes to stdout, diagnostics to stderr,
+machine formats only to files; gen-synth's status line is a diagnostic,
+so `gen-synth /dev/stdout > f.csv` writes only the CSV.
 """
 
 import argparse
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import fraudkit
 from fraudkit.base import FraudkitError
-from fraudkit.config import ConfigError, _csv_list, load_plan, load_schema_config, plan_to_config_text
+from fraudkit.config import _csv_list, load_plan, load_schema_config, plan_to_config_text
 from fraudkit.experiments import emit_report, imbalance_points, prepare, run_cell, run_experiment
 from fraudkit.ingest import SchemaError, infer_schema, load_csv, profile, write_csv
 from fraudkit.metrics import evaluate_predictions
@@ -114,7 +117,7 @@ def cmd_gen_synth(args):
     given = {f.name: getattr(args, f.name, None) for f in fields(SyntheticSpec)}
     ds = gen_synthetic(SyntheticSpec(**{k: v for k, v in given.items() if v is not None}))
     write_csv(ds, args.out)
-    print(f"wrote {ds.n_rows} rows ({ds.n_pos} fraud) to {args.out}")
+    print(f"wrote {ds.n_rows} rows ({ds.n_pos} fraud) to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -240,11 +243,12 @@ def run_cli(argv=None):
         return 1
     try:
         return args.func(args)
-    except (FraudkitError, ValueError, ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         raise  # stdout's reader went away: not a failure of the command
+    except (FraudkitError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError, FileExistsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -125,10 +125,30 @@ def _parser():
     return cp
 
 
+def _read(cp, path, what):
+    """Read the what file at path into cp. A file that cannot be read, or
+    that configparser rejects, is a ConfigError naming it and, when
+    rejected, its first bad line."""
+    try:
+        if cp.read(path, encoding="utf-8"):
+            return
+    except configparser.DuplicateSectionError as exc:
+        line, problem = exc.lineno, f"section [{exc.section}] is repeated"
+    except configparser.DuplicateOptionError as exc:
+        line, problem = exc.lineno, f"key {exc.option} is repeated in [{exc.section}]"
+    except configparser.MissingSectionHeaderError as exc:
+        line, problem = exc.lineno, f"no [section] header before {exc.line!r}"
+    except configparser.ParsingError as exc:
+        line, text = exc.errors[0]
+        problem = f"not a key = value line: {text}"
+    else:
+        raise ConfigError(f"cannot read {what} file {path}")
+    raise ConfigError(f"{path}: line {line}: {problem}")
+
+
 def load_plan(path, overrides=()):
     cp = _parser()
-    if not cp.read(path, encoding="utf-8"):
-        raise ConfigError(f"cannot read config file {path}")
+    _read(cp, path, "config")
     for item in overrides:
         try:
             key, value = item.split("=", 1)
@@ -237,8 +257,7 @@ def load_schema_config(path):
     from fraudkit.ingest import ColumnSchema
 
     cp = _parser()
-    if not cp.read(path, encoding="utf-8"):
-        raise ConfigError(f"cannot read schema file {path}")
+    _read(cp, path, "schema")
     if not cp.has_section("columns"):
         raise ConfigError(f"{path}: schema needs a [columns] section")
     policies = dict(cp["missing"]) if cp.has_section("missing") else {}

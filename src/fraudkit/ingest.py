@@ -7,6 +7,7 @@ binary label (0 = non-fraud, 1 = fraud).
 """
 
 import csv
+import io
 import mmap
 import os
 import signal
@@ -14,7 +15,7 @@ import stat
 import tempfile
 import traceback
 from array import array
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, compress, islice
@@ -186,16 +187,28 @@ def _blocks(path, lines, clean=None):
     lines that hold a record, appending the file line each record ends on
     to lines. A block is clean(header, raw lines, records)'s float64
     array or, where clean is None or returns None, the block's csv
-    records. Reader and decoding errors become ParseErrors naming the
-    file."""
+    records. Where clean is given and _load_ranges takes the data, its
+    blocks come instead. Reader and decoding errors become ParseErrors
+    naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader, read = csv.reader(fh), 0  # read: file lines before the reader's first
+        head = []  # the file lines the header spans
+        reader, read = csv.reader(head.append(line) or line for line in fh), 0
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}: empty file, no header row")
             yield header
             read = reader.line_num
+            ranged = None
+            if clean:
+                start = len("".join(head).encode("utf-8"))
+                ranged = _load_ranges(path, fh, start, partial(clean, header))
+            if ranged is not None:
+                for values in ranged:  # a line per record: the ranges take no blank line
+                    lines.extend(range(read + 1, read + len(values) + 1))
+                    read += len(values)
+                    yield values
+                return
             while raw := list(islice(fh, _READ_BLOCK_ROWS)):
                 records = len(raw) - sum(map(raw.count, _BLANK))
                 if not records:
@@ -221,6 +234,82 @@ def _blocks(path, lines, clean=None):
             raise ParseError(f"{path}: line {read + reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_ranges(path, fh, start, parse):
+    """The float64 blocks of path's data, which starts at byte start,
+    parsed by parse(raw lines, records) in byte ranges as load_csv
+    describes; or None where the ranges do not apply (fh is path, open as
+    text) or a range refuses a block. A child's part holds at least one
+    value for each line of its range, so an empty part is a range that
+    refused."""
+    cpus = base.usable_cpus()
+    if cpus < 2 or not hasattr(os, "fork") or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    with open(path, "rb") as data:
+        data.seek(start)
+        if next(islice(data, 2 * _READ_BLOCK_ROWS - 1, None), None) is None:
+            return None  # under two read blocks of lines
+        size = os.fstat(data.fileno()).st_size
+        cuts = [start]
+        for i in range(1, cpus):
+            data.seek(start + (size - start) * i // cpus)
+            data.readline()  # on to just past the next line break
+            cuts.append(data.tell())
+    cuts.append(size)
+    spans = [span for span in zip(cuts, cuts[1:]) if span[0] < span[1]]
+    jobs = [(f"reading bytes {a + 1}-{b}", (a, b)) for a, b in spans[1:]]
+    with _forked(path, partial(_parse_part, path, parse), jobs) as parts:
+        blocks = []
+        for values in _range_blocks(path, spans[0], parse):
+            if values is None:
+                return None  # and the children are killed at once
+            blocks.append(values)
+        width = blocks[0].shape[1]
+        for part in parts:
+            rows = os.fstat(part.fileno()).st_size // (8 * width)
+            if not rows:
+                return None
+            part.seek(0)
+            for done in range(0, rows, _READ_BLOCK_ROWS):
+                blocks.append(_mapped_empty(min(_READ_BLOCK_ROWS, rows - done), width))
+                part.readinto(blocks[-1])
+    return blocks
+
+
+def _range_blocks(path, span, parse):
+    """Yield the float64 values of the file's bytes span[0] up to span[1],
+    a block of _READ_BLOCK_ROWS lines at a time, each parsed by parse(raw
+    lines, records). Lines split as open(newline="") splits them. For a
+    block that is not UTF-8, holds a blank line or that parse refuses,
+    yield None and stop."""
+    start, end = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        # Binary lines end in b"\n", so a block never splits "\r\n" or a
+        # UTF-8 character, and span ends where a line does.
+        while start < end and (data := b"".join(islice(fh, _READ_BLOCK_ROWS))[: end - start]):
+            start += len(data)
+            try:
+                raw = io.StringIO(data.decode("utf-8"), newline="").readlines()
+                # parse would refuse a blank line too, as loadtxt skips it,
+                # but loadtxt warns of a block of nothing else.
+                values = None if sum(map(raw.count, _BLANK)) else parse(raw, len(raw))
+            except UnicodeDecodeError:
+                values = None
+            yield values
+            if values is None:
+                return
+
+
+def _parse_part(path, parse, part, span):
+    """A forked child's range: the float64 values of its blocks to the
+    file part, or nothing where a block refuses."""
+    for values in _range_blocks(path, span, parse):
+        if values is None:
+            part.truncate(0)
+            return
+        part.write(values)
 
 
 def _loadtxt_block(by_name, header, raw, records):
@@ -271,7 +360,27 @@ def load_csv(path, schema):
     other block goes through csv.reader, which reads on into the file
     where a quoted line break crosses the block's end, and float() of
     each cell. Every cell loadtxt takes, float() takes with the same bits,
-    so the loaded bits and the errors do not depend on the path. A csv
+    so the loaded bits and the errors do not depend on the path.
+
+    Where the schema has no categorical column, path is a regular file,
+    fork is available, base.usable_cpus() is more than 1 and the data
+    holds at least two read blocks of lines, the data's bytes are first
+    cut into one contiguous range per usable CPU, each cut moved on to
+    just past a line break. This process parses range 0 and a forked
+    child each other range, _READ_BLOCK_ROWS lines at a time through
+    np.loadtxt as above, with lines split as open(newline="") splits
+    them. A child leaves its float64 values in an unnamed temporary file,
+    which this process reads back a block at a time, so nothing is
+    pickled. A range stops at the first block that is not UTF-8, holds a
+    blank line or is one np.loadtxt does not take (where that is range
+    0, the children are killed at once), and the whole file is then read
+    again by the one reader above. So every loaded bit, file line and
+    error comes from one reader, whatever the number of CPUs, and a file
+    that falls back costs at most one extra range's parse. A child that
+    fails raises OSError naming path; any exception here, KeyboardInterrupt
+    included, first kills and reaps every child.
+
+    A csv
     block's array holds float() of each numeric and label cell (NaN where
     float() rejects it) and a running code for each categorical cell,
     numbered by first appearance in the file. Each cell is parsed once
@@ -508,53 +617,77 @@ def _write_blocks(ds, fh, blocks):
 
 def _write_ranges(ds, fh, path, ranges):
     """write_csv's rows on len(ranges) CPUs: ranges[0] here, each other
-    range in a forked child, appended to fh in order. fork, not spawn,
-    so that a child reads ds where it lies and nothing is pickled; a
-    child only formats text and writes its file."""
+    range in a forked child, appended to fh in order."""
     fh.flush()  # so that no child holds a copy of buffered text
+    jobs = [
+        (f"writing rows {blocks[0] + 1}-{min(blocks[-1] + _WRITE_BLOCK_ROWS, ds.n_rows)}", blocks)
+        for blocks in ranges[1:]
+    ]
     # realpath, so that a link such as /dev/stdout puts the parts beside
     # the file it names, on the file system the copy stays within.
     directory = os.path.dirname(os.path.realpath(path))
+    with _forked(path, partial(_write_part, ds), jobs, directory) as parts:
+        _write_blocks(ds, fh, ranges[0])
+        fh.flush()
+        for part in parts:
+            size, done = os.fstat(part.fileno()).st_size, 0
+            while done < size:
+                done += os.copy_file_range(part.fileno(), fh.fileno(), size - done, done)
+
+
+def _write_part(ds, part, blocks):
+    """A forked child's range: the blocks' rows to the file part."""
+    with open(part.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
+        _write_blocks(ds, out, blocks)
+
+
+@contextmanager
+def _forked(path, run, jobs, directory=None):
+    """Run run(part, job) in a forked child for each (what, job) in jobs,
+    each child writing its own unnamed temporary file part in directory,
+    and give an iterator over the parts, in order, each once its child
+    has exited. fork, not spawn, so that a child reads what this process
+    holds where it lies and nothing is pickled. A child that fails
+    prints its traceback and exits 1, and the iterator raises OSError
+    naming path and what. On leaving the block, whatever the exception
+    (KeyboardInterrupt included) or at a return, every child not yet
+    reaped is killed and reaped."""
     running = []  # children not yet reaped
-    with ExitStack() as parts:
+    with ExitStack() as files:
         try:
             children = []
-            for blocks in ranges[1:]:
-                part = parts.enter_context(tempfile.TemporaryFile(dir=directory))
+            for what, job in jobs:
+                part = files.enter_context(tempfile.TemporaryFile(dir=directory))
                 pid = os.fork()
                 if pid == 0:
-                    _write_part(ds, part, blocks)
+                    _child(run, part, job)
                 running.append(pid)
-                children.append((pid, part, blocks))
-            _write_blocks(ds, fh, ranges[0])
-            fh.flush()
-            for pid, part, blocks in children:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                running.remove(pid)
-                if code:
-                    last = min(blocks[-1] + _WRITE_BLOCK_ROWS, ds.n_rows)
-                    raise OSError(
-                        f"{path}: the process writing rows {blocks[0] + 1}-{last} "
-                        f"exited with status {code}"
-                    )
-                size, done = os.fstat(part.fileno()).st_size, 0
-                while done < size:
-                    done += os.copy_file_range(part.fileno(), fh.fileno(), size - done, done)
+                children.append((pid, part, what))
+
+            def reaped():
+                for pid, part, what in children:
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    running.remove(pid)
+                    if code:
+                        raise OSError(f"{path}: the process {what} exited with status {code}")
+                    yield part
+
+            yield reaped()
         finally:
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _write_part(ds, part, blocks):
-    """A forked child's whole run: write the blocks' rows to the file
-    part, then exit, 0 on success and 1 after printing the traceback."""
+def _child(run, part, job):
+    """A forked child's whole run: run(part, job), then exit, 0 on success
+    and 1 after printing the traceback."""
     try:
-        with open(part.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
-            _write_blocks(ds, out, blocks)
+        run(part, job)
+        part.flush()
         os._exit(0)
     except BaseException:
-        traceback.print_exc()  # the parent's error names only the path and rows
+        traceback.print_exc()  # the parent's error names only the path and the job
     finally:
         os._exit(1)
 

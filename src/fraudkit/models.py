@@ -226,12 +226,12 @@ def load_bundle(path):
     """Read a bundle -> (model, scaler, threshold, features, categories).
 
     A file that is not JSON, nests too deeply to decode, lacks a key, has
-    another format_version, or holds a payload that could not score its
-    features raises FraudkitError naming the file: features must be
-    distinct strings, the scaler's mean and std finite and one per feature,
-    the threshold a number in [0, 1], a network as wide as the features
-    and ending in a one-unit sigmoid head, and every tree pass
-    trees.check_tree. A part of the wrong JSON type fails naming its key,
+    another format_version (an int: true is not 1), or holds a payload
+    that could not score its features raises FraudkitError naming the
+    file: features must be distinct strings, the scaler's mean and std
+    finite and one per feature, the threshold a number in [0, 1], a
+    network as wide as the features and ending in a one-unit sigmoid
+    head, and every tree pass trees.check_tree. A part of the wrong JSON type fails naming its key,
     and a categories key that is not a feature, or a categories list that
     repeats a value, names that feature. A bundle loads only in the form
     save_bundle writes: one that lacks categories, or holds trees in any
@@ -239,10 +239,9 @@ def load_bundle(path):
     """
     try:
         payload = check_object(json.loads(Path(path).read_text(encoding="utf-8")), "bundle")
-        if payload["format_version"] != BUNDLE_FORMAT_VERSION:
-            raise FraudkitError(
-                f"{path}: unsupported bundle format_version {payload['format_version']!r}"
-            )
+        version = payload["format_version"]
+        if type(version) is not int or version != BUNDLE_FORMAT_VERSION:
+            raise FraudkitError(f"{path}: unsupported bundle format_version {version!r}")
         features = payload["features"]
         if type(features) is not list or any(type(f) is not str for f in features):
             raise ValueError(f"features {features!r} are not a list of strings")

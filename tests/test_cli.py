@@ -130,6 +130,17 @@ class TestBasics:
     def test_missing_data_file(self):
         assert run_cli(["profile", "/nonexistent.csv"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["profile", "{dir}"], ["evaluate", "{bundle}", "{dir}"], ["gen-synth", "{dir}"],
+    ], ids=["profile", "evaluate", "gen-synth"])
+    def test_directory_as_data_is_validation_error(self, tmp_path, capsys, argv):
+        bundle = tmp_path / "ok.model"
+        bundle.write_text(six_feature_bundle())
+        directory = tmp_path / "data"
+        directory.mkdir()
+        assert run_cli([a.format(dir=directory, bundle=bundle) for a in argv]) == 1
+        assert f"error: [Errno 21] Is a directory: '{directory}'" in capsys.readouterr().err
+
     def test_non_finite_cell_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_text("a,Class\n1.0,0\n\n1e400,1\n")
@@ -218,6 +229,21 @@ class TestGenSynth:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "f0,f1,f2,f3,is_fraud"
         assert len(lines) == 51
+
+    def test_stdout_redirected_to_a_file_holds_only_the_csv(self, tmp_path, capsys):
+        src = str(Path(fraudkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = tmp_path / "synth.csv"
+        with open(path, "wb") as out:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fraudkit", "gen-synth", "/dev/stdout", "--n-rows", "50",
+                 "--n-features", "4", "--fraud-fraction", "0.2", "--seed", "1"],
+                env=env, stdout=out, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("wrote 50 rows (10 fraud) to /dev/stdout")
+        assert run_cli(["profile", str(path), "--label", "is_fraud"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_rows"] == 50
 
     def test_bad_fraction_is_validation_error(self, tmp_path):
         assert run_cli(["gen-synth", str(tmp_path / "x.csv"), "--fraud-fraction", "2.0"]) == 1
@@ -473,6 +499,8 @@ class TestTrainEvaluate:
              "missing key 'scaler'"),
             ('{"format_version": 2, "features": [], "model": {}, "scaler": {}, "threshold": 0.5}',
              "unsupported bundle format_version 2"),
+            (six_feature_bundle(format_version=True), "unsupported bundle format_version True"),
+            (six_feature_bundle(format_version=1.0), "unsupported bundle format_version 1.0"),
             (DEEP_BUNDLE, "maximum recursion depth exceeded"),
             (six_feature_bundle(feature=99), "tree feature index 99 is outside its 6 features"),
             (six_feature_bundle(feature=1.5), "tree feature index 1.5 is outside its 6 features"),
@@ -547,7 +575,8 @@ class TestTrainEvaluate:
             (network_bundle("lstm", build_lstm, lambda net: net.update(input_shape=[3, 6])),
              "lstm expects input shape [1, input_dim], got [3, 6]"),
         ],
-        ids=["not-json", "bare-tree", "no-scaler", "version-2", "nested-too-deep",
+        ids=["not-json", "bare-tree", "no-scaler", "version-2", "version-true", "version-1.0",
+             "nested-too-deep",
              "tree-feature-99", "tree-feature-1.5", "short-scaler", "tree-feature--2",
              "tree-split-nan", "tree-split-null", "tree-prob-string", "forest-no-trees",
              "scaler-mean-null", "scaler-std-nan", "threshold-string", "threshold-5",

@@ -104,6 +104,26 @@ class TestLoadPlan:
         with pytest.raises(ConfigError, match=r"\[dataset\] n_row"):
             load_plan(path)
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("seed = 1\n[dataset]\n", "line 1: no [section] header before 'seed = 1\\n'"),
+            ("[dataset]\ntype = synthetic\ntype = csv\n",
+             "line 3: key type is repeated in [dataset]"),
+            ("[dataset]\n[plan]\nseed = 1\n[dataset]\n", "line 4: section [dataset] is repeated"),
+            ("[dataset]\nn_rows 50\n", "line 2: not a key = value line: 'n_rows 50\\n'"),
+        ],
+        ids=["no-section-header", "repeated-key", "repeated-section", "no-equals-sign"],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, capsys, text, named):
+        path = tmp_path / "p.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_plan(path)
+        assert str(err.value) == f"{path}: {named}"
+        assert run_cli(["run", str(path)]) == 1
+        assert f"error: {path}: {named}" in capsys.readouterr().err
+
     def test_table_defaults_match_library_defaults(self, tmp_path):
         path = tmp_path / "p.cfg"
         path.write_text("[dataset]\n")
@@ -350,3 +370,10 @@ class TestSchemaConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_schema_config(tmp_path / "nope.cfg")
+
+    def test_repeated_column_names_file_and_line(self, tmp_path):
+        path = tmp_path / "schema.cfg"
+        path.write_text("[columns]\namount = numeric\nClass = label\namount = drop\n")
+        with pytest.raises(ConfigError) as err:
+            load_schema_config(path)
+        assert str(err.value) == f"{path}: line 4: key amount is repeated in [columns]"

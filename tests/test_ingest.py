@@ -1,10 +1,14 @@
 import csv
 import io
 import os
+import re
 import struct
 import threading
 import time
+from array import array
 from collections import Counter
+from contextlib import closing
+from functools import partial
 
 import numpy as np
 import pytest
@@ -287,6 +291,29 @@ def messy_files(draw):
     return "\n".join(lines) + "\n", schema
 
 
+def assert_loads_as_reference(path, schema):
+    """load_csv at 1, 2 and 3 usable CPUs gives reference_load's dataset,
+    or its error type and text."""
+    try:
+        names, categories, X, y = reference_load(path, schema)
+    except (ParseError, SchemaError) as exc:
+        for cpus in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(type(exc)) as got:
+                mp.setattr(base, "usable_cpus", lambda: cpus)
+                load_csv(path, schema)
+            assert str(got.value) == str(exc)
+        return
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "usable_cpus", lambda: cpus)
+            ds = load_csv(path, schema)
+        assert ds.feature_names == names
+        assert {c.name: c.categories for c in ds.schema if c.kind == "categorical"} == categories
+        assert ds.features.shape == X.shape
+        assert ds.features.tobytes() == X.tobytes()
+        assert ds.labels.tobytes() == y.tobytes()
+
+
 class TestReaderOracle:
     @settings(max_examples=300, deadline=None)
     @given(messy_files())
@@ -294,19 +321,7 @@ class TestReaderOracle:
         text, schema = file
         path = tmp_path_factory.mktemp("oracle") / "messy.csv"
         path.write_text(text, encoding="utf-8")
-        try:
-            names, categories, X, y = reference_load(path, schema)
-        except (ParseError, SchemaError) as exc:
-            with pytest.raises(type(exc)) as got:
-                load_csv(path, schema)
-            assert str(got.value) == str(exc)
-            return
-        ds = load_csv(path, schema)
-        assert ds.feature_names == names
-        assert {c.name: c.categories for c in ds.schema if c.kind == "categorical"} == categories
-        assert ds.features.shape == X.shape
-        assert ds.features.tobytes() == X.tobytes()
-        assert ds.labels.tobytes() == y.tobytes()
+        assert_loads_as_reference(path, schema)
 
 
 @pytest.fixture(scope="class", params=[1, 2, 3])
@@ -357,7 +372,8 @@ def numeric_messy_files(draw):
 
 class TestReaderOracleBothPaths:
     """The reference against files whose blocks take the np.loadtxt path
-    or the csv path, at blocks of 1, 2 and 3 lines and the default."""
+    or the csv path, at blocks of 1, 2 and 3 lines and the default. At
+    small blocks most files are long enough to be read in byte ranges."""
 
     @pytest.fixture(params=[1, 2, 3, None])
     def block_rows(self, request, monkeypatch):
@@ -367,14 +383,20 @@ class TestReaderOracleBothPaths:
     @pytest.mark.usefixtures("block_rows")
     def test_matches_cell_by_cell_reference_on_both_paths(self, tmp_path_factory, monkeypatch):
         paths = Counter()
-        parse = ingest._loadtxt_block
+        parse, load_ranges = ingest._loadtxt_block, ingest._load_ranges
 
         def spy(*args):
             values = parse(*args)
             paths["csv" if values is None else "loadtxt"] += 1
             return values
 
+        def ranges_spy(*args):  # None where the file is too short or a range refuses
+            blocks = load_ranges(*args)
+            paths["serial" if blocks is None else "ranges"] += 1
+            return blocks
+
         monkeypatch.setattr(ingest, "_loadtxt_block", spy)
+        monkeypatch.setattr(ingest, "_load_ranges", ranges_spy)
 
         @settings(max_examples=300, deadline=None)
         @given(numeric_messy_files())
@@ -382,21 +404,14 @@ class TestReaderOracleBothPaths:
             text, schema = file
             path = tmp_path_factory.mktemp("oracle") / "messy.csv"
             path.write_bytes(text.encode("utf-8"))
-            try:
-                names, _, X, y = reference_load(path, schema)
-            except (ParseError, SchemaError) as exc:
-                with pytest.raises(type(exc)) as got:
-                    load_csv(path, schema)
-                assert str(got.value) == str(exc)
-                return
-            ds = load_csv(path, schema)
-            assert ds.feature_names == names
-            assert ds.features.shape == X.shape
-            assert ds.features.tobytes() == X.tobytes()
-            assert ds.labels.tobytes() == y.tobytes()
+            assert_loads_as_reference(path, schema)
 
         check()
         assert paths["loadtxt"] > 0 and paths["csv"] > 0, paths
+        # At 3-line blocks a file takes the ranges only where its 6 to 8
+        # rows are all clean, which too few examples draw to rely on.
+        if ingest._READ_BLOCK_ROWS <= 2:
+            assert paths["ranges"] > 0 and paths["serial"] > 0, paths
 
 
 # Cells that reach np.loadtxt: the reader splits lines at line breaks and
@@ -674,6 +689,234 @@ class TestWriteCsvRanges:
             write_csv(varied_dataset(5000), tmp_path / "out.csv")
         assert time.monotonic() - started < 30
         assert_no_residue(tmp_path, "out.csv")
+
+
+# A file of 1,000 rows read in blocks of 50 lines: 20 blocks, cut into up
+# to four byte ranges. The files are small, so a test may start more
+# readers than the machine has CPUs.
+MANY_ROWS, MANY_BLOCK_ROWS = 1000, 50
+
+
+@pytest.fixture
+def many_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", MANY_BLOCK_ROWS)
+    path = tmp_path / "many.csv"
+    write_csv(varied_dataset(MANY_ROWS), path)
+    return path
+
+
+def read_at(monkeypatch, cpus, path, schema):
+    """The values and file lines _blocks reads with cpus usable CPUs."""
+    monkeypatch.setattr(base, "usable_cpus", lambda: cpus)
+    lines = array("q")
+    clean = partial(ingest._loadtxt_block, {c.name: c for c in schema})
+    with closing(ingest._blocks(path, lines, clean)) as blocks:
+        next(blocks)
+        values = np.concatenate(list(blocks))
+    return values, lines
+
+
+def outcome_at(monkeypatch, cpus, path, schema):
+    """load_csv's dataset, or its error type and text, with cpus usable CPUs."""
+    monkeypatch.setattr(base, "usable_cpus", lambda: cpus)
+    try:
+        ds = load_csv(path, schema)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return ds.feature_names, ds.features.tobytes(), ds.labels.tobytes()
+
+
+def ranges_taken(monkeypatch):
+    """A list that gets, for each load, whether its byte ranges were taken."""
+    taken, real = [], ingest._load_ranges
+
+    def spy(*args):
+        blocks = real(*args)
+        taken.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(ingest, "_load_ranges", spy)
+    return taken
+
+
+def first_cut(path, parts):
+    """The end of range 0 of path's data when cut into parts ranges."""
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    return data.index(b"\n", start + (len(data) - start) // parts) + 1
+
+
+# Each edits the cells of one row, near the end of the file.
+LAST_RANGE_FAULTS = {
+    "quote": lambda cells: [b'"' + cells[0] + b'"', *cells[1:]],
+    "blank-line": lambda cells: [b"\r\n" + cells[0], *cells[1:]],
+    "missing-cell": lambda cells: [cells[0], b"", *cells[2:]],
+    "bad-cell": lambda cells: [cells[0], b"xyz", *cells[2:]],
+    "bad-utf8": lambda cells: [cells[0], b"\xff", *cells[2:]],
+}
+
+
+def break_row(path, row, fault):
+    rows = path.read_bytes().split(b"\r\n")
+    rows[row] = b",".join(LAST_RANGE_FAULTS[fault](rows[row].split(b",")))
+    path.write_bytes(b"\r\n".join(rows))
+
+
+class TestLoadCsvRanges:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ending", ["\r\n", "\n", "\r and \n"])
+    def test_bits_and_lines_do_not_depend_on_cpus(self, many_blocks, monkeypatch, cpus, ending):
+        text = many_blocks.read_bytes().decode()
+        if ending == "\r and \n":  # every other line ends in a bare CR
+            rows = text.split("\r\n")
+            text = "".join(row + ("\r\n", "\r")[i % 2] for i, row in enumerate(rows[:-1]))
+        else:
+            text = text.replace("\r\n", ending)
+        many_blocks.write_bytes(text.encode())
+        schema = infer_schema(many_blocks, "Class")
+        expected, expected_lines = read_at(monkeypatch, 1, many_blocks, schema)
+        taken = ranges_taken(monkeypatch)
+        values, lines = read_at(monkeypatch, cpus, many_blocks, schema)
+        assert values.tobytes() == expected.tobytes()
+        assert lines == expected_lines
+        assert lines.tolist() == list(range(2, MANY_ROWS + 2))
+        assert taken == [cpus > 1]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_header_over_two_lines(self, many_blocks, monkeypatch, cpus):
+        # The data starts after the header's two lines and its bytes, not
+        # its characters: the quoted name holds a line break and a 2-byte
+        # character.
+        data = many_blocks.read_bytes()
+        many_blocks.write_bytes(data.replace(b"c0,", '"\u00e70\r\nx",'.encode(), 1))
+        schema = infer_schema(many_blocks, "Class")
+        assert schema[0].name == "\u00e70\r\nx"
+        expected, _ = read_at(monkeypatch, 1, many_blocks, schema)
+        taken = ranges_taken(monkeypatch)
+        values, lines = read_at(monkeypatch, cpus, many_blocks, schema)
+        assert values.tobytes() == expected.tobytes()
+        assert lines.tolist() == list(range(3, MANY_ROWS + 3))
+        assert taken == [True]
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("fault", list(LAST_RANGE_FAULTS))
+    def test_fault_in_the_last_range_loads_as_on_one_cpu(
+        self, many_blocks, monkeypatch, cpus, fault
+    ):
+        break_row(many_blocks, -3, fault)  # the last row but one
+        schema = infer_schema(many_blocks, "Class")
+        expected = outcome_at(monkeypatch, 1, many_blocks, schema)
+        taken = ranges_taken(monkeypatch)
+        assert outcome_at(monkeypatch, cpus, many_blocks, schema) == expected
+        assert taken == [False]
+        if fault in ("bad-cell", "bad-utf8"):
+            assert expected[0] is ParseError
+        else:
+            assert len(expected[1]) == (MANY_ROWS - (fault == "missing-cell")) * 3 * 8
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_of_only_blank_lines_loads_as_on_one_cpu(self, many_blocks, monkeypatch):
+        # np.loadtxt warns of a block with no data; the ranges never give it
+        # one. The first block is clean, and the second holds only blank lines.
+        break_row(many_blocks, MANY_BLOCK_ROWS + 1, "blank-line")
+        many_blocks.write_bytes(many_blocks.read_bytes().replace(b"\r\n\r\n", b"\r\n" * 150))
+        schema = infer_schema(many_blocks, "Class")
+        expected = outcome_at(monkeypatch, 1, many_blocks, schema)
+        assert outcome_at(monkeypatch, 2, many_blocks, schema) == expected
+        assert len(expected[1]) == MANY_ROWS * 3 * 8
+
+    @pytest.mark.parametrize("n_rows", [2 * MANY_BLOCK_ROWS - 1, 2 * MANY_BLOCK_ROWS])
+    def test_file_under_two_read_blocks_is_read_serially(self, tmp_path, monkeypatch, n_rows):
+        monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", MANY_BLOCK_ROWS)
+        path = tmp_path / "short.csv"
+        write_csv(varied_dataset(n_rows), path)
+        schema = infer_schema(path, "Class")
+        expected = outcome_at(monkeypatch, 1, path, schema)
+        ranges = ranges_taken(monkeypatch)
+        assert outcome_at(monkeypatch, 2, path, schema) == expected
+        assert ranges == [n_rows >= 2 * MANY_BLOCK_ROWS]
+
+    def test_this_process_parses_only_the_first_range(self, many_blocks, monkeypatch):
+        spans, real = [], ingest._range_blocks
+
+        def spy(path, span, parse):
+            spans.append(span)  # a child appends to its own copy
+            return real(path, span, parse)
+
+        monkeypatch.setattr(ingest, "_range_blocks", spy)
+        outcome_at(monkeypatch, 3, many_blocks, infer_schema(many_blocks, "Class"))
+        assert spans == [(len(b"c0,c1,c2,Class\r\n"), first_cut(many_blocks, 3))]
+        assert_no_residue(many_blocks.parent, "many.csv")
+
+    def test_serial_without_fork(self, many_blocks, monkeypatch):
+        schema = infer_schema(many_blocks, "Class")
+        expected = outcome_at(monkeypatch, 1, many_blocks, schema)
+        monkeypatch.delattr(os, "fork")
+        taken = ranges_taken(monkeypatch)
+        assert outcome_at(monkeypatch, 2, many_blocks, schema) == expected
+        assert taken == [False]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_input_that_is_not_a_regular_file_is_read_serially(self, many_blocks, monkeypatch):
+        schema = infer_schema(many_blocks, "Class")
+        expected = outcome_at(monkeypatch, 1, many_blocks, schema)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to read a pipe"))
+        fifo = many_blocks.parent / "pipe"
+        os.mkfifo(fifo)
+        data = many_blocks.read_bytes()
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+        writer.start()
+        assert outcome_at(monkeypatch, 2, fifo, schema) == expected
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+    def test_refusal_in_the_first_range_kills_the_children(self, many_blocks, monkeypatch):
+        break_row(many_blocks, 2, "quote")
+        schema = infer_schema(many_blocks, "Class")
+        expected = outcome_at(monkeypatch, 1, many_blocks, schema)
+        parent, real = os.getpid(), ingest._range_blocks
+
+        def slow_in_child(path, span, parse):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child the parent must kill
+            return real(path, span, parse)
+
+        monkeypatch.setattr(ingest, "_range_blocks", slow_in_child)
+        started = time.monotonic()
+        assert outcome_at(monkeypatch, 3, many_blocks, schema) == expected
+        assert time.monotonic() - started < 30
+        assert_no_residue(many_blocks.parent, "many.csv")
+
+    def test_failed_child_names_the_path(self, many_blocks, monkeypatch):
+        parent, real = os.getpid(), ingest._range_blocks
+
+        def fail_in_child(path, span, parse):
+            if os.getpid() != parent:
+                raise OSError("no space left in this test")
+            return real(path, span, parse)
+
+        monkeypatch.setattr(ingest, "_range_blocks", fail_in_child)
+        size = many_blocks.stat().st_size
+        ends = f"{first_cut(many_blocks, 2) + 1}-{size}"
+        message = f"{many_blocks}: the process reading bytes {ends} exited with status 1"
+        with pytest.raises(OSError, match=re.escape(message)):
+            outcome_at(monkeypatch, 2, many_blocks, infer_schema(many_blocks, "Class"))
+        assert_no_residue(many_blocks.parent, "many.csv")
+
+    def test_exception_in_the_first_range_reaps_children(self, many_blocks, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(path, span, parse):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child the parent must kill
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "_range_blocks", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            outcome_at(monkeypatch, 3, many_blocks, infer_schema(many_blocks, "Class"))
+        assert time.monotonic() - started < 30
+        assert_no_residue(many_blocks.parent, "many.csv")
 
 
 class TestProfile:

@@ -1,6 +1,6 @@
 """Ingest memory is bounded: load_csv reads its file in fixed record
-blocks, and write_csv's parent holds one block of text whatever the
-number of writers."""
+blocks, in one process or in byte ranges, and write_csv's parent holds
+one block of text whatever the number of writers."""
 
 import numpy as np
 
@@ -12,9 +12,11 @@ N_ROWS, N_FEATURES = 40_000, 30
 
 SETUP = """
 import sys
+from fraudkit import base
 from fraudkit.ingest import infer_schema, load_csv
 
-path, warm = sys.argv[1:]
+path, warm, cpus = sys.argv[1:]
+base.usable_cpus = lambda: int(cpus)
 load_csv(warm, infer_schema(warm, "is_fraud"))
 schema = infer_schema(path, "is_fraud")
 """
@@ -52,7 +54,14 @@ def _assert_bounded(rise_mb):
 
 def test_load_peak_rss_is_bounded(tmp_path):
     path, warm = _write_files(tmp_path)
-    _assert_bounded(peak_rise_mb(SETUP, STEP, str(path), str(warm)))
+    _assert_bounded(peak_rise_mb(SETUP, STEP, str(path), str(warm), "1"))
+
+
+def test_load_peak_rss_is_bounded_on_two_cpus(tmp_path):
+    # This process parses the first half of the file and reads the other
+    # half's values back from a child's temporary file a block at a time.
+    path, warm = _write_files(tmp_path)
+    _assert_bounded(peak_rise_mb(SETUP, STEP, str(path), str(warm), "2"))
 
 
 def test_load_with_scattered_missing_cells_is_bounded(tmp_path):
@@ -70,7 +79,9 @@ def test_load_with_scattered_missing_cells_is_bounded(tmp_path):
         lines[1 + r] = ",".join(cells)
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
-    _assert_bounded(peak_rise_mb(SETUP, GAPPED_STEP, str(path), str(warm)))
+    # At two CPUs the first range refuses its first block, and the load
+    # falls back to one process.
+    _assert_bounded(peak_rise_mb(SETUP, GAPPED_STEP, str(path), str(warm), "2"))
 
 
 # The set is drawn in place, so that the set-up peaks no higher than the
