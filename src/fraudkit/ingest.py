@@ -716,7 +716,10 @@ def profile(ds):
 def infer_schema(path, label, categorical=(), drop=()):
     """Build a schema from a file header: named label, listed drops and
     categoricals, everything else numeric. A listed column that is not in
-    the header is a SchemaError naming it."""
+    the header is a SchemaError naming it, and so is a pipe: its header is
+    read here, and load_csv would have to open it a second time."""
+    if stat.S_ISFIFO(os.stat(path).st_mode):
+        raise SchemaError(f"{path}: a pipe can be read only once; give its columns with --schema")
     with closing(_blocks(path, array("q"))) as records:
         header = next(records)
     if label not in header:

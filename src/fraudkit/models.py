@@ -229,13 +229,14 @@ def load_bundle(path):
     another format_version (an int: true is not 1), or holds a payload
     that could not score its features raises FraudkitError naming the
     file: features must be distinct strings, the scaler's mean and std
-    finite and one per feature, the threshold a number in [0, 1], a
-    network as wide as the features and ending in a one-unit sigmoid
-    head, and every tree pass trees.check_tree. A part of the wrong JSON type fails naming its key,
-    and a categories key that is not a feature, or a categories list that
-    repeats a value, names that feature. A bundle loads only in the form
-    save_bundle writes: one that lacks categories, or holds trees in any
-    form but the flat lists, fails naming the key.
+    finite numbers (not true or false), one per feature, the threshold a
+    number in [0, 1], a network as wide as the features and ending in a
+    one-unit sigmoid head, and every tree pass trees.check_tree. A part of
+    the wrong JSON type fails naming its key, and a categories key that is
+    not a feature, or a categories list that repeats a value, names that
+    feature. A bundle loads only in the form save_bundle writes: one that
+    lacks categories, or holds trees in any form but the flat lists, fails
+    naming the key.
     """
     try:
         payload = check_object(json.loads(Path(path).read_text(encoding="utf-8")), "bundle")
@@ -248,6 +249,9 @@ def load_bundle(path):
         if len(set(features)) != len(features):
             raise ValueError(f"features {features} repeat a name")
         scaler, stats = StandardScaler(), check_object(payload["scaler"], "scaler")
+        for key in ("mean", "std"):
+            if type(stats[key]) is list and bool in set(map(type, stats[key])):
+                raise ValueError(f"scaler {key} holds true or false, which are not numbers")
         scaler.mean_ = np.asarray(stats["mean"], dtype=np.float64)
         scaler.std_ = np.asarray(stats["std"], dtype=np.float64)
         if not (np.isfinite(scaler.mean_).all() and np.isfinite(scaler.std_).all()):

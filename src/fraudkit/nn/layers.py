@@ -16,12 +16,13 @@ A layer's forward keeps what its backward needs in one attribute,
 after each layer's forward when scoring, after its backward when
 training.
 
-A layer's params and grads are dicts of arrays that init_params
-allocates. After that a layer updates a grads entry only in place (+=)
-and never rebinds an entry of params or grads: once a network has
-initialized the layer, each entry is a view into the network's one
-parameter vector or its one gradient vector, which the optimizer updates
-as a whole, and an array bound in its place would no longer be trained.
+A layer allocates no parameters: declare_params lists the name, shape
+and initializer fans of each one, and the network makes each entry of
+the layer's params and grads a view into its one parameter vector or its
+one gradient vector, which the optimizer updates as a whole. A layer
+updates a grads entry only in place (+=) and never rebinds an entry of
+params or grads, as an array bound in its place would no longer be
+trained.
 
 backward(grad, input_grad=True) accumulates the parameter gradients and
 returns the gradient with respect to the layer's input. The network asks
@@ -75,7 +76,7 @@ def _he_uniform(rng, shape, fan_in, _fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-_INITS = {"glorot": _glorot_uniform, "he": _he_uniform}
+INITS = {"glorot": _glorot_uniform, "he": _he_uniform}
 
 
 class Layer(BaseEstimator):
@@ -90,8 +91,11 @@ class Layer(BaseEstimator):
         self.grads = {}
         self.saved = None
 
-    def init_params(self, in_shape, rng):
-        """Allocate parameters for the per-sample input shape."""
+    def declare_params(self, in_shape):
+        """(name, shape, fans) of each parameter for the per-sample input
+        shape, in the order drawn and saved: fans (fan_in, fan_out) for a
+        weight that init draws, None for a bias, which starts at zero."""
+        return []
 
     def output_shape(self, in_shape):
         raise NotImplementedError
@@ -102,9 +106,6 @@ class Layer(BaseEstimator):
     def backward(self, grad, input_grad=True):
         raise NotImplementedError
 
-    def zero_grads(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
 
 class Dense(Layer):
     kind = "dense"
@@ -112,26 +113,18 @@ class Dense(Layer):
     def __init__(self, units, init="glorot"):
         super().__init__()
         self.units = check_positive_int(units, "units")
-        self.init = check_kind(init, _INITS, "init")
+        self.init = check_kind(init, INITS, "init")
 
     def output_shape(self, in_shape):
         if len(in_shape) != 1:
             raise ValueError(f"dense expects a flat input, got shape {in_shape}")
         return (self.units,)
 
-    def init_params(self, in_shape, rng):
+    def declare_params(self, in_shape):
         (n,) = in_shape
-        self.params = {
-            "W": _INITS[self.init](rng, (self.units, n), n, self.units),
-            "b": np.zeros(self.units),
-        }
-        self.zero_grads()
+        return [("W", (self.units, n), (n, self.units)), ("b", (self.units,), None)]
 
     def forward(self, x, train=False, rng=None):
-        if x.shape[1] != self.params["W"].shape[1]:
-            raise ValueError(
-                f"dense expects width {self.params['W'].shape[1]}, got {x.shape[1]}"
-            )
         self.saved = x
         return x @ self.params["W"].T + self.params["b"]
 
@@ -161,7 +154,7 @@ class _Conv(Layer):
         super().__init__()
         self.channels = check_positive_int(channels, "channels")
         self.kernel_size = check_positive_int(kernel_size, "kernel_size")
-        self.init = check_kind(init, _INITS, "init")
+        self.init = check_kind(init, INITS, "init")
 
     def output_shape(self, in_shape):
         k, spatial = self.kernel_size, in_shape[:-1]
@@ -173,14 +166,10 @@ class _Conv(Layer):
             )
         return (*(n - k + 1 for n in spatial), self.channels)
 
-    def init_params(self, in_shape, rng):
+    def declare_params(self, in_shape):
         c_in, size = in_shape[-1], self.kernel_size**self.rank
         shape = (self.kernel_size,) * self.rank + (c_in, self.channels)
-        self.params = {
-            "K": _INITS[self.init](rng, shape, size * c_in, size * self.channels),
-            "b": np.zeros(self.channels),
-        }
-        self.zero_grads()
+        return [("K", shape, (size * c_in, size * self.channels)), ("b", (self.channels,), None)]
 
     def forward(self, x, train=False, rng=None):
         k, r = self.kernel_size, self.rank
@@ -337,22 +326,19 @@ class LSTM(Layer):
         super().__init__()
         self.hidden = check_positive_int(hidden, "hidden")
         self.inner_act = check_kind(inner_act, ("tanh", "relu"), "inner_act")
-        self.init = check_kind(init, _INITS, "init")
+        self.init = check_kind(init, INITS, "init")
 
     def output_shape(self, in_shape):
         if len(in_shape) != 2 or in_shape[0] != 1:
             raise ValueError(f"lstm expects input shape [1, input_dim], got {list(in_shape)}")
         return (self.hidden,)
 
-    def init_params(self, in_shape, rng):
-        _t, input_dim = in_shape
-        h = self.hidden
-        zdim = h + input_dim
-        self.params = {}
-        for gate in ("f", "i", "g", "o"):
-            self.params[f"W_{gate}"] = _INITS[self.init](rng, (h, zdim), zdim, h)
-            self.params[f"b_{gate}"] = np.zeros(h)
-        self.zero_grads()
+    def declare_params(self, in_shape):
+        h, zdim = self.hidden, self.hidden + in_shape[1]
+        decls = []
+        for gate in "figo":
+            decls += [(f"W_{gate}", (h, zdim), (zdim, h)), (f"b_{gate}", (h,), None)]
+        return decls
 
     def forward(self, x, train=False, rng=None):
         p, act = self.params, self.inner_act

@@ -1,11 +1,12 @@
 """Sequential network container, training loop, and model serialization."""
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from fraudkit.base import FraudkitError, check_kind, check_object
-from fraudkit.nn.layers import LAYER_KINDS
+from fraudkit.nn.layers import INITS, LAYER_KINDS
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.optim import Adam
 from fraudkit.rng import derive_seed, generator
@@ -27,12 +28,13 @@ class Network:
     input_shape; shape algebra across all layers is verified at
     construction, so mismatches fail before any training.
 
-    Training state is four vectors: initialize packs every parameter
-    into one float64 vector `theta` and every gradient into one `grad` of
-    the same length, and each entry of a layer's params and grads is a
-    reshaped view into them; Adam keeps one moment vector of each kind
-    over theta. The gap between two tensors, there only to align the next,
-    stays zero in both vectors, so Adam leaves it at zero.
+    Training state is four vectors: _pack, the one place that allocates
+    parameters, sizes one float64 vector `theta` and one `grad` from the
+    layers' declarations, makes each entry of a layer's params and grads a
+    reshaped view into them, and writes the starting values (drawn, loaded
+    or unpickled) into the views; Adam keeps one moment vector of each
+    kind over theta. The gap between two tensors, there only to align the
+    next, stays zero in both vectors, so Adam leaves it at zero.
     """
 
     def __init__(self, layers, input_shape):
@@ -48,10 +50,10 @@ class Network:
 
     def __setstate__(self, state):
         """pickle and copy.deepcopy copy each view as an array of its own,
-        which training would no longer reach: point them back into theta."""
+        which training would no longer reach: copy them into a new theta."""
         self.__dict__.update(state)
         if self.initialized:
-            self._pack()
+            self._pack([self.layers[i].params[name] for i, name, *_ in self._declared()])
 
     @property
     def n_inputs(self):
@@ -59,27 +61,37 @@ class Network:
 
     def initialize(self, seed=0):
         rng = generator(seed)
-        for layer, shape in zip(self.layers, self.shapes):
-            layer.init_params(shape, rng)
-        self._pack()
-        self.initialized = True
+        self._pack(
+            INITS[self.layers[i].init](rng, shape, *fans) if fans else 0.0
+            for i, _name, shape, fans in self._declared()
+        )
         return self
 
-    def _pack(self):
-        """Move every layer's parameters into theta and point its grads
-        into grad, each tensor on a 64-byte boundary."""
-        tensors = [(layer, name) for layer in self.layers for name in layer.params]
-        starts, end = [], 0
-        for layer, name in tensors:
+    def _declared(self):
+        """(layer index, name, shape, fans) of every parameter, in the
+        order they are drawn and saved."""
+        return [
+            (i, *decl)
+            for i, (layer, shape) in enumerate(zip(self.layers, self.shapes))
+            for decl in layer.declare_params(shape)
+        ]
+
+    def _pack(self, values):
+        """Size theta and grad from the declarations, point every layer's
+        params and grads into them, each tensor on a 64-byte boundary, and
+        write into each the starting values (an array, flat list or scalar)
+        of its declaration."""
+        declared, starts, end = self._declared(), [], 0
+        for *_, shape, _fans in declared:
             starts.append(end)
-            end += -(-layer.params[name].size // ALIGN) * ALIGN
+            end += -(-math.prod(shape) // ALIGN) * ALIGN
         self.theta, self.grad = _aligned_zeros(end), _aligned_zeros(end)
-        for (layer, name), start in zip(tensors, starts):
-            arr = layer.params[name]
-            window = slice(start, start + arr.size)
-            layer.params[name] = self.theta[window].reshape(arr.shape)
-            layer.params[name][...] = arr
-            layer.grads[name] = self.grad[window].reshape(arr.shape)
+        for (i, name, shape, _fans), start, value in zip(declared, starts, values, strict=True):
+            window = slice(start, start + math.prod(shape))
+            self.theta[window] = np.asarray(value, dtype=np.float64).reshape(-1)
+            self.layers[i].params[name] = self.theta[window].reshape(shape)
+            self.layers[i].grads[name] = self.grad[window].reshape(shape)
+        self.initialized = True
 
     def named_params(self):
         return {
@@ -268,7 +280,8 @@ def _layer_from_spec(i, spec):
 def network_from_dict(payload):
     """The network network_to_dict wrote. Its input_shape must be positive
     ints, its layers a list of objects of known kinds, and each layer's
-    parameters finite, with the names and shapes that initialize gives them."""
+    parameters the ones it declares, with that shape and as many finite
+    numbers (not bools), checked before any is allocated; nothing is drawn."""
     if check_object(payload, "network").get("format_version") != FORMAT_VERSION:
         raise FraudkitError(f"unsupported model format version {payload.get('format_version')!r}")
     input_shape, specs = payload["input_shape"], payload["layers"]
@@ -277,20 +290,25 @@ def network_from_dict(payload):
     if type(specs) is not list:
         raise ValueError(f"layers is a {type(specs).__name__}, not a list")
     specs = [check_object(spec, f"layers[{i}]") for i, spec in enumerate(specs)]
-    layers = [_layer_from_spec(i, spec) for i, spec in enumerate(specs)]
-    network = Network(layers, input_shape).initialize()
-    for i, (layer, spec) in enumerate(zip(layers, specs)):
-        key = f"layers[{i}] params"
-        params = {}
-        for name, p in check_object(spec["params"], key).items():
-            p = check_object(p, f"{key} {name}")
-            params[name] = np.array(p["data"], dtype=np.float64).reshape(p["shape"])
-        if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in layer.params.items()}:
-            raise ValueError(f"{spec['kind']} parameters do not have the layer's shapes")
-        if not all(np.isfinite(v).all() for v in params.values()):
-            raise ValueError(f"{spec['kind']} parameters must be finite")
-        for name, v in params.items():
-            layer.params[name][...] = v
+    network = Network([_layer_from_spec(i, spec) for i, spec in enumerate(specs)], input_shape)
+    declared = network._declared()
+    for i, spec in enumerate(specs):
+        stored = sorted(check_object(spec["params"], f"layers[{i}] params"))
+        if stored != sorted(name for j, name, *_ in declared if j == i):
+            raise ValueError(f"layers[{i}] params {stored} are not the ones the layer declares")
+    data = []
+    for i, name, shape, _fans in declared:
+        key = f"layers[{i}] params {name}"
+        p = check_object(specs[i]["params"][name], key)
+        if p["shape"] != list(shape) or any(type(d) is not int for d in p["shape"]):
+            raise ValueError(f"{key} shape {p['shape']!r} is not the declared {list(shape)}")
+        values = p["data"]
+        if type(values) is not list or len(values) != math.prod(shape):
+            raise ValueError(f"{key} data is not a list of {math.prod(shape)} values")
+        if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
+            raise ValueError(f"{key} data holds values that are not finite numbers")
+        data.append(values)
+    network._pack(data)
     return network
 
 

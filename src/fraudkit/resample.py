@@ -195,31 +195,19 @@ class NearMiss(BaseEstimator):
         return X[idx], y[idx]
 
 
-@dataclass
-class SmoteProvenance:
-    """Parents of the synthetic rows, one array entry per row in draw
-    order: original dataset row indices and lambda."""
-
-    parent: np.ndarray
-    neighbor: np.ndarray
-    lam: np.ndarray
-
-
 class Smote(BaseEstimator):
     """Synthetic minority over-sampling on segments between neighbors.
 
     Each synthetic row is x_i + lam * (x_nn - x_i) for a uniformly
     chosen real minority row x_i, one of its k nearest minority
     neighbors x_nn (uniform), and lam ~ Uniform[0, 1]. Original rows
-    are preserved bit-exactly; after fit_resample, provenance_ holds the
-    parent, neighbor and lam arrays of the synthetic rows.
+    are preserved bit-exactly.
     """
 
     def __init__(self, ratio=1.0, k=5, seed=0):
         self.ratio = ratio
         self.k = k
         self.seed = seed
-        self.provenance_ = None
 
     def fit_resample(self, X, y):
         """(X, y) with the synthetic rows and their 1 labels appended.
@@ -275,7 +263,6 @@ class Smote(BaseEstimator):
             block *= lams[rows, None]
             block += base
 
-        self.provenance_ = SmoteProvenance(pos[parents], pos[nns], lams)
         y_out = np.concatenate([y, np.ones(n_syn, dtype=np.int64)])
         return X_out, y_out
 

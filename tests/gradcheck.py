@@ -1,6 +1,6 @@
-"""Central finite-difference gradient checking for network layers, and a
+"""Central finite-difference gradient checking for network layers, a
 copy of a network's weights, and its write-back, for tests that compare
-trained networks."""
+trained networks, and the starting weights of a bare layer."""
 
 import numpy as np
 
@@ -67,3 +67,10 @@ def set_weights(network, weights):
     network's parameters in place, so they stay views into its theta."""
     for k, v in network.named_params().items():
         v[...] = weights[k]
+
+
+def init_layer(layer, in_shape, seed):
+    """layer, with the parameters that a network of it alone draws from
+    seed at the per-sample input shape in_shape, and zero gradients."""
+    Network([layer], in_shape).initialize(seed)
+    return layer

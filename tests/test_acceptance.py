@@ -47,6 +47,7 @@ from fraudkit.synth import SyntheticSpec, gen_synthetic
 from gradcheck import check_layers
 from test_metrics import brute_force
 from test_resample import nearmiss_v1_oracle
+from test_sampling_reference import ref_smote
 
 CREDITCARD_ENV = "FRAUDKIT_CREDITCARD_CSV"
 
@@ -201,19 +202,21 @@ def test_sampler_oracles():
         expected = nearmiss_v1_oracle(X, y, k=3, target=target)
         ok = ok and kept == sorted(X[i].tobytes() for i in expected)
 
-    # every synthetic row lies on the segment between its recorded parents
+    # every synthetic row is the reference's, on the segment between the
+    # parents that the reference records
     for case in range(20):
         rng = np.random.default_rng(6000 + case)
         n_pos = int(rng.integers(6, 15))
         n_neg = int(rng.integers(20, 60))
         X = rng.normal(size=(n_pos + n_neg, 3))
         y = np.array([1] * n_pos + [0] * n_neg)
-        sampler = Smote(ratio=1.0, k=5, seed=case)
-        Xr, yr = sampler.fit_resample(X, y)
-        prov = sampler.provenance_
-        a, b, lam = X[prov.parent], X[prov.neighbor], prov.lam
+        Xr, yr = Smote(ratio=1.0, k=5, seed=case).fit_resample(X, y)
+        X_ref, _, prov = ref_smote(X, y, 1.0, 5, case)
+        parents, nns, lam = (np.array(v) for v in zip(*prov))
+        a, b = X[parents], X[nns]
         on_segment = (
-            np.all((0.0 <= lam) & (lam <= 1.0))
+            Xr.tobytes() == X_ref.tobytes()
+            and np.all((0.0 <= lam) & (lam <= 1.0))
             and np.allclose(Xr[len(y):], a + lam[:, None] * (b - a), atol=1e-12)
         )
         ok = ok and on_segment

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,11 @@ def network_bundle(kind, build, edit):
 def hyperparams(i, **values):
     """An edit that sets layer i's hyperparameters values."""
     return lambda net: net["layers"][i]["hyperparams"].update(values)
+
+
+def param(name, **entries):
+    """An edit that sets entries of the first layer's parameter name."""
+    return lambda net: net["layers"][0]["params"][name].update(entries)
 
 
 ONE_SPLIT = json.loads(six_feature_bundle())["model"]["flat_tree"]
@@ -171,6 +177,29 @@ class TestBasics:
         path.write_bytes(b"a,Class\n1.0,0\n\xff,1\n")
         assert run_cli(["profile", str(path)]) == 1
         assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_needs_a_schema(self, tiny_csv, tmp_path, capsys):
+        # Without --schema the header is read from the pipe and the rows from
+        # a second open. The check stats the pipe, which opens nothing, so the
+        # refusal needs no writer.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        assert run_cli(["profile", str(fifo), "--label", "Class"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {fifo}: a pipe can be read only once; give its columns with --schema\n"
+        )
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("[columns]\namount = numeric\ncountry = drop\ndeclined = drop\n"
+                          "Class = label\n")
+        data = tiny_csv.read_bytes()
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+        writer.start()
+        assert run_cli(["profile", str(fifo), "--schema", str(schema)]) == 0
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert json.loads(capsys.readouterr().out)["n_rows"] == 5
+
 
 class TestProfileExplore:
     def test_profile_json(self, tiny_csv, capsys):
@@ -574,6 +603,26 @@ class TestTrainEvaluate:
              "layers[1] hyperparams: unknown activation 'softmax'"),
             (network_bundle("lstm", build_lstm, lambda net: net.update(input_shape=[3, 6])),
              "lstm expects input shape [1, input_dim], got [3, 6]"),
+            (six_feature_bundle(mean=[True, False, True] + [0.0] * 3),
+             "scaler mean holds true or false, which are not numbers"),
+            (six_feature_bundle(std=[1.0] * 5 + [True]),
+             "scaler std holds true or false, which are not numbers"),
+            (logreg_bundle(6, param("W", data=[True, False] * 3)),
+             "layers[0] params W data holds values that are not finite numbers"),
+            (logreg_bundle(6, param("W", data=[0.5] * 5 + [None])),
+             "layers[0] params W data holds values that are not finite numbers"),
+            (logreg_bundle(6, param("b", shape=[True])),
+             "layers[0] params b shape [True] is not the declared [1]"),
+            (logreg_bundle(6, param("W", shape=[6, 1])),
+             "layers[0] params W shape [6, 1] is not the declared [1, 6]"),
+            (logreg_bundle(6, param("W", data=[0.5] * 5)),
+             "layers[0] params W data is not a list of 6 values"),
+            (logreg_bundle(6, param("W", data=[0.5] * 5 + [float("inf")])),
+             "layers[0] params W data holds values that are not finite numbers"),
+            (logreg_bundle(6, lambda net: net["layers"][1]["params"].update(W={})),
+             "layers[1] params ['W'] are not the ones the layer declares"),
+            (logreg_bundle(6, hyperparams(0, units=2)),
+             "layers[0] params W shape [1, 6] is not the declared [2, 6]"),
         ],
         ids=["not-json", "bare-tree", "no-scaler", "version-2", "version-true", "version-1.0",
              "nested-too-deep",
@@ -588,7 +637,10 @@ class TestTrainEvaluate:
              "nested-left-list", "lstm-inner-act-sigmoid", "dense-init-xavier",
              "lstm-hidden-string", "dropout-rate-string", "categories-repeat",
              "categories-unknown-feature", "cnn2d-input-30", "cnn1d-input-5x6x1",
-             "maxpool1d-pool-2", "activation-softmax", "lstm-input-3x6"],
+             "maxpool1d-pool-2", "activation-softmax", "lstm-input-3x6", "scaler-mean-bool",
+             "scaler-std-bool", "param-data-bool", "param-data-null", "param-shape-bool",
+             "param-shape-swapped", "param-data-short", "param-data-inf", "param-undeclared",
+             "dense-units-2"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.model"
@@ -596,6 +648,29 @@ class TestTrainEvaluate:
         code, captured = self._evaluate(capsys, path, self._eval_data(tmp_path, capsys))
         assert code == 1
         assert f"{path}: " in captured.err and message in captured.err
+
+    @pytest.mark.parametrize("edit", [
+        hyperparams(0, units=1_000_000_000),
+        lambda net: net.update(input_shape=[1_000_000_000]),
+    ], ids=["units", "input-shape"])
+    def test_oversized_bundle_fails_before_it_allocates(self, tmp_path, capsys, edit):
+        # The child may map 2 GiB; the weights the edited sizes declare would
+        # take 7.45 GiB or more. Their shapes are checked before allocation.
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "big.model"
+        path.write_text(logreg_bundle(6, edit))
+        data = self._eval_data(tmp_path, capsys)
+        src = str(Path(fraudkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraudkit", "evaluate", str(path), str(data), "--label", "is_fraud"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {path}: ") and "layers[0] params W shape" in line
 
     def test_evaluate_scores_the_unedited_hand_written_bundle(self, tmp_path, capsys):
         path = tmp_path / "ok.model"

@@ -16,7 +16,8 @@ directory each test runs in; each run's files must match it byte for
 byte, so a change that moves any trained weight fails here even when
 every metric stays put. A numpy or BLAS upgrade that moves a last bit is
 re-baselined openly, as cells.csv is: rerun the plans as above and
-regenerate the file with `sha256sum`.
+regenerate the file with `sha256sum`. Every bundle, read by load_bundle
+and written again by save_bundle, must come back byte for byte.
 """
 
 import csv
@@ -31,7 +32,7 @@ from fraudkit.cli import OUTPUT_DIR_ENV, run_cli
 from fraudkit.config import load_plan
 from fraudkit.experiments import METRIC_NAMES, prepare
 from fraudkit.metrics import evaluate_predictions, format_metric
-from fraudkit.models import classify, load_bundle
+from fraudkit.models import classify, load_bundle, save_bundle
 
 GOLDEN = Path(__file__).parent / "golden"
 RUN_DIRS = ("out", *(f"samplers/nearmiss{v}" for v in (1, 2, 3)))
@@ -55,6 +56,14 @@ def assert_digests(root, out):
     assert got == want
 
 
+def assert_resaved(models, resaved):
+    """Every bundle under models, loaded and saved again to resaved, has
+    the same bytes."""
+    for path in sorted(models.glob("*.model")):
+        save_bundle(resaved, *load_bundle(path))
+        assert resaved.read_bytes() == path.read_bytes(), path.name
+
+
 def test_digests_cover_the_golden_runs():
     paths = committed_digests()
     assert all(path.startswith(tuple(f"{d}/" for d in RUN_DIRS)) for path in paths)
@@ -70,6 +79,7 @@ def test_golden_nets_plan(tmp_path, monkeypatch):
     for name in ("cells.csv", "resolved.cfg"):
         assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     assert_digests(tmp_path, "out")
+    assert_resaved(tmp_path / "out" / "models", tmp_path / "resaved.model")
 
     plan = load_plan(GOLDEN / "nets.cfg")
     prep = prepare(plan)
@@ -100,3 +110,4 @@ def test_golden_samplers_plan(tmp_path, monkeypatch, version):
     for name in ("cells.csv", "resolved.cfg"):
         assert (tmp_path / out / name).read_bytes() == (GOLDEN / out / name).read_bytes(), name
     assert_digests(tmp_path, out)
+    assert_resaved(tmp_path / out / "models", tmp_path / "resaved.model")

@@ -26,6 +26,7 @@ from fraudkit.nn.layers import (
     MaxPool1D,
     apply_activation,
 )
+from fraudkit.nn import network
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.network import (
     Network,
@@ -37,7 +38,7 @@ from fraudkit.nn.network import (
 from fraudkit.nn.optim import Adam
 from fraudkit.preprocess import StandardScaler
 
-from gradcheck import check_layers, get_weights, set_weights
+from gradcheck import check_layers, get_weights, init_layer, set_weights
 
 
 def prob_head(*layers):
@@ -227,7 +228,7 @@ class TestLstmStep:
     def test_layer_matches_step(self):
         rng = np.random.default_rng(5)
         layer = LSTM(hidden=3)
-        layer.init_params((1, 2), rng)
+        init_layer(layer, (1, 2), 5)
         x = rng.normal(size=(1, 1, 2))
         out = layer.forward(x)
         p = LSTMParams(**{k: layer.params[k] for k in layer.params})
@@ -374,6 +375,12 @@ class TestNetwork:
         X = rng.normal(size=(5, 3))
         clone = network_from_dict(network_to_dict(net))
         assert np.array_equal(net.predict_proba(X), clone.predict_proba(X))
+
+    @pytest.mark.parametrize("build", [build_cnn2d, build_lstm])
+    def test_load_draws_no_random_numbers(self, build, monkeypatch):
+        payload = network_to_dict(build(30).initialize(3))
+        monkeypatch.setattr(network, "generator", lambda seed: pytest.fail("a load drew weights"))
+        assert network_to_dict(network_from_dict(payload)) == payload
 
     def test_unsupported_format_version(self):
         payload = network_to_dict(Network([Dense(1)], (2,)).initialize(0))

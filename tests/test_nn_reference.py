@@ -22,7 +22,7 @@ from fraudkit.nn.layers import LSTM, Activation, Conv1D, Conv2D, Dense, Flatten,
 from fraudkit.nn.network import PREDICT_BLOCK, Network, fit
 from fraudkit.nn.optim import Adam
 
-from gradcheck import get_weights
+from gradcheck import get_weights, init_layer
 
 
 EPS = np.finfo(np.float64).eps
@@ -307,8 +307,8 @@ class TestConv:
         rng = np.random.default_rng(1)
         ref_cls = {Conv1D: RefConv1D, Conv2D: RefConv2D}[cls]
         fast, ref = cls(channels, k), ref_cls(channels, k)
-        fast.init_params(shape, np.random.default_rng(2))
-        ref.init_params(shape, np.random.default_rng(2))
+        init_layer(fast, shape, 2)
+        init_layer(ref, shape, 2)
         x = rng.normal(size=(9, *shape))
         out = fast.forward(x)
         assert_same(out, ref.forward(x))
@@ -330,8 +330,8 @@ class TestConv:
             channels = int(rng.integers(1, 5))
             ref_cls = {Conv1D: RefConv1D, Conv2D: RefConv2D}[cls]
             fast, ref = cls(channels, k), ref_cls(channels, k)
-            fast.init_params(shape, np.random.default_rng(case))
-            ref.init_params(shape, np.random.default_rng(case))
+            init_layer(fast, shape, case)
+            init_layer(ref, shape, case)
             x = rng.normal(size=(int(rng.integers(1, 6)), *shape))
             grad = rng.normal(size=fast.forward(x).shape)
             ref.forward(x)
@@ -345,8 +345,8 @@ class TestLSTM:
         # One row takes numpy's matrix-vector path, more rows a GEMM.
         rng = np.random.default_rng(14)
         fast, ref = LSTM(6, inner_act=inner_act), RefLSTM(6, inner_act=inner_act)
-        fast.init_params((1, 5), np.random.default_rng(15))
-        ref.init_params((1, 5), np.random.default_rng(15))
+        init_layer(fast, (1, 5), 15)
+        init_layer(ref, (1, 5), 15)
         x = rng.normal(size=(n_rows, 1, 5))
         out = fast.forward(x)
         assert_same(out, ref.forward(x))
@@ -372,8 +372,8 @@ class TestLSTM:
 def test_no_input_grad_keeps_parameter_gradients(make, shape):
     rng = np.random.default_rng(16)
     full, first = make(), make()
-    full.init_params(shape, np.random.default_rng(17))
-    first.init_params(shape, np.random.default_rng(17))
+    init_layer(full, shape, 17)
+    init_layer(first, shape, 17)
     x = rng.normal(size=(9, *shape))
     out = full.forward(x)
     assert_same(first.forward(x), out)

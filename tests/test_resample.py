@@ -12,6 +12,7 @@ from fraudkit.resample import (
 )
 
 from conftest import random_imbalanced
+from test_sampling_reference import ref_smote
 
 
 def nearmiss_v1_oracle(X, y, k, target):
@@ -220,13 +221,15 @@ class TestSmote:
         # the segment from (0,0) to (2,2), i.e. equals (2t, 2t)
         X = np.array([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0]])
         y = np.array([1, 1, 0])
-        sampler = Smote(ratio=3.0, k=1, seed=0)
-        Xr, yr = sampler.fit_resample(X, y)
+        Xr, yr = Smote(ratio=3.0, k=1, seed=0).fit_resample(X, y)
         syn = Xr[3]
         assert syn[0] == pytest.approx(syn[1], abs=1e-12)
         assert 0.0 <= syn[0] <= 2.0
-        prov = sampler.provenance_
-        parent, nn, lam = X[prov.parent[0]], X[prov.neighbor[0]], prov.lam[0]
+        # The rows are the reference's bit for bit, so its provenance is theirs.
+        X_ref, _, prov = ref_smote(X, y, 3.0, 1, 0)
+        assert Xr.tobytes() == X_ref.tobytes()
+        (i, j, lam), = prov
+        parent, nn = X[i], X[j]
         expected = parent + lam * (nn - parent)
         assert np.allclose(syn, expected, atol=1e-12)
 
@@ -241,13 +244,14 @@ class TestSmote:
     def test_originals_preserved_and_segments(self):
         rng = np.random.default_rng(10)
         X, y = random_imbalanced(rng, n_pos=20, n_neg=60, n_features=4)
-        sampler = Smote(ratio=1.0, k=3, seed=2)
-        Xr, yr = sampler.fit_resample(X, y)
+        Xr, yr = Smote(ratio=1.0, k=3, seed=2).fit_resample(X, y)
         assert np.array_equal(Xr[: len(y)], X)
-        prov = sampler.provenance_
-        points, parent, nn = Xr[len(y):], X[prov.parent], X[prov.neighbor]
-        assert np.all((0.0 <= prov.lam) & (prov.lam <= 1.0))
-        assert np.allclose(points, parent + prov.lam[:, None] * (nn - parent), atol=1e-12)
+        X_ref, _, prov = ref_smote(X, y, 1.0, 3, 2)
+        assert Xr.tobytes() == X_ref.tobytes()
+        parents, nns, lam = (np.array(v) for v in zip(*prov))
+        points, parent, nn = Xr[len(y):], X[parents], X[nns]
+        assert np.all((0.0 <= lam) & (lam <= 1.0))
+        assert np.allclose(points, parent + lam[:, None] * (nn - parent), atol=1e-12)
         # convex-hull bound per coordinate
         assert np.all(points >= np.minimum(parent, nn) - 1e-12)
         assert np.all(points <= np.maximum(parent, nn) + 1e-12)

@@ -52,11 +52,11 @@ def test_nearmiss_peak_rss_is_bounded(version):
 
 
 def test_smote_holds_its_output_and_one_block():
-    # The output is every row plus as many synthetic ones, their labels and
-    # their three provenance arrays; the allowance covers one block of
-    # synthetic rows, the random draws and the finiteness flags.
+    # The output is every row plus as many synthetic ones, and their labels;
+    # the allowance covers one block of synthetic rows, the random draws and
+    # the finiteness flags.
     n_syn = N_ROWS - 2 * N_POS
-    output_mb = ((N_ROWS + n_syn) * (N_FEATURES + 1) + 3 * n_syn) * 8 / 2**20
+    output_mb = (N_ROWS + n_syn) * (N_FEATURES + 1) * 8 / 2**20
     rise_mb = peak_rise_mb(SETUP, SMOTE_STEP, "1")
     bound = output_mb + 10
     assert rise_mb <= bound, (
