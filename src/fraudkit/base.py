@@ -51,6 +51,15 @@ def check_labels(y, *, name="y"):
     return y_int
 
 
+def is_finite(value):
+    """Whether the int or float value is finite as a float; an int too
+    large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_object(value, name):
     """value if it is a dict, as a JSON object loads; else ValueError naming it."""
     if type(value) is not dict:

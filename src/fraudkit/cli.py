@@ -12,6 +12,7 @@ so `gen-synth /dev/stdout > f.csv` writes only the CSV.
 import argparse
 import json
 import os
+import stat
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -50,6 +51,10 @@ def _load_dataset(args, categories=None):
     feature columns categorical and encodes them with that mapping."""
     if args.schema:
         schema = load_schema_config(args.schema)
+    elif stat.S_ISFIFO(os.stat(args.data).st_mode):  # infer_schema refuses it too
+        raise SchemaError(
+            f"{args.data}: a pipe can be read only once; give its columns with --schema"
+        )
     else:
         schema = infer_schema(
             args.data,

@@ -24,6 +24,7 @@ import numpy as np
 
 from fraudkit import base
 from fraudkit.base import FraudkitError, check_array, check_labels
+from fraudkit.floatfmt import format_rows
 
 KINDS = ("numeric", "categorical", "label", "drop")
 MISSING_POLICIES = ("forbid", "drop_column", "drop_row")
@@ -560,10 +561,10 @@ def _cell_error(path, line, col, cell):
     return ParseError(f"{path}: line {line}: {problem} in column {col.name!r}: {cell!r}")
 
 
-# Rows formatted per write. The allocator keeps about one block's worth
-# of strings resident after the write (about 3 MB at 1,024 rows of 31
-# cells, 0.2 MB at 128), and larger blocks are no faster.
-_WRITE_BLOCK_ROWS = 128
+# Rows formatted per write. format_rows's arrays peak at about 185 bytes
+# a value, 2.8 MB for 512 rows of 30 features, and are freed at its
+# return; smaller blocks pay numpy's per-call overhead more often.
+_WRITE_BLOCK_ROWS = 512
 
 
 def write_csv(ds, path):
@@ -573,7 +574,9 @@ def write_csv(ds, path):
     Each data row holds the shortest round-trip repr of every feature,
     then the integer label, and ends in CRLF: the bytes csv.writer's
     excel dialect writes for those cells, so load_csv(write_csv(ds)) is
-    bit-exact.
+    bit-exact. floatfmt.format_rows computes those bytes for a block of
+    rows at once in numpy, calling repr only for subnormals and the
+    values repr writes in exponent form.
 
     Rows are formatted on every CPU this process may run on, and the
     bytes do not depend on how many there are: the rows are cut into one
@@ -588,8 +591,10 @@ def write_csv(ds, path):
     (Linux only), or where path is not a regular file (a pipe, say),
     this process writes every row.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(ds.feature_names + [ds.label_name])
+    with open(path, "wb") as fh:
+        header = io.StringIO()
+        csv.writer(header).writerow(ds.feature_names + [ds.label_name])
+        fh.write(header.getvalue().encode("utf-8"))
         blocks = range(0, ds.n_rows, _WRITE_BLOCK_ROWS)
         workers = min(base.usable_cpus(), len(blocks))
         if (
@@ -605,20 +610,17 @@ def write_csv(ds, path):
 
 
 def _write_blocks(ds, fh, blocks):
-    """Write the rows of the blocks that start at the rows in blocks."""
+    """Write to the binary file fh the rows of the blocks that start at
+    the rows in blocks."""
     for start in blocks:
         block = slice(start, start + _WRITE_BLOCK_ROWS)
-        # A float repr or int str never holds a comma, quote or line
-        # break, so no cell needs quoting.
-        cells = [map(repr, col) for col in ds.features[block].T.tolist()]
-        cells.append(map(str, ds.labels[block].tolist()))
-        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        fh.write(format_rows(ds.features[block], ds.labels[block]))
 
 
 def _write_ranges(ds, fh, path, ranges):
     """write_csv's rows on len(ranges) CPUs: ranges[0] here, each other
     range in a forked child, appended to fh in order."""
-    fh.flush()  # so that no child holds a copy of buffered text
+    fh.flush()  # so that no child holds a copy of buffered bytes
     jobs = [
         (f"writing rows {blocks[0] + 1}-{min(blocks[-1] + _WRITE_BLOCK_ROWS, ds.n_rows)}", blocks)
         for blocks in ranges[1:]
@@ -626,19 +628,13 @@ def _write_ranges(ds, fh, path, ranges):
     # realpath, so that a link such as /dev/stdout puts the parts beside
     # the file it names, on the file system the copy stays within.
     directory = os.path.dirname(os.path.realpath(path))
-    with _forked(path, partial(_write_part, ds), jobs, directory) as parts:
+    with _forked(path, partial(_write_blocks, ds), jobs, directory) as parts:
         _write_blocks(ds, fh, ranges[0])
         fh.flush()
         for part in parts:
             size, done = os.fstat(part.fileno()).st_size, 0
             while done < size:
                 done += os.copy_file_range(part.fileno(), fh.fileno(), size - done, done)
-
-
-def _write_part(ds, part, blocks):
-    """A forked child's range: the blocks' rows to the file part."""
-    with open(part.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
-        _write_blocks(ds, out, blocks)
 
 
 @contextmanager
@@ -719,7 +715,7 @@ def infer_schema(path, label, categorical=(), drop=()):
     the header is a SchemaError naming it, and so is a pipe: its header is
     read here, and load_csv would have to open it a second time."""
     if stat.S_ISFIFO(os.stat(path).st_mode):
-        raise SchemaError(f"{path}: a pipe can be read only once; give its columns with --schema")
+        raise SchemaError(f"{path}: a pipe can be read only once")
     with closing(_blocks(path, array("q"))) as records:
         header = next(records)
     if label not in header:

@@ -252,8 +252,10 @@ def load_bundle(path):
         for key in ("mean", "std"):
             if type(stats[key]) is list and bool in set(map(type, stats[key])):
                 raise ValueError(f"scaler {key} holds true or false, which are not numbers")
-        scaler.mean_ = np.asarray(stats["mean"], dtype=np.float64)
-        scaler.std_ = np.asarray(stats["std"], dtype=np.float64)
+            try:
+                setattr(scaler, f"{key}_", np.asarray(stats[key], dtype=np.float64))
+            except OverflowError:
+                raise ValueError(f"scaler {key} holds an int too large for a float") from None
         if not (np.isfinite(scaler.mean_).all() and np.isfinite(scaler.std_).all()):
             raise ValueError("scaler mean and std must be finite")
         if not scaler.mean_.shape == scaler.std_.shape == (len(features),):

@@ -5,7 +5,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from fraudkit.base import FraudkitError, check_kind, check_object
+from fraudkit.base import FraudkitError, check_kind, check_object, is_finite
 from fraudkit.nn.layers import INITS, LAYER_KINDS
 from fraudkit.nn.losses import bce_loss, bce_loss_grad
 from fraudkit.nn.optim import Adam
@@ -305,7 +305,7 @@ def network_from_dict(payload):
         values = p["data"]
         if type(values) is not list or len(values) != math.prod(shape):
             raise ValueError(f"{key} data is not a list of {math.prod(shape)} values")
-        if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
+        if not set(map(type, values)) <= {int, float} or not all(map(is_finite, values)):
             raise ValueError(f"{key} data holds values that are not finite numbers")
         data.append(values)
     network._pack(data)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from fraudkit.base import BaseEstimator, NotFittedError, check_positive_int, check_X_y
+from fraudkit.base import BaseEstimator, NotFittedError, check_positive_int, check_X_y, is_finite
 from fraudkit.rng import derive_seed, generator
 
 
@@ -55,7 +55,7 @@ def check_tree(tree, n_features):
             raise ValueError(f"tree feature index {feature!r} is outside its {n_features} features")
         if feature == -1 and (left, right) != (-1, -1):
             raise ValueError(f"tree node {i}: leaf with children {left!r}, {right!r}")
-        if feature >= 0 and (type(threshold) not in (int, float) or not math.isfinite(threshold)):
+        if feature >= 0 and (type(threshold) not in (int, float) or not is_finite(threshold)):
             raise ValueError(f"tree node {i}: threshold {threshold!r} is not a finite number")
         if feature >= 0 and not all(type(c) is int and i < c < n for c in (left, right)):
             raise ValueError(f"tree node {i}: children {left!r}, {right!r} do not follow it")

@@ -201,6 +201,19 @@ class TestBasics:
         assert json.loads(capsys.readouterr().out)["n_rows"] == 5
 
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_plan_on_a_pipe_names_no_schema_option(self, tmp_path, capsys):
+        # A plan's data path has no --schema to offer.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(f"[plan]\noutput_dir = {tmp_path / 'out'}\n\n[dataset]\ntype = csv\n"
+                        f"path = {fifo}\nlabel = Class\n\n[models]\nkinds = dtree\n")
+        assert run_cli(["run", str(plan)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {fifo}: a pipe can be read only once\n" in err and "--schema" not in err
+
+
 class TestProfileExplore:
     def test_profile_json(self, tiny_csv, capsys):
         code = run_cli(
@@ -619,6 +632,14 @@ class TestTrainEvaluate:
              "layers[0] params W data is not a list of 6 values"),
             (logreg_bundle(6, param("W", data=[0.5] * 5 + [float("inf")])),
              "layers[0] params W data holds values that are not finite numbers"),
+            (six_feature_bundle(mean=[10**400] + [0.0] * 5),
+             "scaler mean holds an int too large for a float"),
+            (six_feature_bundle(std=[1.0] * 5 + [-(10**400)]),
+             "scaler std holds an int too large for a float"),
+            (six_feature_bundle(split=10**400),
+             f"tree node 0: threshold {10**400} is not a finite number"),
+            (logreg_bundle(6, param("W", data=[0.5] * 5 + [10**400])),
+             "layers[0] params W data holds values that are not finite numbers"),
             (logreg_bundle(6, lambda net: net["layers"][1]["params"].update(W={})),
              "layers[1] params ['W'] are not the ones the layer declares"),
             (logreg_bundle(6, hyperparams(0, units=2)),
@@ -639,7 +660,8 @@ class TestTrainEvaluate:
              "categories-unknown-feature", "cnn2d-input-30", "cnn1d-input-5x6x1",
              "maxpool1d-pool-2", "activation-softmax", "lstm-input-3x6", "scaler-mean-bool",
              "scaler-std-bool", "param-data-bool", "param-data-null", "param-shape-bool",
-             "param-shape-swapped", "param-data-short", "param-data-inf", "param-undeclared",
+             "param-shape-swapped", "param-data-short", "param-data-inf", "scaler-mean-huge-int",
+             "scaler-std-huge-int", "tree-split-huge-int", "param-data-huge-int", "param-undeclared",
              "dense-units-2"],
     )
     def test_evaluate_rejects_non_bundle(self, tmp_path, capsys, content, message):

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -370,6 +370,18 @@ def numeric_messy_files(draw):
     return text, schema
 
 
+# Eight clean rows: at blocks of 1 or 2 lines, long enough for the ranges.
+LONG_CLEAN_FILE = (
+    "a,b,id,Class\n" + "".join(f"{i / 8!r},{-i * 1.5!r},{i!r}.0,{i % 2}\r\n" for i in range(8)),
+    [
+        ColumnSchema("a", "numeric"),
+        ColumnSchema("b", "numeric"),
+        ColumnSchema("id", "drop"),
+        ColumnSchema("Class", "label", "forbid"),
+    ],
+)
+
+
 class TestReaderOracleBothPaths:
     """The reference against files whose blocks take the np.loadtxt path
     or the csv path, at blocks of 1, 2 and 3 lines and the default. At
@@ -400,6 +412,7 @@ class TestReaderOracleBothPaths:
 
         @settings(max_examples=300, deadline=None)
         @given(numeric_messy_files())
+        @example(LONG_CLEAN_FILE)  # so that some file is read in ranges
         def check(file):
             text, schema = file
             path = tmp_path_factory.mktemp("oracle") / "messy.csv"
@@ -622,8 +635,9 @@ class TestWriteCsvRanges:
         assert_no_residue(tmp_path, "serial.csv", "out.csv")
 
     def test_this_process_formats_only_the_first_range(self, tmp_path, monkeypatch):
-        # 5,000 rows are 40 blocks: 13, 13 and 14 of them on three writers.
+        # Three writers: this process takes the first third of the blocks.
         calls, real = [], ingest._write_blocks
+        every_block = range(0, 5000, ingest._WRITE_BLOCK_ROWS)
 
         def spy(ds, fh, blocks):
             calls.append(blocks)  # a child appends to its own copy
@@ -632,7 +646,7 @@ class TestWriteCsvRanges:
         monkeypatch.setattr(ingest, "_write_blocks", spy)
         use_cpus(monkeypatch, 3)
         write_csv(varied_dataset(5000), tmp_path / "out.csv")
-        assert calls == [range(0, 13 * 128, 128)]
+        assert calls == [every_block[: len(every_block) // 3]]
         assert_no_residue(tmp_path, "out.csv")
 
     def test_serial_without_fork(self, tmp_path, monkeypatch):
