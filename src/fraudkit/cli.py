@@ -71,14 +71,16 @@ def _load_dataset(args, categories=None):
     return load_csv(args.data, schema)
 
 
-def _output_dir(args, default="out"):
-    out = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or default
+def _output_dir(out):
     Path(out).mkdir(parents=True, exist_ok=True)
     return Path(out)
 
 
 def _plan_overrides(args):
-    overrides = list(args.set or [])
+    # A later override wins, so --set and then --output-dir beat OUTPUT_DIR_ENV.
+    env = os.environ.get(OUTPUT_DIR_ENV)
+    overrides = [f"plan.output_dir={env}"] if env else []
+    overrides += args.set or []
     if args.seed is not None:
         overrides.append(f"plan.seed={args.seed}")
     if args.output_dir:
@@ -92,7 +94,7 @@ def _resolve_plan(args):
     """Load and validate the plan, settle its output dir, echo resolved.cfg."""
     plan = load_plan(args.config, _plan_overrides(args))
     plan.validate()
-    out = _output_dir(args, default=plan.output_dir)
+    out = _output_dir(plan.output_dir)
     plan.output_dir = str(out)
     (out / "resolved.cfg").write_text(plan_to_config_text(plan))
     print(f"resolved config -> {out / 'resolved.cfg'}", file=sys.stderr)
@@ -107,7 +109,7 @@ def cmd_profile(args):
 
 def cmd_explore(args):
     ds = _load_dataset(args)
-    out = _output_dir(args)
+    out = _output_dir(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out")
     result = correlation_matrix(ds, include_label=args.include_label)
     csv_path = out / "correlation.csv"
     result.to_csv(csv_path)

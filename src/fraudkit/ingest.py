@@ -10,6 +10,7 @@ import csv
 import io
 import mmap
 import os
+import shutil
 import signal
 import stat
 import tempfile
@@ -179,6 +180,10 @@ _CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 # The lines csv.reader reads as no record.
 _BLANK = ("\n", "\r\n", "\r")
 
+# The line breaks str.splitlines takes that open(newline="") does not,
+# besides FS, GS and RS, which _CSV_ONLY refuses.
+_SPLIT_ONLY = "\x0b\x0c\x85\u2028\u2029"
+
 # The values a numeric or label part must hold to be clean.
 _ACCEPT = {"numeric": np.isfinite, "label": lambda v: (v == 0) | (v == 1)}
 
@@ -271,7 +276,6 @@ def _load_ranges(path, fh, start, parse):
             rows = os.fstat(part.fileno()).st_size // (8 * width)
             if not rows:
                 return None
-            part.seek(0)
             for done in range(0, rows, _READ_BLOCK_ROWS):
                 blocks.append(_mapped_empty(min(_READ_BLOCK_ROWS, rows - done), width))
                 part.readinto(blocks[-1])
@@ -282,8 +286,8 @@ def _range_blocks(path, span, parse):
     """Yield the float64 values of the file's bytes span[0] up to span[1],
     a block of _READ_BLOCK_ROWS lines at a time, each parsed by parse(raw
     lines, records). Lines split as open(newline="") splits them. For a
-    block that is not UTF-8, holds a blank line or that parse refuses,
-    yield None and stop."""
+    block that is not UTF-8, holds a blank line or a _SPLIT_ONLY
+    character, or that parse refuses, yield None and stop."""
     start, end = span
     with open(path, "rb") as fh:
         fh.seek(start)
@@ -292,10 +296,12 @@ def _range_blocks(path, span, parse):
         while start < end and (data := b"".join(islice(fh, _READ_BLOCK_ROWS))[: end - start]):
             start += len(data)
             try:
-                raw = io.StringIO(data.decode("utf-8"), newline="").readlines()
+                text = data.decode("utf-8")
+                raw = text.splitlines(keepends=True)
                 # parse would refuse a blank line too, as loadtxt skips it,
                 # but loadtxt warns of a block of nothing else.
-                values = None if sum(map(raw.count, _BLANK)) else parse(raw, len(raw))
+                refused = sum(map(raw.count, _BLANK)) or any(c in text for c in _SPLIT_ONLY)
+                values = None if refused else parse(raw, len(raw))
             except UnicodeDecodeError:
                 values = None
             yield values
@@ -373,13 +379,14 @@ def load_csv(path, schema):
     them. A child leaves its float64 values in an unnamed temporary file,
     which this process reads back a block at a time, so nothing is
     pickled. A range stops at the first block that is not UTF-8, holds a
-    blank line or is one np.loadtxt does not take (where that is range
-    0, the children are killed at once), and the whole file is then read
-    again by the one reader above. So every loaded bit, file line and
-    error comes from one reader, whatever the number of CPUs, and a file
-    that falls back costs at most one extra range's parse. A child that
-    fails raises OSError naming path; any exception here, KeyboardInterrupt
-    included, first kills and reaps every child.
+    blank line or a line break open(newline="") does not split at (VT,
+    FF, NEL, U+2028, U+2029), or is one np.loadtxt does not take (where
+    that is range 0, the children are killed at once), and the whole file
+    is then read again by the one reader above. So every loaded bit, file
+    line and error comes from one reader, whatever the number of CPUs, and
+    a file that falls back costs at most one extra range's parse. A child
+    that fails raises OSError naming path; any exception here,
+    KeyboardInterrupt included, first kills and reaps every child.
 
     A csv
     block's array holds float() of each numeric and label cell (NaN where
@@ -561,10 +568,11 @@ def _cell_error(path, line, col, cell):
     return ParseError(f"{path}: line {line}: {problem} in column {col.name!r}: {cell!r}")
 
 
-# Rows formatted per write. format_rows's arrays peak at about 185 bytes
-# a value, 2.8 MB for 512 rows of 30 features, and are freed at its
-# return; smaller blocks pay numpy's per-call overhead more often.
-_WRITE_BLOCK_ROWS = 512
+# Values formatted per write block: at least one row, and 512 rows of 30
+# features. format_rows's arrays peak at about 185 bytes a value, 2.8 MB
+# a block, and are freed at its return; smaller blocks pay numpy's
+# per-call overhead more often.
+_WRITE_BLOCK_VALUES = 512 * 30
 
 
 def write_csv(ds, path):
@@ -576,84 +584,70 @@ def write_csv(ds, path):
     excel dialect writes for those cells, so load_csv(write_csv(ds)) is
     bit-exact. floatfmt.format_rows computes those bytes for a block of
     rows at once in numpy, calling repr only for subnormals and the
-    values repr writes in exponent form.
+    values repr writes in exponent form. A block holds
+    _WRITE_BLOCK_VALUES // n_features rows, and at least one.
 
     Rows are formatted on every CPU this process may run on, and the
-    bytes do not depend on how many there are: the rows are cut into one
-    contiguous range of whole _WRITE_BLOCK_ROWS-row blocks per CPU (no
-    more ranges than blocks). This process writes the header and the
-    first range; a forked child writes each other range to an unnamed
-    temporary file in path's directory, and this process appends those
-    files in order with an in-kernel copy, so no child's text passes
-    through its memory. A failed child raises OSError naming path; any
-    exception here, KeyboardInterrupt included, first kills and reaps
-    every child. With one range, without fork or os.copy_file_range
-    (Linux only), or where path is not a regular file (a pipe, say),
-    this process writes every row.
+    bytes do not depend on how many there are: the blocks are cut into
+    one contiguous range per CPU (one range without fork, and no more
+    ranges than blocks). This process writes the header and the first
+    range; a forked child writes each other range to an unnamed
+    temporary file, and this process appends those files to path in
+    order, 1 MiB at a time, so it never holds a child's whole text.
+    Any path takes the ranges, a pipe included. A failed child raises
+    OSError naming path; any exception here, KeyboardInterrupt included,
+    first kills and reaps every child.
     """
     with open(path, "wb") as fh:
         header = io.StringIO()
         csv.writer(header).writerow(ds.feature_names + [ds.label_name])
         fh.write(header.getvalue().encode("utf-8"))
-        blocks = range(0, ds.n_rows, _WRITE_BLOCK_ROWS)
-        workers = min(base.usable_cpus(), len(blocks))
-        if (
-            workers > 1
-            and hasattr(os, "fork")
-            and hasattr(os, "copy_file_range")
-            and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        ):
-            ends = [i * len(blocks) // workers for i in range(workers + 1)]
-            _write_ranges(ds, fh, path, [blocks[a:b] for a, b in zip(ends, ends[1:])])
-        else:
-            _write_blocks(ds, fh, blocks)
+        blocks = range(0, ds.n_rows, max(1, _WRITE_BLOCK_VALUES // max(1, ds.n_features)))
+        cpus = base.usable_cpus() if hasattr(os, "fork") else 1
+        workers = max(1, min(cpus, len(blocks)))  # one empty range for no rows
+        ends = [i * len(blocks) // workers for i in range(workers + 1)]
+        _write_ranges(ds, fh, path, [blocks[a:b] for a, b in zip(ends, ends[1:])])
 
 
 def _write_blocks(ds, fh, blocks):
     """Write to the binary file fh the rows of the blocks that start at
-    the rows in blocks."""
+    the rows in blocks, a range whose step is the block's row count."""
     for start in blocks:
-        block = slice(start, start + _WRITE_BLOCK_ROWS)
+        block = slice(start, start + blocks.step)
         fh.write(format_rows(ds.features[block], ds.labels[block]))
 
 
 def _write_ranges(ds, fh, path, ranges):
     """write_csv's rows on len(ranges) CPUs: ranges[0] here, each other
     range in a forked child, appended to fh in order."""
-    fh.flush()  # so that no child holds a copy of buffered bytes
     jobs = [
-        (f"writing rows {blocks[0] + 1}-{min(blocks[-1] + _WRITE_BLOCK_ROWS, ds.n_rows)}", blocks)
+        (f"writing rows {blocks[0] + 1}-{min(blocks[-1] + blocks.step, ds.n_rows)}", blocks)
         for blocks in ranges[1:]
     ]
-    # realpath, so that a link such as /dev/stdout puts the parts beside
-    # the file it names, on the file system the copy stays within.
-    directory = os.path.dirname(os.path.realpath(path))
-    with _forked(path, partial(_write_blocks, ds), jobs, directory) as parts:
+    with _forked(path, partial(_write_blocks, ds), jobs) as parts:
         _write_blocks(ds, fh, ranges[0])
-        fh.flush()
         for part in parts:
-            size, done = os.fstat(part.fileno()).st_size, 0
-            while done < size:
-                done += os.copy_file_range(part.fileno(), fh.fileno(), size - done, done)
+            shutil.copyfileobj(part, fh, 2**20)
 
 
 @contextmanager
-def _forked(path, run, jobs, directory=None):
+def _forked(path, run, jobs):
     """Run run(part, job) in a forked child for each (what, job) in jobs,
-    each child writing its own unnamed temporary file part in directory,
-    and give an iterator over the parts, in order, each once its child
-    has exited. fork, not spawn, so that a child reads what this process
-    holds where it lies and nothing is pickled. A child that fails
-    prints its traceback and exits 1, and the iterator raises OSError
-    naming path and what. On leaving the block, whatever the exception
-    (KeyboardInterrupt included) or at a return, every child not yet
-    reaped is killed and reaped."""
+    each child writing its own unnamed temporary file part, and give an
+    iterator over the parts, in order, each rewound once its child has
+    exited. fork, not spawn, so that a child reads what this process
+    holds where it lies and nothing is pickled; a child ends in
+    os._exit, so it never flushes a copy of this process's buffers. A
+    child that fails prints its traceback and exits 1, and the iterator
+    raises OSError naming path and what. On leaving the block, whatever
+    the exception (KeyboardInterrupt included) or at a return, every
+    child not yet reaped is killed and reaped."""
     running = []  # children not yet reaped
     with ExitStack() as files:
         try:
             children = []
             for what, job in jobs:
-                part = files.enter_context(tempfile.TemporaryFile(dir=directory))
+                part = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
                     _child(run, part, job)
@@ -666,6 +660,7 @@ def _forked(path, run, jobs, directory=None):
                     running.remove(pid)
                     if code:
                         raise OSError(f"{path}: the process {what} exited with status {code}")
+                    part.seek(0)
                     yield part
 
             yield reaped()

@@ -96,6 +96,12 @@ epochs_max = 30
 """
 
 
+def cli_env():
+    """This environment, with the fraudkit under test first on PYTHONPATH."""
+    src = str(Path(fraudkit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.fixture
 def plan_file(tmp_path):
     path = tmp_path / "plan.cfg"
@@ -115,19 +121,15 @@ class TestBasics:
         assert capsys.readouterr().out.startswith("fraudkit ")
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(fraudkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-m", "fraudkit", "--version"],
-                             env=env, capture_output=True, text=True)
+                             env=cli_env(), capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith(f"fraudkit {fraudkit.__version__}")
 
     def test_closed_stdout_exits_quietly(self, tiny_csv):
-        src = str(Path(fraudkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         argv = ["profile", str(tiny_csv), "--categorical", "country,declined"]
         proc = subprocess.Popen([sys.executable, "-m", "fraudkit", *argv],
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.close()  # the reader is gone before the command prints
         err = proc.stderr.read().decode()
         assert proc.wait() == 1
@@ -260,6 +262,17 @@ class TestProfileExplore:
         assert (out / "correlation.csv").exists()
 
 
+# 5,000 rows of 10 features: four 1,536-row blocks, two for each of two
+# writers, and about 1 MB of text.
+SYNTH_ARGS = ["gen-synth", "--n-rows", "5000", "--seed", "1"]
+
+
+def two_cpu_cli(argv):
+    """A command line that runs fraudkit's main with argv as if on two CPUs."""
+    main = "from fraudkit import base, cli; base.usable_cpus = lambda: 2; cli.main()"
+    return [sys.executable, "-c", main, *argv]
+
+
 class TestGenSynth:
     def test_writes_csv(self, tmp_path, capsys):
         path = tmp_path / "synth.csv"
@@ -273,19 +286,42 @@ class TestGenSynth:
         assert len(lines) == 51
 
     def test_stdout_redirected_to_a_file_holds_only_the_csv(self, tmp_path, capsys):
-        src = str(Path(fraudkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         path = tmp_path / "synth.csv"
         with open(path, "wb") as out:
             proc = subprocess.run(
                 [sys.executable, "-m", "fraudkit", "gen-synth", "/dev/stdout", "--n-rows", "50",
                  "--n-features", "4", "--fraud-fraction", "0.2", "--seed", "1"],
-                env=env, stdout=out, stderr=subprocess.PIPE, text=True,
+                env=cli_env(), stdout=out, stderr=subprocess.PIPE, text=True,
             )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.startswith("wrote 50 rows (10 fraud) to /dev/stdout")
         assert run_cli(["profile", str(path), "--label", "is_fraud"]) == 0
         assert json.loads(capsys.readouterr().out)["n_rows"] == 50
+
+    def test_stdout_piped_at_two_cpus_matches_the_file(self, tmp_path):
+        path = tmp_path / "synth.csv"
+        assert subprocess.run(two_cpu_cli([*SYNTH_ARGS, str(path)]), env=cli_env()).returncode == 0
+        proc = subprocess.run(
+            two_cpu_cli([*SYNTH_ARGS, "/dev/stdout"]), env=cli_env(), capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"\r\n") == 5001
+        assert proc.stdout == path.read_bytes()
+
+    def test_stdout_reader_that_closes_early_exits_one_and_leaves_no_process(self):
+        proc = subprocess.Popen(
+            two_cpu_cli([*SYNTH_ARGS, "/dev/stdout"]), env=cli_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # the reader goes away mid-write
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert err == ""
+        # Forked writers share the command's process group, as nothing here
+        # calls setpgid; each was killed and reaped before the command exited.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
     def test_bad_fraction_is_validation_error(self, tmp_path):
         assert run_cli(["gen-synth", str(tmp_path / "x.csv"), "--fraud-fraction", "2.0"]) == 1
@@ -465,6 +501,21 @@ class TestPlanCommands:
     def test_jobs_echo_is_the_plans(self, plan_file, tmp_path, capsys):
         assert run_cli(["run", str(plan_file), "--jobs", "64"]) == 0
         assert "jobs = 64\n" in (tmp_path / "out" / "resolved.cfg").read_text()
+
+    @pytest.mark.parametrize("argv,winner", [
+        ([], "fromenv"),
+        (["--set", "plan.output_dir={tmp}/fromset"], "fromset"),
+        (["--output-dir", "{tmp}/fromflag", "--set", "plan.output_dir={tmp}/fromset"], "fromflag"),
+    ])
+    def test_output_dir_order(self, plan_file, tmp_path, monkeypatch, capsys, argv, winner):
+        # --output-dir beats --set, which beats the variable, which beats the plan.
+        monkeypatch.setenv("FRAUDKIT_OUTPUT_DIR", str(tmp_path / "fromenv"))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run_cli(["run", str(plan_file), *argv]) == 0
+        out = tmp_path / winner
+        assert f"output_dir = {out}\n" in (out / "resolved.cfg").read_text()
+        assert (out / "cells.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([winner, "plan.cfg"])
 
 
 class TestTrainEvaluate:
@@ -682,12 +733,10 @@ class TestTrainEvaluate:
         path = tmp_path / "big.model"
         path.write_text(logreg_bundle(6, edit))
         data = self._eval_data(tmp_path, capsys)
-        src = str(Path(fraudkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         limit = 2 << 30
         proc = subprocess.run(
             [sys.executable, "-m", "fraudkit", "evaluate", str(path), str(data), "--label", "is_fraud"],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=cli_env(), capture_output=True, text=True, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert proc.returncode == 1, proc.stderr

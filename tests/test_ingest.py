@@ -531,6 +531,16 @@ class TestReadBlocks:
             load_csv(path, schema)
 
 
+def csv_writer_bytes(ds):
+    """The bytes csv.writer writes for ds's header and rows, each feature as its repr."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(ds.feature_names + [ds.label_name])
+    for row, label in zip(ds.features, ds.labels):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    return expected.getvalue().encode()
+
+
 class TestWriteCsv:
     def test_golden_bytes(self, tmp_path):
         schema = [
@@ -559,17 +569,13 @@ class TestWriteCsv:
         assert path.read_bytes() == b"Class\r\n1\r\n0\r\n"
 
     def test_matches_csv_writer_across_blocks(self, tmp_path):
+        # 2,000 rows of 30 features: four blocks of 512 rows, the last short.
         rng = np.random.default_rng(5)
-        X = rng.normal(size=(5000, 3)) * 10.0 ** rng.integers(-8, 8, size=(5000, 3))
-        y = rng.integers(0, 2, size=5000)
+        X = rng.normal(size=(2000, 30)) * 10.0 ** rng.integers(-8, 8, size=(2000, 30))
+        y = rng.integers(0, 2, size=2000)
         path = tmp_path / "long.csv"
         write_csv(make_dataset(X, y), path)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["c0", "c1", "c2", "Class"])
-        for row, label in zip(X, y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes() == csv_writer_bytes(make_dataset(X, y))
 
     @settings(deadline=None)
     @given(
@@ -609,20 +615,29 @@ def assert_no_residue(directory, *names):
     assert sorted(os.listdir(directory)) == sorted(names)
 
 
-def varied_dataset(n_rows):
+def varied_dataset(n_rows, n_features=3):
     """Rows whose text lengths vary, so range ends fall mid-file at odd byte offsets."""
     rng = np.random.default_rng(n_rows)
-    X = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-8, 8, size=(n_rows, 3))
+    shape = (n_rows, n_features)
+    X = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
     return make_dataset(X, rng.integers(0, 2, size=n_rows))
 
 
 def serial_bytes(ds, tmp_path, monkeypatch):
-    use_cpus(monkeypatch, 1)
-    write_csv(ds, tmp_path / "serial.csv")
+    """write_csv's bytes at one CPU, where it forks no child."""
+    with monkeypatch.context() as mp:
+        mp.setattr(base, "usable_cpus", lambda: 1)
+        mp.setattr(os, "fork", lambda: pytest.fail("forked at one CPU"))
+        write_csv(ds, tmp_path / "serial.csv")
     return (tmp_path / "serial.csv").read_bytes()
 
 
 class TestWriteCsvRanges:
+    @pytest.fixture(autouse=True)
+    def blocks_of_128_rows(self, monkeypatch):
+        # 128-row blocks of 3 features, so that 5,000 rows make 40 blocks.
+        monkeypatch.setattr(ingest, "_WRITE_BLOCK_VALUES", 128 * 3)
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n_rows", [0, 1, 127, 128, 129, 5000])
     def test_bytes_do_not_depend_on_cpus(self, tmp_path, monkeypatch, cpus, n_rows):
@@ -637,7 +652,7 @@ class TestWriteCsvRanges:
     def test_this_process_formats_only_the_first_range(self, tmp_path, monkeypatch):
         # Three writers: this process takes the first third of the blocks.
         calls, real = [], ingest._write_blocks
-        every_block = range(0, 5000, ingest._WRITE_BLOCK_ROWS)
+        every_block = range(0, 5000, ingest._WRITE_BLOCK_VALUES // 3)
 
         def spy(ds, fh, blocks):
             calls.append(blocks)  # a child appends to its own copy
@@ -646,6 +661,7 @@ class TestWriteCsvRanges:
         monkeypatch.setattr(ingest, "_write_blocks", spy)
         use_cpus(monkeypatch, 3)
         write_csv(varied_dataset(5000), tmp_path / "out.csv")
+        assert len(every_block) == 40
         assert calls == [every_block[: len(every_block) // 3]]
         assert_no_residue(tmp_path, "out.csv")
 
@@ -658,11 +674,17 @@ class TestWriteCsvRanges:
         assert (tmp_path / "out.csv").read_bytes() == expected
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_output_that_is_not_a_regular_file_is_written_serially(self, tmp_path, monkeypatch):
+    def test_pipe_output_takes_the_ranges(self, tmp_path, monkeypatch):
         ds = varied_dataset(5000)
         expected = serial_bytes(ds, tmp_path, monkeypatch)
+        ranges, real = [], ingest._write_ranges
+
+        def spy(ds, fh, path, blocks):
+            ranges.append(len(blocks))
+            real(ds, fh, path, blocks)
+
+        monkeypatch.setattr(ingest, "_write_ranges", spy)
         use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to write a pipe"))
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         got = []
@@ -671,6 +693,7 @@ class TestWriteCsvRanges:
         write_csv(ds, fifo)
         reader.join(timeout=30)
         assert not reader.is_alive() and got == [expected]
+        assert ranges == [2]
         assert_no_residue(tmp_path, "serial.csv", "pipe")
 
     def test_failed_child_names_the_path(self, tmp_path, monkeypatch):
@@ -703,6 +726,24 @@ class TestWriteCsvRanges:
             write_csv(varied_dataset(5000), tmp_path / "out.csv")
         assert time.monotonic() - started < 30
         assert_no_residue(tmp_path, "out.csv")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_wide_blocks_are_bounded_by_values(tmp_path, monkeypatch, cpus):
+    # At 1,000 features a block is 15 rows, so 105 rows make 7 blocks.
+    shapes, real = [], ingest.format_rows
+
+    def spy(features, labels):
+        assert features.size <= ingest._WRITE_BLOCK_VALUES  # a failure in a child fails the write
+        shapes.append(features.shape)  # a child appends to its own copy
+        return real(features, labels)
+
+    monkeypatch.setattr(ingest, "format_rows", spy)
+    use_cpus(monkeypatch, cpus)
+    ds = varied_dataset(105, 1000)
+    write_csv(ds, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes(ds)
+    assert shapes == [(15, 1000)] * (7 // cpus)
 
 
 # A file of 1,000 rows read in blocks of 50 lines: 20 blocks, cut into up
@@ -827,6 +868,31 @@ class TestLoadCsvRanges:
             assert expected[0] is ParseError
         else:
             assert len(expected[1]) == (MANY_ROWS - (fault == "missing-cell")) * 3 * 8
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("row", [2, -3], ids=["first-range", "last-range"])
+    @pytest.mark.parametrize("fault", ["ends-a-cell", "joins-two-rows"])
+    @pytest.mark.parametrize("char", list(ingest._SPLIT_ONLY), ids=["VT", "FF", "NEL", "LS", "PS"])
+    def test_line_break_only_splitlines_takes_loads_as_on_one_cpu(
+        self, many_blocks, monkeypatch, cpus, row, fault, char
+    ):
+        # One reader reads no line break at char: a cell it ends parses as
+        # padded, and two rows it joins are one row of 7 cells.
+        rows = many_blocks.read_bytes().split(b"\r\n")
+        if fault == "ends-a-cell":
+            rows[row] = rows[row].replace(b",", char.encode() + b",", 1)
+        else:
+            rows[row] += char.encode() + rows.pop(row + 1)
+        many_blocks.write_bytes(b"\r\n".join(rows))
+        schema = infer_schema(many_blocks, "Class")
+        expected = outcome_at(monkeypatch, 1, many_blocks, schema)
+        taken = ranges_taken(monkeypatch)
+        assert outcome_at(monkeypatch, cpus, many_blocks, schema) == expected
+        assert taken == [False]
+        if fault == "ends-a-cell":
+            assert len(expected[1]) == MANY_ROWS * 3 * 8
+        else:
+            assert expected[0] is ParseError and "has 7 cells" in expected[1]
 
     @pytest.mark.filterwarnings("error")
     def test_block_of_only_blank_lines_loads_as_on_one_cpu(self, many_blocks, monkeypatch):

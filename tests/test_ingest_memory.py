@@ -107,8 +107,8 @@ write_csv(ds, path)
 
 # The child's half of the 23 MB file is about 12 MB of text. Reading it
 # back into the parent, as bytes and then as str, raised the peak by
-# 23 MB, where the in-kernel copy and one 512-row block's formatting
-# arrays raise it by about 2.5 MB.
+# 23 MB, where appending it 1 MiB at a time and one 512-row block's
+# formatting arrays raise it by about 2.5 MB.
 WRITE_ALLOWANCE_MB = 6
 
 
