@@ -10,13 +10,16 @@ import csv
 import io
 import mmap
 import os
+import pickle
+import re
 import shutil
 import signal
 import stat
+import sys
 import tempfile
 import traceback
 from array import array
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, compress, islice
@@ -148,13 +151,8 @@ def encode_categoricals(values, categories=None):
     """
     values = list(values)
     if categories is None:
-        mapping = {}
-        for v in values:
-            if v not in mapping:
-                mapping[v] = len(mapping)
-        categories = tuple(mapping)
-    else:
-        mapping = {v: i for i, v in enumerate(categories)}
+        categories = tuple(dict.fromkeys(values))
+    mapping = {v: i for i, v in enumerate(categories)}
     try:
         codes = np.array([mapping[v] for v in values], dtype=np.float64)
     except KeyError as exc:
@@ -162,14 +160,9 @@ def encode_categoricals(values, categories=None):
     return codes, tuple(categories)
 
 
-# Raw file lines per read block. A clean block of a schema without a
-# categorical column is parsed in C by np.loadtxt (load_csv's docstring
-# says when); any other block goes through csv.reader and float() of each
-# cell. A block's cells die before the next block is read, so a load
-# holds the float values of the file's kept columns, the cells of one
-# block (about 2.5 MB at 1,024 lines of 31 cells) and what it keeps of
-# each missing or bad cell. Blocks of 8,192 records loaded about a tenth
-# slower through csv.reader.
+# Raw file lines per read block. A block's cells, about 2.5 MB at 1,024
+# lines of 31 cells, die before the next block is read. Blocks of 8,192
+# records loaded about a tenth slower through csv.reader.
 _READ_BLOCK_ROWS = 1024
 
 # Characters that send a block to csv.reader: a quote may open a quoted
@@ -180,165 +173,261 @@ _CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 # The lines csv.reader reads as no record.
 _BLANK = ("\n", "\r\n", "\r")
 
-# The line breaks str.splitlines takes that open(newline="") does not,
-# besides FS, GS and RS, which _CSV_ONLY refuses.
-_SPLIT_ONLY = "\x0b\x0c\x85\u2028\u2029"
+# What errors="surrogateescape" decodes a byte that is not UTF-8 to.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 # The values a numeric or label part must hold to be clean.
 _ACCEPT = {"numeric": np.isfinite, "label": lambda v: (v == 0) | (v == 1)}
 
 
-def _blocks(path, lines, clean=None):
-    """Yield the header, then one block per _READ_BLOCK_ROWS raw file
-    lines that hold a record, appending the file line each record ends on
-    to lines. A block is clean(header, raw lines, records)'s float64
-    array or, where clean is None or returns None, the block's csv
-    records. Where clean is given and _load_ranges takes the data, its
-    blocks come instead. Reader and decoding errors become ParseErrors
-    naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        head = []  # the file lines the header spans
-        reader, read = csv.reader(head.append(line) or line for line in fh), 0
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file, no header row")
-            yield header
-            read = reader.line_num
-            ranged = None
-            if clean:
-                start = len("".join(head).encode("utf-8"))
-                ranged = _load_ranges(path, fh, start, partial(clean, header))
-            if ranged is not None:
-                for values in ranged:  # a line per record: the ranges take no blank line
-                    lines.extend(range(read + 1, read + len(values) + 1))
-                    read += len(values)
-                    yield values
-                return
-            while raw := list(islice(fh, _READ_BLOCK_ROWS)):
-                records = len(raw) - sum(map(raw.count, _BLANK))
-                if not records:
-                    read += len(raw)
-                    continue
-                values = clean(header, raw, records) if clean else None
-                if values is not None:
-                    lines.extend(i for i, line in enumerate(raw, read + 1) if line not in _BLANK)
-                    read += len(raw)
-                    yield values
-                    continue
-                # Reading on into the file, so that a quoted line break
-                # across the block's end still parses.
-                reader, rows = csv.reader(chain(raw, fh)), []
-                while reader.line_num < len(raw):
-                    if row := next(reader):
-                        rows.append(row)
-                        lines.append(read + reader.line_num)
-                read += reader.line_num
-                yield rows
-                del rows  # so the next block is read without these cells
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {read + reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+class _Span(io.RawIOBase):
+    """The unbuffered file fh from where it stands up to byte end (None: its end)."""
+
+    def __init__(self, fh, end):
+        self.fh, self.left = fh, sys.maxsize if end is None else end - fh.tell()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self.fh.readinto(memoryview(buf)[: self.left])
+        self.left -= n
+        return n
 
 
-def _load_ranges(path, fh, start, parse):
-    """The float64 blocks of path's data, which starts at byte start,
-    parsed by parse(raw lines, records) in byte ranges as load_csv
-    describes; or None where the ranges do not apply (fh is path, open as
-    text) or a range refuses a block. A child's part holds at least one
-    value for each line of its range, so an empty part is a range that
-    refused."""
-    cpus = base.usable_cpus()
-    if cpus < 2 or not hasattr(os, "fork") or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        return None
+def _text(fh, end=None):
+    """The lines of _Span(fh, end), split as open(newline="") splits them;
+    a byte that is not UTF-8 becomes a lone surrogate, which _utf8 finds."""
+    return io.TextIOWrapper(_Span(fh, end), "utf-8", "surrogateescape", newline="")
+
+
+def _utf8(lines):
+    """Yield lines up to one holding a byte that is not UTF-8; there raise UnicodeError."""
+    for line in lines:
+        if not line.isascii() and _NOT_UTF8.search(line):
+            raise UnicodeError
+        yield line
+
+
+def _header(path, lines):
+    """The header record read from lines, and the lines it spans."""
+    head = []
+    reader = csv.reader(_utf8(head.append(line) or line for line in lines))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeError:
+        raise ParseError(f"{path}: line {len(head)}: not UTF-8 text") from None
+    if header is None:
+        raise ParseError(f"{path}: empty file, no header row")
+    return header, head
+
+
+def _spans(path, fh, start):
+    """The byte ranges load_csv reads path's data in, where fh is path
+    open unbuffered and the data starts at byte start."""
+    cpus = base.usable_cpus() if hasattr(os, "fork") else 1
+    if cpus < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return [(start, None)]
     with open(path, "rb") as data:
         data.seek(start)
-        if next(islice(data, 2 * _READ_BLOCK_ROWS - 1, None), None) is None:
-            return None  # under two read blocks of lines
-        size = os.fstat(data.fileno()).st_size
-        cuts = [start]
+        breaks = 0
+        for chunk in iter(partial(data.read, 2**20), b""):  # never the whole data at once
+            if b'"' in chunk:
+                return [(start, None)]  # a quoted cell may span a cut
+            if breaks < 2 * _READ_BLOCK_ROWS:  # and no further
+                breaks += chunk.count(b"\n")
+        if breaks < 2 * _READ_BLOCK_ROWS:
+            return [(start, None)]  # under two read blocks of line breaks
+        size, cuts = data.tell(), [start]
         for i in range(1, cpus):
             data.seek(start + (size - start) * i // cpus)
             data.readline()  # on to just past the next line break
             cuts.append(data.tell())
     cuts.append(size)
-    spans = [span for span in zip(cuts, cuts[1:]) if span[0] < span[1]]
-    jobs = [(f"reading bytes {a + 1}-{b}", (a, b)) for a, b in spans[1:]]
-    with _forked(path, partial(_parse_part, path, parse), jobs) as parts:
-        blocks = []
-        for values in _range_blocks(path, spans[0], parse):
-            if values is None:
-                return None  # and the children are killed at once
-            blocks.append(values)
-        width = blocks[0].shape[1]
-        for part in parts:
-            rows = os.fstat(part.fileno()).st_size // (8 * width)
-            if not rows:
-                return None
-            for done in range(0, rows, _READ_BLOCK_ROWS):
-                blocks.append(_mapped_empty(min(_READ_BLOCK_ROWS, rows - done), width))
-                part.readinto(blocks[-1])
-    return blocks
+    return [span for span in zip(cuts, cuts[1:]) if span[0] < span[1]]
 
 
-def _range_blocks(path, span, parse):
-    """Yield the float64 values of the file's bytes span[0] up to span[1],
-    a block of _READ_BLOCK_ROWS lines at a time, each parsed by parse(raw
-    lines, records). Lines split as open(newline="") splits them. For a
-    block that is not UTF-8, holds a blank line or a _SPLIT_ONLY
-    character, or that parse refuses, yield None and stop."""
-    start, end = span
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        # Binary lines end in b"\n", so a block never splits "\r\n" or a
-        # UTF-8 character, and span ends where a line does.
-        while start < end and (data := b"".join(islice(fh, _READ_BLOCK_ROWS))[: end - start]):
-            start += len(data)
-            try:
-                text = data.decode("utf-8")
-                raw = text.splitlines(keepends=True)
-                # parse would refuse a blank line too, as loadtxt skips it,
-                # but loadtxt warns of a block of nothing else.
-                refused = sum(map(raw.count, _BLANK)) or any(c in text for c in _SPLIT_ONLY)
-                values = None if refused else parse(raw, len(raw))
-            except UnicodeDecodeError:
-                values = None
-            yield values
-            if values is None:
-                return
+class _Range:
+    """What a byte range of load_csv's data, or the whole data, holds
+    besides its values: records count from 0 and lines from 1."""
+
+    def __init__(self, columns):
+        self.records = self.line_count = 0
+        self.lines = array("q")  # per record, the line it ends on
+        self.missing = [array("q") for _ in columns]  # per kept column, records of missing cells
+        self.bad = [[] for _ in columns]  # and [(record, cell)] of other rejected cells
+        self.categories = {j: {} for j, c in enumerate(columns) if c.kind == "categorical"}
+        self.error = None  # (line, the text after "line N") of the first structural error
+
+    def extend(self, got, blocks):
+        """Append range got, mapping the category codes in its blocks onto this one's."""
+        self.lines.frombytes((np.frombuffer(got.lines, np.int64) + self.line_count).tobytes())
+        for mine, theirs in zip(self.missing, got.missing):
+            mine.frombytes((np.frombuffer(theirs, np.int64) + self.records).tobytes())
+        for mine, theirs in zip(self.bad, got.bad):
+            mine.extend((self.records + i, cell) for i, cell in theirs)
+        for j, cells in got.categories.items():
+            codes = self.categories[j]
+            recode = np.array([codes.setdefault(cell, len(codes)) for cell in cells])
+            for values in blocks:
+                values[:, j] = recode[values[:, j].astype(np.intp)]
+        self.records += got.records
+        self.line_count += got.line_count
 
 
-def _parse_part(path, parse, part, span):
-    """A forked child's range: the float64 values of its blocks to the
-    file part, or nothing where a block refuses."""
-    for values in _range_blocks(path, span, parse):
-        if values is None:
-            part.truncate(0)
-            return
-        part.write(values)
+def _read_range(header, by_name, lines, put):
+    """Read one range's lines in blocks of _READ_BLOCK_ROWS, put(values)
+    each block's float64 values, and return the range's _Range. A block
+    goes to np.loadtxt where _loadtxt_block takes it, else to csv.reader
+    and float(), which reads every cell loadtxt takes to the same bits. A
+    structural error (a record of other than the header's width, a
+    csv.Error or a byte that is not UTF-8) ends the range."""
+    taken = [by_name[n].kind != "drop" for n in header]
+    columns = [by_name[n] for n in compress(header, taken)]
+    got, read = _Range(columns), 0  # read: the lines read
+    try:
+        while raw := list(islice(lines, _READ_BLOCK_ROWS)):
+            records = len(raw) - sum(map(raw.count, _BLANK))
+            if not records:
+                read += len(raw)
+                continue
+            values = _loadtxt_block(by_name, header, raw, records)
+            if values is not None:
+                got.lines.extend(i for i, line in enumerate(raw, read + 1) if line not in _BLANK)
+                read += len(raw)
+            else:
+                # Reading on into the range, so that a quoted line break
+                # across the block's end still parses.
+                reader, rows = csv.reader(_utf8(chain(raw, lines))), []
+                while reader.line_num < len(raw):
+                    if row := next(reader):
+                        if len(row) != len(header):
+                            what = f" has {len(row)} cells, expected {len(header)}"
+                            got.error = (read + reader.line_num, what)
+                            return got
+                        rows.append(row)
+                        got.lines.append(read + reader.line_num)
+                read += reader.line_num
+                values = _csv_values(got, columns, taken, rows)
+                del rows  # so the next block is read without these cells
+            put(values)
+            got.records += len(values)
+    except csv.Error as exc:
+        got.error = (read + reader.line_num, f": {exc}")
+    except UnicodeError:  # raised before csv.reader counts the line
+        got.error = (read + reader.line_num + 1, ": not UTF-8 text")
+    got.line_count = read
+    return got
+
+
+def _csv_values(got, columns, taken, rows):
+    """The float64 values of the kept columns of csv records that follow
+    got's: float() of a numeric or label cell, NaN where that fails, and a
+    categorical cell's code; missing and bad cells and categories go to got."""
+    values = _mapped_empty(len(rows), len(columns))
+    # One transpose to column-major cells; zip relies on the width check.
+    for j, (col, cells) in enumerate(zip(columns, compress(zip(*rows), taken))):
+        if col.kind == "categorical":
+            codes = got.categories[j]
+            values[:, j] = [codes.setdefault(cell, len(codes)) for cell in cells]
+            if gaps := set(filter(_is_missing, set(cells))):
+                got.missing[j].extend(got.records + i for i, c in enumerate(cells) if c in gaps)
+            continue
+        # Every missing token fails float() or parses to NaN, so _ACCEPT
+        # rejects it along with the bad cells.
+        values[:, j] = _parse_floats(cells)
+        for i in np.flatnonzero(~_ACCEPT[col.kind](values[:, j])).tolist():
+            if _is_missing(cells[i]):
+                got.missing[j].append(got.records + i)
+            else:
+                got.bad[j].append((got.records + i, cells[i]))
+    return values
 
 
 def _loadtxt_block(by_name, header, raw, records):
     """The kept columns of a block of raw lines as parsed by numpy's C
-    parser, or None where csv.reader must read the block: where a line
+    parser, or None where the schema has a categorical column, a line
     holds a _CSV_ONLY character or is longer than csv's field limit,
-    where loadtxt raises or reads other than one row per record at the
-    header's width, or where a cell is not clean."""
+    loadtxt raises or reads other than one row per record at the header's
+    width, or a cell is not clean. loadtxt, like float(), raises at the
+    lone surrogate a byte that is not UTF-8 is read as."""
+    kinds = np.array([by_name[name].kind for name in header])
     text = "".join(raw)
-    if max(map(len, raw)) > csv.field_size_limit() or any(c in text for c in _CSV_ONLY):
+    if "categorical" in kinds or max(map(len, raw)) > csv.field_size_limit():
+        return None
+    if any(c in text for c in _CSV_ONLY):
         return None
     try:
         parsed = np.loadtxt(raw, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
-    kinds = np.array([by_name[name].kind for name in header])
     if parsed.shape != (records, len(header)) or not all(
         accept(parsed[:, kinds == kind]).all() for kind, accept in _ACCEPT.items()
     ):
         return None
     taken = kinds != "drop"
     return np.compress(taken, parsed, axis=1, out=_mapped_empty(records, np.count_nonzero(taken)))
+
+
+def _read_part(path, read, part, span):
+    """A forked child's range, to the file part: each block's row count in
+    8 bytes and float64 values, 8 zero bytes, then the pickled _Range."""
+
+    def put(values):
+        part.write(len(values).to_bytes(8, "little"))
+        part.write(values)
+
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(span[0])
+        got = read(_text(fh, span[1]), put)
+    part.write(bytes(8))
+    pickle.dump(got, part)
+
+
+def _read_back(width, part):
+    """A child's _Range and its float64 blocks of width values a row."""
+    blocks = []
+    while rows := int.from_bytes(part.read(8), "little"):
+        blocks.append(_mapped_empty(rows, width))
+        part.readinto(blocks[-1])
+    return pickle.load(part), blocks
+
+
+def _read(path, by_name):
+    """path's kept columns, in header order, its data's float64 blocks and
+    the _Range of the whole data, read as load_csv describes."""
+    with open(path, "rb", buffering=0) as fh:
+        lines = _text(fh)
+        header, head = _header(path, lines)
+        if sorted(header) != sorted(by_name):
+            missing = set(by_name) - set(header)
+            extra = set(header) - set(by_name)
+            duplicate = {n for n in header if header.count(n) > 1}
+            raise SchemaError(
+                f"{path}: header does not match schema (missing: {sorted(missing)}, "
+                f"unexpected: {sorted(extra)}, duplicate: {sorted(duplicate)})"
+            )
+        columns = [by_name[n] for n in header if by_name[n].kind != "drop"]
+        start = len("".join(head).encode("utf-8", "surrogateescape"))
+        spans = _spans(path, fh, start)
+        if len(spans) > 1:
+            fh.seek(start)
+            lines = _text(fh, spans[0][1])
+        read = partial(_read_range, header, by_name)
+        jobs = [(f"reading bytes {a + 1}-{b}", (a, b)) for a, b in spans[1:]]
+        with _forked(path, partial(_read_part, path, read), jobs) as parts:
+            whole, blocks, first = _Range(columns), [], []
+            whole.line_count = len(head)
+            children = map(partial(_read_back, len(columns)), parts)
+            for got, own in chain([(read(lines, first.append), first)], children):
+                if got.error:  # the earliest in the file; at range 0 the children are killed
+                    line, what = got.error
+                    raise ParseError(f"{path}: line {whole.line_count + line}{what}")
+                whole.extend(got, own)
+                blocks.extend(own)
+    return columns, blocks, whole
 
 
 def load_csv(path, schema):
@@ -354,125 +443,47 @@ def load_csv(path, schema):
     label other than 0 or 1 is an error. Blank lines are skipped.
 
     Errors name the 1-based file line (csv's line_num: the line a record
-    ends on) and, for a bad cell, its column. Every missing-value error
-    comes before any parse error, and a bad cell in a row dropped for a
-    missing value is never reported.
+    ends on) and, for a bad cell, its column. The earliest structural
+    error (a record of other than the header's width, a csv.Error, or a
+    byte that is not UTF-8, header included) comes first, then every
+    missing-value error, then any parse error; a bad cell in a row
+    dropped for a missing value is never reported.
 
-    The file is read in blocks of _READ_BLOCK_ROWS raw lines, and each
-    block holding a record becomes one float64 array. A block of a schema
-    without a categorical column is parsed by numpy's C parser
-    (np.loadtxt) when it holds no quote, no ASCII separator (FS, GS, RS,
-    US) and no line longer than csv's field limit, and when loadtxt reads
-    one row per record at the header's width with every cell clean. Any
-    other block goes through csv.reader, which reads on into the file
-    where a quoted line break crosses the block's end, and float() of
-    each cell. Every cell loadtxt takes, float() takes with the same bits,
-    so the loaded bits and the errors do not depend on the path.
+    The data after the header is cut at line breaks into one byte range
+    per usable CPU; it is one range where fork is missing, path is not a
+    regular file, or the data holds under two read blocks of lines or any
+    quote. Counting a line's quotes cannot tell whether a quoted cell
+    spans a cut: csv.reader reads `x"y,"a` and `b",z"w`, two quotes each,
+    as one record ['x"y', 'a\\r\\nb', 'z"w'], as a quote opens a quoted cell
+    only at a cell's start. This process reads range 0, and a forked child
+    each other range, through _read_range; a child hands back its values
+    through an unnamed temporary file, read back a block at a time, then
+    a pickle of its _Range. This process raises the earliest structural
+    error (range 0's before it waits for any child, killing them), then
+    offsets each range's records and lines and maps its category codes
+    onto the file's. So every loaded bit, line and error is the same at
+    every CPU count. A failed child raises OSError naming path.
 
-    Where the schema has no categorical column, path is a regular file,
-    fork is available, base.usable_cpus() is more than 1 and the data
-    holds at least two read blocks of lines, the data's bytes are first
-    cut into one contiguous range per usable CPU, each cut moved on to
-    just past a line break. This process parses range 0 and a forked
-    child each other range, _READ_BLOCK_ROWS lines at a time through
-    np.loadtxt as above, with lines split as open(newline="") splits
-    them. A child leaves its float64 values in an unnamed temporary file,
-    which this process reads back a block at a time, so nothing is
-    pickled. A range stops at the first block that is not UTF-8, holds a
-    blank line or a line break open(newline="") does not split at (VT,
-    FF, NEL, U+2028, U+2029), or is one np.loadtxt does not take (where
-    that is range 0, the children are killed at once), and the whole file
-    is then read again by the one reader above. So every loaded bit, file
-    line and error comes from one reader, whatever the number of CPUs, and
-    a file that falls back costs at most one extra range's parse. A child
-    that fails raises OSError naming path; any exception here,
-    KeyboardInterrupt included, first kills and reaps every child.
-
-    A csv
-    block's array holds float() of each numeric and label cell (NaN where
-    float() rejects it) and a running code for each categorical cell,
-    numbered by first appearance in the file. Each cell is parsed once
-    and judged in its block: a missing cell leaves its record index, and
-    a numeric or label cell that does not parse, is not finite or is a
-    label other than 0 or 1 leaves its record index and text. After the
-    last block, the missing-value pass and the drops read the record
-    indices, then each kept column, in header order, reports its first
-    bad cell in a kept row. Category codes are then renumbered by first
-    appearance among the kept rows, and the feature matrix is filled
-    block by block, freeing each block. Blocks sit on their own memory
-    maps, so each one freed returns its pages, and peak memory is about
-    one float matrix plus one block of cells, 8 bytes per missing cell
-    and the text of each bad cell, whatever the file's length.
+    Then the missing-value pass and the drops read the record indices of
+    missing cells, each kept column in header order reports its first bad
+    cell in a kept row, category codes are renumbered by first appearance
+    among the kept rows, and the feature matrix is filled block by block,
+    each block's memory map freed as it goes. So peak memory is about one
+    float matrix plus one block of cells per reader, 8 bytes per missing
+    cell and the text of each bad cell.
     """
     schema = list(schema)
     _validate_schema(schema)
     by_name = {c.name: c for c in schema}
-    clean = partial(_loadtxt_block, by_name)
-    if any(c.kind == "categorical" for c in schema):
-        clean = None  # running category codes come from csv cells only
-    lines = array("q")
-    with closing(_blocks(path, lines, clean)) as records:
-        header = next(records)
-        if sorted(header) != sorted(by_name):
-            missing = set(by_name) - set(header)
-            extra = set(header) - set(by_name)
-            duplicate = {n for n in header if header.count(n) > 1}
-            raise SchemaError(
-                f"{path}: header does not match schema (missing: {sorted(missing)}, "
-                f"unexpected: {sorted(extra)}, duplicate: {sorted(duplicate)})"
-            )
-        taken = [by_name[n].kind != "drop" for n in header]
-        columns = [by_name[n] for n in compress(header, taken)]
-        mappings = {c.name: {} for c in columns if c.kind == "categorical"}  # cell -> code
-        blocks = []  # per block, a (records, len(columns)) float64 array
-        starts = []  # per block, the index of its first record
-        missing = {c.name: array("q") for c in columns}  # name -> records of missing cells
-        bad = {c.name: [] for c in columns}  # name -> [(record, cell)] of other rejected cells
-        for block in records:
-            start = len(lines) - len(block)
-            starts.append(start)
-            if isinstance(block, np.ndarray):  # clean, from np.loadtxt
-                blocks.append(block)
-                continue
-            for i, row in enumerate(block):
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}: line {lines[start + i]} has {len(row)} cells, "
-                        f"expected {len(header)}"
-                    )
-            values = _mapped_empty(len(block), len(columns))
-            # One transpose to column-major cells; zip relies on the width check.
-            for j, (col, cells) in enumerate(zip(columns, compress(zip(*block), taken))):
-                if col.kind == "categorical":
-                    mapping = mappings[col.name]
-                    values[:, j] = np.fromiter(
-                        (mapping.setdefault(cell, len(mapping)) for cell in cells),
-                        np.float64,
-                        count=len(cells),
-                    )
-                    if gaps := set(filter(_is_missing, set(cells))):
-                        missing[col.name].extend(
-                            start + i for i, cell in enumerate(cells) if cell in gaps
-                        )
-                    continue
-                # Every missing token fails float() or parses to NaN, so
-                # _ACCEPT rejects it along with the bad cells.
-                values[:, j] = _parse_floats(cells)
-                for i in np.flatnonzero(~_ACCEPT[col.kind](values[:, j])).tolist():
-                    if _is_missing(cells[i]):
-                        missing[col.name].append(start + i)
-                    else:
-                        bad[col.name].append((start + i, cells[i]))
-            blocks.append(values)
-            del block, cells  # so the next block is read without this one
-    file_lines = np.frombuffer(lines, dtype=np.int64)
+    columns, blocks, got = _read(path, by_name)
+    file_lines = np.frombuffer(got.lines, dtype=np.int64)
     keep = np.ones(len(file_lines), dtype=bool)
 
     # Missing-value pass: drop_column removes any column containing a
     # missing cell; drop_row marks rows; forbid errors out.
     kept = []  # indices into columns
     for j, col in enumerate(columns):
-        miss = np.frombuffer(missing[col.name], dtype=np.int64)
+        miss = np.frombuffer(got.missing[j], dtype=np.int64)
         if not len(miss):
             kept.append(j)
             continue
@@ -489,7 +500,8 @@ def load_csv(path, schema):
             keep[miss] = False
             kept.append(j)
     lines = file_lines[keep]
-    keeps = [keep[start:start + len(v)] for start, v in zip(starts, blocks)]
+    starts = np.cumsum([0] + [len(v) for v in blocks])
+    keeps = [keep[a:b] for a, b in zip(starts, starts[1:])]
 
     # Cell checks and final category codes, column by column in header order.
     out_schema = []
@@ -497,13 +509,13 @@ def load_csv(path, schema):
         col = columns[j]
         out_schema.append(ColumnSchema(col.name, col.kind, col.missing_policy))
         if col.kind != "categorical":
-            for record, cell in bad[col.name]:
+            for record, cell in got.bad[j]:
                 if keep[record]:
                     raise _cell_error(path, file_lines[record], col, cell)
             continue
         running = np.concatenate([v[k, j] for v, k in zip(blocks, keeps)] or [np.empty(0)])
         codes, first = encode_categoricals(running.astype(np.intp).tolist())
-        cells = list(mappings[col.name])
+        cells = list(got.categories[j])
         seen = [cells[c] for c in first]  # in first appearance among kept rows
         try:
             final, categories = encode_categoricals(seen, col.categories)
@@ -519,7 +531,7 @@ def load_csv(path, schema):
         recode[list(first)] = final
         for v in blocks:
             v[:, j] = recode[v[:, j].astype(np.intp)]
-    del missing, bad, mappings
+    del got
 
     feature_at = [j for j in kept if columns[j].kind != "label"]
     (label_at,) = (j for j in kept if columns[j].kind == "label")
@@ -636,8 +648,8 @@ def _forked(path, run, jobs):
     each child writing its own unnamed temporary file part, and give an
     iterator over the parts, in order, each rewound once its child has
     exited. fork, not spawn, so that a child reads what this process
-    holds where it lies and nothing is pickled; a child ends in
-    os._exit, so it never flushes a copy of this process's buffers. A
+    holds where it lies; a child ends in os._exit, so it never flushes a
+    copy of this process's buffers. A
     child that fails prints its traceback and exits 1, and the iterator
     raises OSError naming path and what. On leaving the block, whatever
     the exception (KeyboardInterrupt included) or at a return, every
@@ -711,8 +723,8 @@ def infer_schema(path, label, categorical=(), drop=()):
     read here, and load_csv would have to open it a second time."""
     if stat.S_ISFIFO(os.stat(path).st_mode):
         raise SchemaError(f"{path}: a pipe can be read only once")
-    with closing(_blocks(path, array("q"))) as records:
-        header = next(records)
+    with open(path, "rb", buffering=0) as fh:
+        header, _ = _header(path, _text(fh))
     if label not in header:
         raise SchemaError(f"{path}: label column {label!r} not in header")
     for what, names in (("drop", drop), ("categorical", categorical)):

@@ -28,8 +28,9 @@ class SyntheticSpec:
             raise ValueError("fraud_fraction must lie in (0, 1)")
         if not 0.0 <= self.separation < math.inf:
             raise ValueError(f"separation must be finite and >= 0, got {self.separation!r}")
-        if self.n_rows < 1 or self.n_features < 1:
-            raise ValueError("degenerate synthetic spec")
+        for name in ("n_rows", "n_features"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def gen_synthetic(spec):

@@ -178,7 +178,7 @@ class TestBasics:
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,Class\n1.0,0\n\xff,1\n")
         assert run_cli(["profile", str(path)]) == 1
-        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: line 3: not UTF-8 text\n"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_needs_a_schema(self, tiny_csv, tmp_path, capsys):
@@ -322,6 +322,12 @@ class TestGenSynth:
         # calls setpgid; each was killed and reaped before the command exited.
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+
+    def test_zero_rows_is_validation_error_naming_n_rows(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(["gen-synth", str(out), "--n-rows", "0"]) == 1
+        assert "n_rows must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_fraction_is_validation_error(self, tmp_path):
         assert run_cli(["gen-synth", str(tmp_path / "x.csv"), "--fraud-fraction", "2.0"]) == 1

@@ -5,10 +5,7 @@ import re
 import struct
 import threading
 import time
-from array import array
 from collections import Counter
-from contextlib import closing
-from functools import partial
 
 import numpy as np
 import pytest
@@ -385,7 +382,8 @@ LONG_CLEAN_FILE = (
 class TestReaderOracleBothPaths:
     """The reference against files whose blocks take the np.loadtxt path
     or the csv path, at blocks of 1, 2 and 3 lines and the default. At
-    small blocks most files are long enough to be read in byte ranges."""
+    small blocks most files without a quote are long enough to be read in
+    byte ranges."""
 
     @pytest.fixture(params=[1, 2, 3, None])
     def block_rows(self, request, monkeypatch):
@@ -395,20 +393,20 @@ class TestReaderOracleBothPaths:
     @pytest.mark.usefixtures("block_rows")
     def test_matches_cell_by_cell_reference_on_both_paths(self, tmp_path_factory, monkeypatch):
         paths = Counter()
-        parse, load_ranges = ingest._loadtxt_block, ingest._load_ranges
+        parse, spans = ingest._loadtxt_block, ingest._spans
 
-        def spy(*args):
+        def spy(*args):  # counts this process's blocks only
             values = parse(*args)
             paths["csv" if values is None else "loadtxt"] += 1
             return values
 
-        def ranges_spy(*args):  # None where the file is too short or a range refuses
-            blocks = load_ranges(*args)
-            paths["serial" if blocks is None else "ranges"] += 1
-            return blocks
+        def spans_spy(*args):  # one range where the file is short or quoted
+            cut = spans(*args)
+            paths["one range" if len(cut) == 1 else "ranges"] += 1
+            return cut
 
         monkeypatch.setattr(ingest, "_loadtxt_block", spy)
-        monkeypatch.setattr(ingest, "_load_ranges", ranges_spy)
+        monkeypatch.setattr(ingest, "_spans", spans_spy)
 
         @settings(max_examples=300, deadline=None)
         @given(numeric_messy_files())
@@ -421,18 +419,18 @@ class TestReaderOracleBothPaths:
 
         check()
         assert paths["loadtxt"] > 0 and paths["csv"] > 0, paths
-        # At 3-line blocks a file takes the ranges only where its 6 to 8
-        # rows are all clean, which too few examples draw to rely on.
-        if ingest._READ_BLOCK_ROWS <= 2:
-            assert paths["ranges"] > 0 and paths["serial"] > 0, paths
+        # At the default 1,024-line blocks no file is long enough to be cut.
+        if ingest._READ_BLOCK_ROWS <= 3:
+            assert paths["ranges"] > 0 and paths["one range"] > 0, paths
 
 
 # Cells that reach np.loadtxt: the reader splits lines at line breaks and
 # cells at commas, and a block with a _CSV_ONLY character skips loadtxt.
+# U+DCFF is what the reader decodes the byte 0xFF to.
 LOADTXT_CELL = st.one_of(
     st.floats().map(repr),
     st.text(
-        st.sampled_from("0123456789+-.eEinfaty_ \t\x0b\x0c\x00\x1c\x1f\x85\xa0\u2003\u0661x"),
+        st.sampled_from("0123456789+-.eEinfaty_ \t\x0b\x0c\x00\x1c\x1f\x85\xa0\u2003\u0661\udcffx"),
         max_size=8,
     ),
     st.text(max_size=8),
@@ -527,7 +525,7 @@ class TestReadBlocks:
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,Class\n" + b"1.0,0\n" * 5000 + b"\xff,1\n")
         schema = infer_schema(path, "Class")
-        with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
+        with pytest.raises(ParseError, match=f"^{path}: line 5002: not UTF-8 text$"):
             load_csv(path, schema)
 
 
@@ -760,15 +758,25 @@ def many_blocks(tmp_path, monkeypatch):
     return path
 
 
+def with_categories(path):
+    """Replace column c2's cells by 12 categories, more of them first seen
+    further into the file, so that each range numbers them its own way,
+    and give the categories in order of first appearance."""
+    rows = path.read_bytes().split(b"\r\n")
+    for i in range(1, len(rows) - 1):
+        cells = rows[i].split(b",")
+        cells[2] = b"k%d" % (i * 101 % (3 + i // 100))
+        rows[i] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(rows))
+    return tuple(dict.fromkeys(row.split(b",")[2].decode() for row in rows[1:-1]))
+
+
 def read_at(monkeypatch, cpus, path, schema):
-    """The values and file lines _blocks reads with cpus usable CPUs."""
+    """The values and file lines load_csv reads, before its cleaning, with
+    cpus usable CPUs."""
     monkeypatch.setattr(base, "usable_cpus", lambda: cpus)
-    lines = array("q")
-    clean = partial(ingest._loadtxt_block, {c.name: c for c in schema})
-    with closing(ingest._blocks(path, lines, clean)) as blocks:
-        next(blocks)
-        values = np.concatenate(list(blocks))
-    return values, lines
+    _, blocks, got = ingest._read(path, {c.name: c for c in schema})
+    return np.concatenate(blocks), got.lines.tolist()
 
 
 def outcome_at(monkeypatch, cpus, path, schema):
@@ -778,20 +786,31 @@ def outcome_at(monkeypatch, cpus, path, schema):
         ds = load_csv(path, schema)
     except (ParseError, SchemaError) as exc:
         return type(exc), str(exc)
-    return ds.feature_names, ds.features.tobytes(), ds.labels.tobytes()
+    categories = [c.categories for c in ds.schema]
+    return ds.feature_names, ds.features.tobytes(), ds.labels.tobytes(), categories
 
 
-def ranges_taken(monkeypatch):
-    """A list that gets, for each load, whether its byte ranges were taken."""
-    taken, real = [], ingest._load_ranges
+@pytest.fixture
+def parsed(tmp_path_factory, monkeypatch):
+    """A function that gives, for every block offered to np.loadtxt since
+    the fixture was set up, in this process or a forked child, the process
+    and the block's first line and number of records. Every block with a
+    record is offered once, csv.reader reading the ones it refuses."""
+    log, real = tmp_path_factory.mktemp("parsed") / "blocks.log", ingest._loadtxt_block
 
-    def spy(*args):
-        blocks = real(*args)
-        taken.append(blocks is not None)
-        return blocks
+    def spy(by_name, header, raw, records):
+        with open(log, "a") as fh:  # one write, appended whole
+            fh.write(f"{os.getpid()} {records} {raw[0]!r}\n")
+        return real(by_name, header, raw, records)
 
-    monkeypatch.setattr(ingest, "_load_ranges", spy)
-    return taken
+    monkeypatch.setattr(ingest, "_loadtxt_block", spy)
+    return lambda: [tuple(line.split(" ", 2)) for line in log.read_text().splitlines()]
+
+
+def assert_parsed_once(blocks, processes):
+    """No block was offered twice, and the blocks came from processes processes."""
+    assert len({block[1:] for block in blocks}) == len(blocks), Counter(blocks)
+    assert len({pid for pid, *_ in blocks}) == processes
 
 
 def first_cut(path, parts):
@@ -820,7 +839,9 @@ def break_row(path, row, fault):
 class TestLoadCsvRanges:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("ending", ["\r\n", "\n", "\r and \n"])
-    def test_bits_and_lines_do_not_depend_on_cpus(self, many_blocks, monkeypatch, cpus, ending):
+    def test_bits_and_lines_do_not_depend_on_cpus(
+        self, many_blocks, monkeypatch, parsed, cpus, ending
+    ):
         text = many_blocks.read_bytes().decode()
         if ending == "\r and \n":  # every other line ends in a bare CR
             rows = text.split("\r\n")
@@ -830,54 +851,59 @@ class TestLoadCsvRanges:
         many_blocks.write_bytes(text.encode())
         schema = infer_schema(many_blocks, "Class")
         expected, expected_lines = read_at(monkeypatch, 1, many_blocks, schema)
-        taken = ranges_taken(monkeypatch)
+        offered = len(parsed())
         values, lines = read_at(monkeypatch, cpus, many_blocks, schema)
         assert values.tobytes() == expected.tobytes()
-        assert lines == expected_lines
-        assert lines.tolist() == list(range(2, MANY_ROWS + 2))
-        assert taken == [cpus > 1]
+        assert lines == expected_lines == list(range(2, MANY_ROWS + 2))
+        assert_parsed_once(parsed()[offered:], cpus)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_header_over_two_lines(self, many_blocks, monkeypatch, cpus):
+    def test_header_over_two_lines(self, many_blocks, monkeypatch, parsed, cpus):
         # The data starts after the header's two lines and its bytes, not
         # its characters: the quoted name holds a line break and a 2-byte
         # character.
         data = many_blocks.read_bytes()
-        many_blocks.write_bytes(data.replace(b"c0,", '"\u00e70\r\nx",'.encode(), 1))
+        many_blocks.write_bytes(data.replace(b"c0,", '"ç0\r\nx",'.encode(), 1))
         schema = infer_schema(many_blocks, "Class")
-        assert schema[0].name == "\u00e70\r\nx"
+        assert schema[0].name == "ç0\r\nx"
         expected, _ = read_at(monkeypatch, 1, many_blocks, schema)
-        taken = ranges_taken(monkeypatch)
+        offered = len(parsed())
         values, lines = read_at(monkeypatch, cpus, many_blocks, schema)
         assert values.tobytes() == expected.tobytes()
-        assert lines.tolist() == list(range(3, MANY_ROWS + 3))
-        assert taken == [True]
+        assert lines == list(range(3, MANY_ROWS + 3))
+        assert_parsed_once(parsed()[offered:], cpus)
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize("fault", list(LAST_RANGE_FAULTS))
+    @pytest.mark.parametrize("categorical", [[], ["c2"]], ids=["numeric", "categorical"])
     def test_fault_in_the_last_range_loads_as_on_one_cpu(
-        self, many_blocks, monkeypatch, cpus, fault
+        self, many_blocks, monkeypatch, parsed, cpus, fault, categorical
     ):
+        categories = with_categories(many_blocks) if categorical else None
         break_row(many_blocks, -3, fault)  # the last row but one
-        schema = infer_schema(many_blocks, "Class")
+        schema = infer_schema(many_blocks, "Class", categorical=categorical)
         expected = outcome_at(monkeypatch, 1, many_blocks, schema)
-        taken = ranges_taken(monkeypatch)
+        offered = len(parsed())
         assert outcome_at(monkeypatch, cpus, many_blocks, schema) == expected
-        assert taken == [False]
+        # A quote makes the data one range; no other fault does.
+        assert_parsed_once(parsed()[offered:], 1 if fault == "quote" else cpus)
         if fault in ("bad-cell", "bad-utf8"):
             assert expected[0] is ParseError
         else:
             assert len(expected[1]) == (MANY_ROWS - (fault == "missing-cell")) * 3 * 8
+            assert expected[3][2] == categories
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("row", [2, -3], ids=["first-range", "last-range"])
     @pytest.mark.parametrize("fault", ["ends-a-cell", "joins-two-rows"])
-    @pytest.mark.parametrize("char", list(ingest._SPLIT_ONLY), ids=["VT", "FF", "NEL", "LS", "PS"])
+    @pytest.mark.parametrize(
+        "char", list("\x0b\x0c\x85\u2028\u2029"), ids=["VT", "FF", "NEL", "LS", "PS"]
+    )
     def test_line_break_only_splitlines_takes_loads_as_on_one_cpu(
-        self, many_blocks, monkeypatch, cpus, row, fault, char
+        self, many_blocks, monkeypatch, parsed, cpus, row, fault, char
     ):
-        # One reader reads no line break at char: a cell it ends parses as
-        # padded, and two rows it joins are one row of 7 cells.
+        # open(newline="") reads no line break at char: a cell it ends
+        # parses as padded, and two rows it joins are one row of 7 cells.
         rows = many_blocks.read_bytes().split(b"\r\n")
         if fault == "ends-a-cell":
             rows[row] = rows[row].replace(b",", char.encode() + b",", 1)
@@ -886,17 +912,39 @@ class TestLoadCsvRanges:
         many_blocks.write_bytes(b"\r\n".join(rows))
         schema = infer_schema(many_blocks, "Class")
         expected = outcome_at(monkeypatch, 1, many_blocks, schema)
-        taken = ranges_taken(monkeypatch)
+        offered = len(parsed())
         assert outcome_at(monkeypatch, cpus, many_blocks, schema) == expected
-        assert taken == [False]
         if fault == "ends-a-cell":
             assert len(expected[1]) == MANY_ROWS * 3 * 8
-        else:
+            assert_parsed_once(parsed()[offered:], cpus)
+        else:  # a range stops at the error, and range 0 may raise before its children end
             assert expected[0] is ParseError and "has 7 cells" in expected[1]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_quoted_line_break_between_lines_of_two_quotes_loads_as_on_one_cpu(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # csv.reader reads the lines x"y,"a and b",z"w,0 as one record whose
+        # second cell holds a line break, though each line holds two
+        # quotes: a quote opens a quoted cell only at a cell's start. The
+        # padding rows, 9 bytes each, put the cut for cpus ranges just past
+        # the first of the two lines.
+        monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", MANY_BLOCK_ROWS)
+        before = 500
+        pad = [f"u,v,w,{i % 2}\r\n" for i in range(before + (cpus - 1) * (before - 1))]
+        pair = 'x"y,"a\r\n' + 'b",z"w,0\r\n'
+        path = tmp_path / "quoted.csv"
+        text = "p,q,r,Class\r\n" + "".join(pad[:before]) + pair + "".join(pad[before:])
+        path.write_text(text, newline="")
+        assert first_cut(path, cpus) == len(b"p,q,r,Class\r\n") + 9 * before + len(b'x"y,"a\r\n')
+        schema = infer_schema(path, "Class", categorical=["p", "q", "r"])
+        expected = outcome_at(monkeypatch, 1, path, schema)
+        assert expected[3][:3] == [("u", 'x"y'), ("v", "a\r\nb"), ("w", 'z"w')]
+        assert outcome_at(monkeypatch, cpus, path, schema) == expected
 
     @pytest.mark.filterwarnings("error")
     def test_block_of_only_blank_lines_loads_as_on_one_cpu(self, many_blocks, monkeypatch):
-        # np.loadtxt warns of a block with no data; the ranges never give it
+        # np.loadtxt warns of a block with no data; the reader never gives it
         # one. The first block is clean, and the second holds only blank lines.
         break_row(many_blocks, MANY_BLOCK_ROWS + 1, "blank-line")
         many_blocks.write_bytes(many_blocks.read_bytes().replace(b"\r\n\r\n", b"\r\n" * 150))
@@ -906,38 +954,42 @@ class TestLoadCsvRanges:
         assert len(expected[1]) == MANY_ROWS * 3 * 8
 
     @pytest.mark.parametrize("n_rows", [2 * MANY_BLOCK_ROWS - 1, 2 * MANY_BLOCK_ROWS])
-    def test_file_under_two_read_blocks_is_read_serially(self, tmp_path, monkeypatch, n_rows):
+    def test_file_under_two_read_blocks_is_one_range(self, tmp_path, monkeypatch, parsed, n_rows):
         monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", MANY_BLOCK_ROWS)
         path = tmp_path / "short.csv"
         write_csv(varied_dataset(n_rows), path)
         schema = infer_schema(path, "Class")
         expected = outcome_at(monkeypatch, 1, path, schema)
-        ranges = ranges_taken(monkeypatch)
+        offered = len(parsed())
         assert outcome_at(monkeypatch, 2, path, schema) == expected
-        assert ranges == [n_rows >= 2 * MANY_BLOCK_ROWS]
+        assert_parsed_once(parsed()[offered:], 1 + (n_rows >= 2 * MANY_BLOCK_ROWS))
 
-    def test_this_process_parses_only_the_first_range(self, many_blocks, monkeypatch):
-        spans, real = [], ingest._range_blocks
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_this_process_reads_only_the_first_range(self, many_blocks, monkeypatch, cpus):
+        spans, real, parent = [], ingest._text, os.getpid()
 
-        def spy(path, span, parse):
-            spans.append(span)  # a child appends to its own copy
-            return real(path, span, parse)
+        def spy(fh, end=None):
+            if os.getpid() == parent:
+                spans.append((fh.tell(), end))
+            return real(fh, end)
 
-        monkeypatch.setattr(ingest, "_range_blocks", spy)
-        outcome_at(monkeypatch, 3, many_blocks, infer_schema(many_blocks, "Class"))
-        assert spans == [(len(b"c0,c1,c2,Class\r\n"), first_cut(many_blocks, 3))]
+        schema = infer_schema(many_blocks, "Class")
+        monkeypatch.setattr(ingest, "_text", spy)
+        outcome_at(monkeypatch, cpus, many_blocks, schema)
+        start = len(b"c0,c1,c2,Class\r\n")
+        assert spans == [(0, None)] + [(start, first_cut(many_blocks, 3))] * (cpus > 1)
         assert_no_residue(many_blocks.parent, "many.csv")
 
-    def test_serial_without_fork(self, many_blocks, monkeypatch):
+    def test_one_range_without_fork(self, many_blocks, monkeypatch, parsed):
         schema = infer_schema(many_blocks, "Class")
         expected = outcome_at(monkeypatch, 1, many_blocks, schema)
         monkeypatch.delattr(os, "fork")
-        taken = ranges_taken(monkeypatch)
+        offered = len(parsed())
         assert outcome_at(monkeypatch, 2, many_blocks, schema) == expected
-        assert taken == [False]
+        assert_parsed_once(parsed()[offered:], 1)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_input_that_is_not_a_regular_file_is_read_serially(self, many_blocks, monkeypatch):
+    def test_input_that_is_not_a_regular_file_is_one_range(self, many_blocks, monkeypatch):
         schema = infer_schema(many_blocks, "Class")
         expected = outcome_at(monkeypatch, 1, many_blocks, schema)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to read a pipe"))
@@ -950,32 +1002,33 @@ class TestLoadCsvRanges:
         writer.join(timeout=30)
         assert not writer.is_alive()
 
-    def test_refusal_in_the_first_range_kills_the_children(self, many_blocks, monkeypatch):
-        break_row(many_blocks, 2, "quote")
+    def test_error_in_the_first_range_kills_the_children(self, many_blocks, monkeypatch):
+        break_row(many_blocks, 2, "bad-utf8")
         schema = infer_schema(many_blocks, "Class")
         expected = outcome_at(monkeypatch, 1, many_blocks, schema)
-        parent, real = os.getpid(), ingest._range_blocks
+        assert expected == (ParseError, f"{many_blocks}: line 3: not UTF-8 text")
+        parent, real = os.getpid(), ingest._read_range
 
-        def slow_in_child(path, span, parse):
+        def slow_in_child(*args):
             if os.getpid() != parent:
                 time.sleep(60)  # a child the parent must kill
-            return real(path, span, parse)
+            return real(*args)
 
-        monkeypatch.setattr(ingest, "_range_blocks", slow_in_child)
+        monkeypatch.setattr(ingest, "_read_range", slow_in_child)
         started = time.monotonic()
         assert outcome_at(monkeypatch, 3, many_blocks, schema) == expected
         assert time.monotonic() - started < 30
         assert_no_residue(many_blocks.parent, "many.csv")
 
     def test_failed_child_names_the_path(self, many_blocks, monkeypatch):
-        parent, real = os.getpid(), ingest._range_blocks
+        parent, real = os.getpid(), ingest._read_range
 
-        def fail_in_child(path, span, parse):
+        def fail_in_child(*args):
             if os.getpid() != parent:
                 raise OSError("no space left in this test")
-            return real(path, span, parse)
+            return real(*args)
 
-        monkeypatch.setattr(ingest, "_range_blocks", fail_in_child)
+        monkeypatch.setattr(ingest, "_read_range", fail_in_child)
         size = many_blocks.stat().st_size
         ends = f"{first_cut(many_blocks, 2) + 1}-{size}"
         message = f"{many_blocks}: the process reading bytes {ends} exited with status 1"
@@ -986,17 +1039,56 @@ class TestLoadCsvRanges:
     def test_exception_in_the_first_range_reaps_children(self, many_blocks, monkeypatch):
         parent = os.getpid()
 
-        def interrupted(path, span, parse):
+        def interrupted(*args):
             if os.getpid() != parent:
                 time.sleep(60)  # a child the parent must kill
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(ingest, "_range_blocks", interrupted)
+        monkeypatch.setattr(ingest, "_read_range", interrupted)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             outcome_at(monkeypatch, 3, many_blocks, infer_schema(many_blocks, "Class"))
         assert time.monotonic() - started < 30
         assert_no_residue(many_blocks.parent, "many.csv")
+
+
+# Structural errors, at default read blocks: 5,002 lines make two blocks,
+# so that 2 to 4 CPUs cut the data into ranges.
+STRUCTURAL_ERRORS = {
+    "width-before-bad-utf8": (b"1.0,0,7\n\xff,1\n", "line 5002 has 3 cells, expected 2"),
+    "bad-utf8-before-width": (b"1.0,\xff\n1.0,0,7\n", "line 5002: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", list(STRUCTURAL_ERRORS))
+def test_structural_errors_come_in_file_order(tmp_path, monkeypatch, cpus, case):
+    tail, error = STRUCTURAL_ERRORS[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,Class\n" + b"1.0,0\n" * 5000 + tail)
+    schema = [ColumnSchema("a", "numeric"), ColumnSchema("Class", "label")]
+    assert outcome_at(monkeypatch, cpus, path, schema) == (ParseError, f"{path}: {error}")
+    # A bad byte in the first range beats a width error in the last.
+    path.write_bytes(b"a,Class\n1.0,0\n\xff,1\n" + b"1.0,0\n" * 5000 + tail)
+    assert outcome_at(monkeypatch, cpus, path, schema) == (
+        ParseError, f"{path}: line 3: not UTF-8 text"
+    )
+
+
+@pytest.mark.parametrize(
+    "header", [b"a,Cl\xffass\n", b'"a\n\xff",Class\n'], ids=["line-1", "line-2"]
+)
+def test_bad_utf8_in_the_header_names_its_line(tmp_path, header):
+    path = tmp_path / "d.csv"
+    path.write_bytes(header + b"1.0,0\n")
+    line = header.count(b"\n")  # the header's last line holds the bad byte
+    message = f"{path}: line {line}: not UTF-8 text"
+    with pytest.raises(ParseError) as got:
+        infer_schema(path, "Class")
+    assert str(got.value) == message
+    with pytest.raises(ParseError) as got:
+        load_csv(path, [ColumnSchema("a", "numeric"), ColumnSchema("Class", "label")])
+    assert str(got.value) == message
 
 
 class TestProfile:

@@ -1,6 +1,6 @@
 """Ingest memory is bounded: load_csv reads its file in fixed record
-blocks, in one process or in byte ranges, and write_csv's parent holds
-one block of text whatever the number of writers."""
+blocks in one byte range per CPU, and write_csv's parent holds one block
+of text whatever the number of writers."""
 
 import numpy as np
 
@@ -15,10 +15,10 @@ import sys
 from fraudkit import base
 from fraudkit.ingest import infer_schema, load_csv
 
-path, warm, cpus = sys.argv[1:]
+path, warm, cpus, *categorical = sys.argv[1:]
 base.usable_cpus = lambda: int(cpus)
-load_csv(warm, infer_schema(warm, "is_fraud"))
-schema = infer_schema(path, "is_fraud")
+load_csv(warm, infer_schema(warm, "is_fraud", categorical))
+schema = infer_schema(path, "is_fraud", categorical)
 """
 
 STEP = """
@@ -79,10 +79,16 @@ def test_load_with_scattered_missing_cells_is_bounded(tmp_path):
         lines[1 + r] = ",".join(cells)
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
-    # At two CPUs the first range refuses its first block, and the load
-    # falls back to one process.
+    # At two CPUs each range reads its gapped blocks through csv.reader.
     _assert_bounded(peak_rise_mb(SETUP, GAPPED_STEP, str(path), str(warm), "2"))
 
+
+
+def test_load_with_a_categorical_column_on_two_cpus_is_bounded(tmp_path):
+    # Every block goes through csv.reader, and f00's 40,000 distinct cells
+    # become categories: each range's and the whole file's mapping.
+    path, warm = _write_files(tmp_path)
+    _assert_bounded(peak_rise_mb(SETUP, STEP, str(path), str(warm), "2", "f00"))
 
 # The set is drawn in place, so that the set-up peaks no higher than the
 # matrix it keeps, and the warm-up write is small, so that its peak does

@@ -16,11 +16,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(separation=-1.0)
 
-    def test_degenerate_sizes(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(n_rows=0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(n_features=0)
+    @pytest.mark.parametrize("name", ["n_rows", "n_features"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_degenerate_sizes_name_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            SyntheticSpec(**{name: value})
 
 
 class TestGeneration:
