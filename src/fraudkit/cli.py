@@ -3,8 +3,9 @@
 Subcommands: profile, explore, gen-synth, train, evaluate,
 sweep-imbalance, compare-sampling, run. Exit codes: 0 success,
 1 validation error (a data, plan or bundle path that names a directory,
-or that cannot be opened for want of permission, among them), 2 runtime
-failure. Human-readable output goes to stdout, diagnostics to stderr,
+or that cannot be opened for want of permission, among them; an output
+path that cannot be made names the option or argument that gave it), 2
+runtime failure. Human-readable output goes to stdout, diagnostics to stderr,
 machine formats only to files; gen-synth's status line is a diagnostic,
 so `gen-synth /dev/stdout > f.csv` writes only the CSV.
 """
@@ -71,8 +72,17 @@ def _load_dataset(args, categories=None):
     return load_csv(args.data, schema)
 
 
-def _output_dir(out):
-    Path(out).mkdir(parents=True, exist_ok=True)
+def _named(option, exc):
+    """An OSError at a path, as an error naming the option or argument
+    that gave the path."""
+    return FraudkitError(f"{option}: {exc.strerror}: {exc.filename!r}")
+
+
+def _output_dir(out, option):
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _named(option, exc) from None
     return Path(out)
 
 
@@ -94,7 +104,7 @@ def _resolve_plan(args):
     """Load and validate the plan, settle its output dir, echo resolved.cfg."""
     plan = load_plan(args.config, _plan_overrides(args))
     plan.validate()
-    out = _output_dir(plan.output_dir)
+    out = _output_dir(plan.output_dir, "--output-dir" if args.output_dir else "plan.output_dir")
     plan.output_dir = str(out)
     (out / "resolved.cfg").write_text(plan_to_config_text(plan))
     print(f"resolved config -> {out / 'resolved.cfg'}", file=sys.stderr)
@@ -109,7 +119,7 @@ def cmd_profile(args):
 
 def cmd_explore(args):
     ds = _load_dataset(args)
-    out = _output_dir(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out")
+    out = _output_dir(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out", "--output-dir")
     result = correlation_matrix(ds, include_label=args.include_label)
     csv_path = out / "correlation.csv"
     result.to_csv(csv_path)
@@ -123,7 +133,12 @@ def cmd_gen_synth(args):
     """Options not given keep SyntheticSpec's defaults."""
     given = {f.name: getattr(args, f.name, None) for f in fields(SyntheticSpec)}
     ds = gen_synthetic(SyntheticSpec(**{k: v for k, v in given.items() if v is not None}))
-    write_csv(ds, args.out)
+    try:
+        write_csv(ds, args.out)
+    except OSError as exc:
+        if exc.filename != args.out:
+            raise
+        raise _named("out", exc) from None
     print(f"wrote {ds.n_rows} rows ({ds.n_pos} fraud) to {args.out}", file=sys.stderr)
     return 0
 

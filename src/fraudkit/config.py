@@ -9,7 +9,9 @@ any value that does not parse and any value, given or default, that
 fails its check is a ConfigError naming [section] key. Command-line
 --set section.key=value overrides win over file values. Every run echoes
 its fully resolved config; rerunning from the echo reproduces outputs
-byte-identically.
+byte-identically. [samplers] nearmiss_version takes a comma list, as
+methods does: each version is a sampler config of its own, and the grid
+draws NearMiss versions with one k from one distance pass.
 """
 
 import configparser
@@ -33,7 +35,12 @@ def _numbers(value):
     return [int(f) if f.is_integer() else f for f in map(float, _csv_list(value))]
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", _numbers: "a comma list of numbers"}
+def _integers(value):
+    return [int(v) for v in _csv_list(value)]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", _numbers: "a comma list of numbers",
+               _integers: "a comma list of integers"}
 
 
 def _holds(test, text):
@@ -49,7 +56,7 @@ def _members(choices, what):
             return f" must be non-empty, got {values!r}"
         for n, v in enumerate(values):
             if v not in choices:
-                return f": unknown {what} {v!r}, expected one of {', '.join(choices)}"
+                return f": unknown {what} {v!r}, expected one of {', '.join(map(str, choices))}"
             if v in values[:n]:
                 return f": {what} {v!r} is listed twice"
         return None
@@ -79,8 +86,9 @@ class Key:
 
 
 # Rows in echo order. Each [models] key after kinds applies to every
-# model kind, and [samplers] ratio, nearmiss_version and k_neighbors
-# apply to every method.
+# model kind, and [samplers] ratio and k_neighbors apply to every method.
+# [samplers] nearmiss_version lists the NearMiss versions the grid runs,
+# each a sampler config of its own.
 PLAN_TABLE = (
     Key("plan", "name", str),
     Key("plan", "seed", int),
@@ -108,7 +116,7 @@ PLAN_TABLE = (
     Key("models", "inner_act", str, _holds(lambda v: v in ("tanh", "relu"), "tanh or relu")),
     Key("samplers", "methods", _csv_list, _members(SAMPLER_METHODS, "method")),
     Key("samplers", "ratio", float, _FINITE_POSITIVE),
-    Key("samplers", "nearmiss_version", int, _holds(lambda v: v in (1, 2, 3), "1, 2 or 3")),
+    Key("samplers", "nearmiss_version", _integers, _members((1, 2, 3), "NearMiss version")),
     Key("samplers", "k_neighbors", int, _at_least(0)),
     Key("sweep", "ratios", _numbers, _holds(
         lambda v: v and sweep_ratios_ok(v), "non-empty, finite, >= 1 and strictly ascending")),
@@ -202,6 +210,7 @@ def _plan_from_values(values):
     """Build the plan from {section: {key: value}}; inverse of _plan_values."""
     dataset, models, samplers = values["dataset"], values["models"], values["samplers"]
     kinds, methods = models.pop("kinds"), samplers.pop("methods")
+    versions = samplers.pop("nearmiss_version")
     if dataset.pop("type") == "synthetic":
         source = {"synthetic": SyntheticSpec(**{"seed": values["plan"]["seed"], **dataset})}
     else:
@@ -211,7 +220,11 @@ def _plan_from_values(values):
         **values["plan"],
         **source,
         models=[ModelSpec(kind, dict(models)) for kind in kinds],
-        samplers=[SamplerConfig(method, **samplers) for method in methods],
+        samplers=[
+            SamplerConfig(method, nearmiss_version=version, **samplers)
+            for method in methods
+            for version in (versions if method == "nearmiss" else versions[:1])
+        ],
         ratios=list(values["sweep"]["ratios"]),
         train=TrainConfig(**values["train"]),
     )
@@ -229,7 +242,12 @@ def _plan_values(plan):
         "plan": vars(plan),
         "dataset": dataset,
         "models": {"kinds": [m.kind for m in plan.models], **params},
-        "samplers": {"methods": [s.method for s in plan.samplers], **vars(plan.samplers[0])},
+        "samplers": {
+            **vars(plan.samplers[0]),
+            "methods": list(dict.fromkeys(s.method for s in plan.samplers)),
+            "nearmiss_version": [s.nearmiss_version for s in plan.samplers
+                                 if s.method == "nearmiss"] or [plan.samplers[0].nearmiss_version],
+        },
         "sweep": {"ratios": plan.ratios},
         "train": vars(plan.train),
     }

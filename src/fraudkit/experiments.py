@@ -27,7 +27,7 @@ from fraudkit.metrics import evaluate_predictions, format_metric
 from fraudkit.models import classify, make_model, save_bundle
 from fraudkit.nn.network import TrainingError
 from fraudkit.preprocess import StandardScaler, split
-from fraudkit.resample import SamplerConfig, round_half_away
+from fraudkit.resample import NearMiss, SamplerConfig, nearmiss_resample, round_half_away
 from fraudkit.rng import derive_seed
 from fraudkit.svg import bar_chart
 from fraudkit.synth import SyntheticSpec, gen_synthetic
@@ -315,25 +315,31 @@ def _init_worker(prepared, plan, model_dir):
 
 
 def _work(points, state=None):
-    """Run grid points that share one sample; state is (prepared, plan,
-    model_dir), by default the one this worker was started with.
+    """Run grid points; state is (prepared, plan, model_dir), by default
+    the one this worker was started with.
 
-    Several points are sampled once. The sample is read-only, so a model
-    that writes into its training rows fails instead of changing the
-    next cell's rows. Returns each point's (cells, history).
+    Several points are NearMiss points with one k (_share_groups): each
+    distinct sampler among them is drawn once, all in one distance pass.
+    A sample is read-only, so a model that writes into its training rows
+    fails instead of changing the next cell's rows. A sampler's
+    ValueError goes to its own cells. Returns each point's (cells, history).
     """
     prepared, plan, model_dir = state or _worker_state
-    sample = None
+    samples = [None] * len(points)
     if len(points) > 1:
+        samplers = [_cell_sampler(plan, *point) for point in points]
+        distinct = {repr(s): s for s in samplers}
         try:
-            sample = _resample(prepared, _cell_sampler(plan, *points[0]))
+            drawn = nearmiss_resample(list(distinct.values()), prepared.X_train, prepared.y_train)
         except (ValueError, FloatingPointError, MemoryError) as exc:
-            sample = exc  # each cell reports it
-        else:
-            for array in sample:
+            drawn = [exc] * len(distinct)  # each cell reports it
+        drawn = dict(zip(distinct, drawn))
+        for sample in drawn.values():
+            for array in () if isinstance(sample, Exception) else sample:
                 array.flags.writeable = False
+        samples = [drawn[repr(s)] for s in samplers]
     results = []
-    for model_spec, sampler_cfg, ratio in points:
+    for (model_spec, sampler_cfg, ratio), sample in zip(points, samples):
         sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
         path = model_dir / f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}.model"
         results.append(run_cell(prepared, plan, model_spec, sampler_cfg, ratio, path, sample))
@@ -341,17 +347,18 @@ def _work(points, state=None):
 
 
 def _share_groups(plan, points):
-    """Point indices, grouped where run_cell would build samplers with one
-    repr. The repr lists every constructor argument, seed included, so
-    only seedless samplers (NearMiss) are shared, across models. Points
-    without a sampler stay alone."""
+    """Point indices, grouped into tasks. NearMiss takes no seed and its
+    versions share one distance pass, so all NearMiss points with one k
+    are one task, across models, versions and ratios. Every other point
+    is a task alone: its sampler is seeded per cell."""
     groups = {}
     for i, (model_spec, sampler_cfg, ratio) in enumerate(points):
         try:
             sampler = _cell_sampler(plan, model_spec, sampler_cfg, ratio)
         except ValueError:
             sampler = None  # run_cell reports it
-        groups.setdefault(i if sampler is None else repr(sampler), []).append(i)
+        key = ("nearmiss", sampler.k) if isinstance(sampler, NearMiss) else i
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
@@ -377,10 +384,11 @@ def run_experiment(plan, prepared=None, points=None):
     the default is every model against every sampler config. Each ok
     cell saves its bundle in <output_dir>/models/.
 
-    Points whose samplers are equal run as one task that samples once:
-    NearMiss takes no seed, so every model gets the same NearMiss rows.
-    The seconds of such cells exclude the shared sample. Other points,
-    those without a sampler included, are one task each.
+    NearMiss points with one k run as one task that draws each of their
+    samplers once, in one distance pass: NearMiss takes no seed, so every
+    model gets the same NearMiss rows. The seconds of such cells exclude
+    the shared pass. Other points, those without a sampler included, are
+    one task each.
 
     With plan.jobs > 1 the tasks run in up to jobs forked worker
     processes (no more than the CPUs this process may use), longest

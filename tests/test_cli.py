@@ -138,16 +138,23 @@ class TestBasics:
     def test_missing_data_file(self):
         assert run_cli(["profile", "/nonexistent.csv"]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["profile", "{dir}"], ["evaluate", "{bundle}", "{dir}"], ["gen-synth", "{dir}"],
+    @pytest.mark.parametrize("argv,named", [
+        (["profile", "{dir}"], "[Errno 21] Is a directory"),
+        (["evaluate", "{bundle}", "{dir}"], "[Errno 21] Is a directory"),
+        (["gen-synth", "{dir}"], "out: Is a directory"),
     ], ids=["profile", "evaluate", "gen-synth"])
-    def test_directory_as_data_is_validation_error(self, tmp_path, capsys, argv):
+    def test_directory_as_data_is_validation_error(self, tmp_path, capsys, argv, named):
         bundle = tmp_path / "ok.model"
         bundle.write_text(six_feature_bundle())
         directory = tmp_path / "data"
         directory.mkdir()
         assert run_cli([a.format(dir=directory, bundle=bundle) for a in argv]) == 1
-        assert f"error: [Errno 21] Is a directory: '{directory}'" in capsys.readouterr().err
+        assert f"error: {named}: '{directory}'" in capsys.readouterr().err
+
+    def test_gen_synth_output_in_a_missing_directory_names_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(["gen-synth", str(out), "--n-rows", "50"]) == 1
+        assert capsys.readouterr().err == f"error: out: No such file or directory: '{out}'\n"
 
     def test_non_finite_cell_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -405,7 +412,12 @@ class TestPlanCommands:
             ("samplers.k_neighbors=-1", "[samplers] k_neighbors must be >= 0"),
             ("samplers.ratio=-2", "[samplers] ratio must be finite and > 0"),
             ("samplers.ratio=inf", "[samplers] ratio must be finite and > 0"),
-            ("samplers.nearmiss_version=7", "[samplers] nearmiss_version must be 1, 2 or 3"),
+            ("samplers.nearmiss_version=7",
+             "[samplers] nearmiss_version: unknown NearMiss version 7, expected one of 1, 2, 3"),
+            ("samplers.nearmiss_version=2, 2",
+             "[samplers] nearmiss_version: NearMiss version 2 is listed twice"),
+            ("samplers.nearmiss_version=1.5",
+             "[samplers] nearmiss_version must be a comma list of integers, got '1.5'"),
             ("samplers.methods=nearmis", "[samplers] methods: unknown method 'nearmis'"),
             ("plan.threshold=nan", "[plan] threshold must be in [0, 1]"),
             ("plan.threshold=2", "[plan] threshold must be in [0, 1]"),
@@ -522,6 +534,21 @@ class TestPlanCommands:
         assert f"output_dir = {out}\n" in (out / "resolved.cfg").read_text()
         assert (out / "cells.csv").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([winner, "plan.cfg"])
+
+    @pytest.mark.parametrize("option,path,problem", [
+        ("plan.output_dir", "{file}", "File exists"),
+        ("--output-dir", "{file}", "File exists"),
+        ("plan.output_dir", "{file}/sub", "Not a directory"),
+    ], ids=["set", "flag", "below-a-file"])
+    def test_output_dir_that_is_a_file_names_its_option(self, plan_file, tmp_path, capsys, option,
+                                                        path, problem):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = path.format(file=taken)
+        given = ["--set", f"{option}={path}"] if option.startswith("plan.") else [option, path]
+        assert run_cli(["run", str(plan_file), *given]) == 1
+        assert capsys.readouterr().err == f"error: {option}: {problem}: '{path}'\n"
+        assert taken.read_text() == ""
 
 
 class TestTrainEvaluate:

@@ -150,6 +150,21 @@ class TestEcho:
         echoed_file.write_text(echo)
         assert plan_to_config_text(load_plan(echoed_file)) == echo
 
+    def test_nearmiss_versions_echo_as_one_list(self, plan_file, tmp_path):
+        # Each version is a sampler config of its own, in the listed order;
+        # the other methods keep one config each.
+        overrides = ["samplers.methods=nearmiss, rus", "samplers.nearmiss_version=3, 1"]
+        plan = load_plan(plan_file, overrides)
+        assert [(s.method, s.nearmiss_version) for s in plan.samplers] == [
+            ("nearmiss", 3), ("nearmiss", 1), ("rus", 3)
+        ]
+        echo = plan_to_config_text(plan)
+        assert "methods = nearmiss, rus\n" in echo
+        assert "nearmiss_version = 3, 1\n" in echo
+        echoed_file = tmp_path / "resolved.cfg"
+        echoed_file.write_text(echo)
+        assert load_plan(echoed_file) == plan
+
     def test_csv_round_trip_is_fixed_point(self, tmp_path):
         path = tmp_path / "p.cfg"
         path.write_text(
@@ -285,6 +300,7 @@ def test_bad_synthetic_value_names_its_key(tmp_path, capsys, override, named):
     [
         ("models.kinds=", "[models] kinds must be non-empty, got []"),
         ("samplers.methods= , ", "[samplers] methods must be non-empty, got []"),
+        ("samplers.nearmiss_version= , ", "[samplers] nearmiss_version must be non-empty, got []"),
         ("sweep.ratios=",
          "[sweep] ratios must be non-empty, finite, >= 1 and strictly ascending, got []"),
     ],
@@ -304,6 +320,8 @@ def test_empty_grid_list_names_its_key(tmp_path, capsys, override, named):
         ("models.kinds=logreg, dtree, logreg",
          "[models] kinds: model kind 'logreg' is listed twice"),
         ("samplers.methods=none, rus, rus", "[samplers] methods: method 'rus' is listed twice"),
+        ("samplers.nearmiss_version=3, 1, 3",
+         "[samplers] nearmiss_version: NearMiss version 3 is listed twice"),
         ("sweep.ratios=1, 1, 2",
          "[sweep] ratios must be non-empty, finite, >= 1 and strictly ascending, got [1, 1, 2]"),
         ("sweep.ratios=1, 2, 2.0",

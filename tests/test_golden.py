@@ -5,7 +5,8 @@ with and without random under-sampling; cells.csv and resolved.cfg next
 to it are its committed outputs. tests/golden/samplers.cfg trains CART
 and a 3-tree forest on NearMiss v1-v3, SMOTE and random under-sampling;
 samplers/nearmissN/ holds the outputs of its run with each NearMiss
-version. A change that moves any metric of any cell, or the resolved
+version, and a run with all three versions must write each version's
+cells and bundles as its own run does. A change that moves any metric of any cell, or the resolved
 plan echo, fails here and has to re-baseline the files openly. Every
 saved model must be a bundle that reproduces its cell's test row of the
 committed cells.csv.
@@ -111,3 +112,40 @@ def test_golden_samplers_plan(tmp_path, monkeypatch, version):
         assert (tmp_path / out / name).read_bytes() == (GOLDEN / out / name).read_bytes(), name
     assert_digests(tmp_path, out)
     assert_resaved(tmp_path / out / "models", tmp_path / "resaved.model")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_samplers_plan_with_every_version(tmp_path, monkeypatch, jobs):
+    """One run with nearmiss_version = 1, 2, 3 writes each NearMiss
+    version's cells.csv rows and bundles as that version's golden run
+    does, and the SMOTE and under-sampling ones of every golden run."""
+    shutil.copy(GOLDEN / "samplers.cfg", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    overrides = ["--set", "samplers.nearmiss_version=1, 2, 3", "--jobs", str(jobs),
+                 "--output-dir", "every"]
+    assert run_cli(["run", "samplers.cfg", *overrides]) == 0
+
+    def golden_dir(sampler):
+        return f"samplers/{sampler if sampler.startswith('nearmiss') else 'nearmiss1'}"
+
+    def rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    samplers = ("nearmiss1", "nearmiss2", "nearmiss3", "smote", "rus")
+    expected = [
+        row
+        for model in ("dtree", "forest")
+        for sampler in samplers
+        for row in rows(GOLDEN / golden_dir(sampler) / "cells.csv")
+        if (row["model"], row["sampler"]) == (model, sampler)
+    ]
+    assert rows(tmp_path / "every" / "cells.csv") == expected
+    digests = committed_digests()
+    models = sorted((tmp_path / "every" / "models").glob("*.model"))
+    assert len(models) == 2 * len(samplers)
+    for path in models:
+        sampler = path.name.split("__")[2]
+        want = digests[f"{golden_dir(sampler)}/models/{path.name}"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, path.name

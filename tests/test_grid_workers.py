@@ -1,6 +1,6 @@
 """Grid cells in forked worker processes: same bytes at every jobs count,
-longest tasks first, one sample per seedless sampler, and no worker left
-behind."""
+longest tasks first, one task and one distance pass per NearMiss k, and
+no worker left behind."""
 
 import concurrent.futures
 import csv
@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 
 import fraudkit
-from fraudkit import base, experiments
+from fraudkit import base, experiments, resample
 from fraudkit.base import FraudkitError, NotFittedError
 from fraudkit.config import ConfigError
 from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig, emit_report, run_experiment
 from fraudkit.ingest import ParseError, SchemaError
 from fraudkit.models import MODEL_KINDS
 from fraudkit.nn.network import TrainingError
-from fraudkit.resample import NearMiss, SamplerConfig
+from fraudkit.resample import SamplerConfig
 from fraudkit.synth import SyntheticSpec
 
 pytestmark = pytest.mark.skipif(
@@ -148,10 +148,10 @@ BENCH_SHAPE = dict(
 def test_longest_point_is_submitted_first(tmp_path, pool_spy):
     plan = ExperimentPlan(**{**MIXED, **BENCH_SHAPE}, jobs=2, output_dir=str(tmp_path / "out"))
     record = run_experiment(plan)
-    # Each NearMiss task serves both models; ties keep point order.
+    # One NearMiss task, for k = 3, serves every version and both models.
     assert pool_spy.submitted == [
+        [(m, s) for m in ("dtree", "forest") for s in ("nearmiss3", "nearmiss1", "nearmiss2")],
         [("forest", "rus")],
-        *([("dtree", s), ("forest", s)] for s in ("nearmiss3", "nearmiss1", "nearmiss2")),
         [("dtree", "rus")],
     ]
     points = [(m.name, n) for m in plan.models for n in ("nearmiss3", "nearmiss1", "nearmiss2", "rus")]
@@ -166,13 +166,13 @@ def test_points_without_a_sampler_run_one_per_task(tmp_path, pool_spy):
 
 def test_shared_nearmiss_is_sampled_once(tmp_path, monkeypatch):
     calls = []
-    real_fit_resample = NearMiss.fit_resample
+    real_nearmiss_resample = experiments.nearmiss_resample
 
-    def fit_resample(self, X, y):
-        calls.append(repr(self))
-        return real_fit_resample(self, X, y)
+    def nearmiss_resample(samplers, X, y):
+        calls.append(list(map(repr, samplers)))
+        return real_nearmiss_resample(samplers, X, y)
 
-    monkeypatch.setattr(NearMiss, "fit_resample", fit_resample)
+    monkeypatch.setattr(experiments, "nearmiss_resample", nearmiss_resample)
     plan = ExperimentPlan(
         **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 3})],
            "samplers": [SamplerConfig("nearmiss", nearmiss_version=1)]},
@@ -180,13 +180,38 @@ def test_shared_nearmiss_is_sampled_once(tmp_path, monkeypatch):
     )
     prepared = experiments.prepare(plan)
     record = run_experiment(plan, prepared)
-    assert calls == ["NearMiss(version=1, k=3, ratio=1.0)"]
+    assert calls == [["NearMiss(version=1, k=3, ratio=1.0)"]]
     # The shared sample gives each cell the report it gets alone.
     for model_spec in plan.models:
         alone, _ = experiments.run_cell(prepared, plan, model_spec, plan.samplers[0])
         shared = [c for c in record.cells if c.model == model_spec.name]
         assert [c.report for c in shared] == [c.report for c in alone]
         assert all(c.status == "ok" for c in shared)
+
+
+def test_nearmiss_versions_walk_the_distances_once_per_k(tmp_path, monkeypatch):
+    walks = []
+    real_distance_blocks = resample._distance_blocks
+
+    def distance_blocks(A, B, rows=None):
+        walks.append(len(B))
+        return real_distance_blocks(A, B, rows)
+
+    monkeypatch.setattr(resample, "_distance_blocks", distance_blocks)
+    plan = ExperimentPlan(
+        **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 3})],
+           "samplers": [SamplerConfig("nearmiss", nearmiss_version=v, k_neighbors=k, ratio=r)
+                        for v, k, r in ((1, 3, 1), (2, 3, 1), (3, 3, 1), (1, 5, 2), (2, 5, 2))]},
+        output_dir=str(tmp_path / "out"),
+    )
+    prepared = experiments.prepare(plan)
+    record = run_experiment(plan, prepared)
+    assert len(walks) == 2  # k = 3, then k = 5
+    # Each cell is the one it is alone, v3's short shortlist included.
+    alone = [c for m in plan.models for s in plan.samplers
+             for c in experiments.run_cell(prepared, plan, m, s)[0]]
+    assert [(c.status, c.report) for c in record.cells] == [(c.status, c.report) for c in alone]
+    assert sum(c.status == "ok" for c in record.cells) == 16
 
 
 def test_jobs_give_identical_bytes_with_a_shared_sample(tmp_path, pool_spy):
@@ -198,10 +223,13 @@ def test_jobs_give_identical_bytes_with_a_shared_sample(tmp_path, pool_spy):
     )
     runs = {jobs: grid_bytes(tmp_path / f"jobs{jobs}", jobs, **grid) for jobs in (1, 2, 4)}
     assert pool_spy.workers == [2, 4]
-    assert sorted(map(len, pool_spy.submitted[:5])) == [1, 1, 1, 3, 3]
-    # NearMiss v3's shortlist falls short here: one error, reported by every cell.
+    # Both NearMiss versions are one task; each rus point is a task alone.
+    assert sorted(map(len, pool_spy.submitted[:4])) == [1, 1, 1, 6]
+    # NearMiss v3's shortlist falls short here: one error, reported by each
+    # of its cells and by no NearMiss v1 cell.
     statuses = [row[-1] for row in csv.reader(runs[1]["cells.csv"].decode().splitlines())]
     assert sum(s.startswith("skipped: NearMiss v3 shortlist has") for s in statuses) == 6
+    assert sum(s == "ok" for s in statuses) == 12
     assert len(runs[1]) == 1 + 6
     assert runs[1] == runs[2] == runs[4]
 

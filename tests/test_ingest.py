@@ -893,6 +893,28 @@ class TestLoadCsvRanges:
             assert len(expected[1]) == (MANY_ROWS - (fault == "missing-cell")) * 3 * 8
             assert expected[3][2] == categories
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 4 * MANY_BLOCK_ROWS - 1], ids=["one-block", "two-blocks"])
+    def test_quote_left_open_at_a_line_break_stays_one_record(self, tmp_path, monkeypatch, cpus,
+                                                              pad):
+        # csv.reader reads the lines 1.5,"0 and 2.5,1 as one record whose
+        # label is '0\r\n2.5,1\r\n'. np.loadtxt, given the two lines as two
+        # blocks, ends the open quote at its block's end and reads two clean
+        # rows. The quote in _CSV_ONLY keeps such lines from loadtxt, so a
+        # block cut between them, as the padded file has, cannot change the
+        # record.
+        monkeypatch.setattr(ingest, "_READ_BLOCK_ROWS", MANY_BLOCK_ROWS)
+        path = tmp_path / "open-quote.csv"
+        path.write_bytes(b"a,Class\r\n" + b"1.0,0\r\n" * pad + b'1.5,"0\r\n2.5,1\r\n')
+        schema = infer_schema(path, "Class")
+        label = repr("0\r\n2.5,1\r\n")
+        assert outcome_at(monkeypatch, cpus, path, schema) == (
+            ParseError, f"{path}: line {3 + pad}: unparseable label in column 'Class': {label}"
+        )
+        blocks = [np.loadtxt([line], delimiter=",", comments=None, quotechar='"', ndmin=2)
+                  for line in ('1.5,"0\r\n', "2.5,1\r\n")]
+        assert np.concatenate(blocks).tolist() == [[1.5, 0.0], [2.5, 1.0]]
+
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("row", [2, -3], ids=["first-range", "last-range"])
     @pytest.mark.parametrize("fault", ["ends-a-cell", "joins-two-rows"])

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fraudkit import resample
 from fraudkit.resample import (
     NearMiss,
     RandomUnderSampler,
     SamplerConfig,
     Smote,
+    nearmiss_resample,
     round_half_away,
 )
 
@@ -213,6 +215,96 @@ class TestNearMiss:
         kept2 = [Xr2[i, 0] for i in range(len(yr2)) if yr2[i] == 0]
         assert kept1 == [1.0]  # nearest to origin
         assert kept2 == [60.0]  # smallest distance to the farthest minority
+
+
+def partition_merge(nearest, start, dist, k):
+    """_merge_nearest as it was before its full-column shortcut: every block
+    row at or below a column's kth smallest block distance enters the sort."""
+    j = min(k, len(dist)) - 1
+    row, col = np.nonzero(dist <= np.partition(dist, j, axis=0)[j])
+    merged = [np.concatenate(pair) for pair in zip(nearest, (col, dist[row, col], row + start))]
+    order = np.lexsort(merged[::-1])
+    col, dist, row = (a[order] for a in merged)
+    keep = np.arange(col.size) - np.searchsorted(col, col) < k
+    return col[keep], dist[keep], row[keep]
+
+
+def kept_rows(X, sample):
+    """Sorted bytes of the majority rows a sample kept."""
+    Xr, yr = sample
+    return sorted(Xr[i].tobytes() for i in range(len(yr)) if yr[i] == 0)
+
+
+class TestSharedPass:
+    """nearmiss_resample draws several NearMiss samplers with one k in one
+    walk over the distance blocks."""
+
+    @pytest.fixture(params=[1, 3, 3072], ids=["block1", "block3", "block3072"])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(resample, "BLOCK_ROWS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_merge_equals_the_partition_merge_on_ties(self, block_rows, k):
+        # Three integer coordinates in {0, 1, 2}: a column's distances take
+        # at most ten values, so nearly every kth distance is tied.
+        rng = np.random.default_rng(block_rows + k)
+        A = rng.integers(0, 3, size=(2 * block_rows + 400, 3)).astype(float)
+        B = rng.integers(0, 3, size=(40, 3)).astype(float)
+        got = want = resample._NO_NEAREST
+        for start, dist in resample._distance_blocks(A, B):
+            got = resample._merge_nearest(got, start, dist, k)
+            want = partition_merge(want, start, dist, k)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got[0].size == k * len(B)
+
+    def test_versions_and_ratios_match_the_oracles(self, block_rows):
+        oracles = {1: nearmiss_v1_oracle, 2: nearmiss_v2_oracle, 3: nearmiss_v3_oracle}
+        for case in range(30):
+            rng = np.random.default_rng(3000 + case)
+            n_pos, n_neg = int(rng.integers(3, 7)), int(rng.integers(6, 13))
+            X = rng.integers(0, 3, size=(n_pos + n_neg, 2)).astype(float)
+            y = np.array([1] * n_pos + [0] * n_neg)
+            targets = (n_pos, n_neg // 2 * 2)
+            samplers = [NearMiss(version=v, k=3, ratio=t / n_pos)
+                        for t in targets for v in (3, 1, 2)]
+            for sampler, sample in zip(samplers, nearmiss_resample(samplers, X, y)):
+                target = round_half_away(sampler.ratio * n_pos)
+                expected = oracles[sampler.version](X, y, k=3, target=target)
+                if expected is None:
+                    assert "shortlist" in str(sample), f"case {case}"
+                else:
+                    assert kept_rows(X, sample) == sorted(X[i].tobytes() for i in expected)
+
+    def test_an_error_goes_to_its_own_sampler(self):
+        rng = np.random.default_rng(9)
+        X, y = random_imbalanced(rng, n_pos=4, n_neg=10, n_features=2)
+        samplers = [NearMiss(version=1, k=3, ratio=3.0), NearMiss(version=2, k=3, ratio=1.0),
+                    NearMiss(version=4, k=3)]
+        over, ok, unknown = nearmiss_resample(samplers, X, y)
+        assert str(over) == "target 12 exceeds majority count 10"
+        assert kept_rows(X, ok) == kept_rows(X, samplers[1].fit_resample(X, y))
+        assert str(unknown) == "unknown NearMiss version 4"
+        with pytest.raises(ValueError, match=r"need one k, got \[3, 2\]"):
+            nearmiss_resample([samplers[1], NearMiss(version=1, k=2)], X, y)
+
+    def test_one_walk_for_every_version(self, monkeypatch):
+        walks = []
+        real_distance_blocks = resample._distance_blocks
+
+        def distance_blocks(*args):
+            walks.append(len(args[1]))
+            return real_distance_blocks(*args)
+
+        monkeypatch.setattr(resample, "_distance_blocks", distance_blocks)
+        rng = np.random.default_rng(10)
+        X, y = random_imbalanced(rng, n_pos=20, n_neg=200, n_features=4)
+        samplers = [NearMiss(version=v, k=3) for v in (1, 2, 3)]
+        shared = nearmiss_resample(samplers, X, y)
+        assert walks == [20]
+        for sampler, sample in zip(samplers, shared):
+            assert all(np.array_equal(a, b) for a, b in zip(sample, sampler.fit_resample(X, y)))
+        assert walks == [20] * 4
 
 
 class TestSmote:
