@@ -89,6 +89,11 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
+def fork_cpus():
+    """Processes a job may fork its work onto: usable_cpus(), or 1 without os.fork."""
+    return usable_cpus() if hasattr(os, "fork") else 1
+
+
 def check_X_y(X, y):
     X = check_array(X)
     y = check_labels(y)

@@ -3,8 +3,8 @@
 Subcommands: profile, explore, gen-synth, train, evaluate,
 sweep-imbalance, compare-sampling, run. Exit codes: 0 success,
 1 validation error (a data, plan or bundle path that names a directory,
-or that cannot be opened for want of permission, among them; an output
-path that cannot be made names the option or argument that gave it), 2
+or that cannot be opened for want of permission, among them; a data,
+bundle or output path names the option, argument or key that gave it), 2
 runtime failure. Human-readable output goes to stdout, diagnostics to stderr,
 machine formats only to files; gen-synth's status line is a diagnostic,
 so `gen-synth /dev/stdout > f.csv` writes only the CSV.
@@ -15,6 +15,7 @@ import json
 import os
 import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -50,39 +51,44 @@ def _dataset_args(sub):
 def _load_dataset(args, categories=None):
     """Load the data file; categories (name -> stored mapping) makes those
     feature columns categorical and encodes them with that mapping."""
-    if args.schema:
-        schema = load_schema_config(args.schema)
-    elif stat.S_ISFIFO(os.stat(args.data).st_mode):  # infer_schema refuses it too
-        raise SchemaError(
-            f"{args.data}: a pipe can be read only once; give its columns with --schema"
-        )
-    else:
-        schema = infer_schema(
-            args.data,
-            args.label,
-            categorical=_csv_list(args.categorical),
-            drop=_csv_list(args.drop),
-        )
-    if categories:
-        schema = [
-            replace(c, kind="categorical", categories=categories[c.name])
-            if c.name in categories and c.kind in ("numeric", "categorical") else c
-            for c in schema
-        ]
-    return load_csv(args.data, schema)
+    with _naming("data", args.data):
+        if args.schema:
+            schema = load_schema_config(args.schema)
+        elif stat.S_ISFIFO(os.stat(args.data).st_mode):  # infer_schema refuses it too
+            raise SchemaError(
+                f"{args.data}: a pipe can be read only once; give its columns with --schema"
+            )
+        else:
+            schema = infer_schema(
+                args.data,
+                args.label,
+                categorical=_csv_list(args.categorical),
+                drop=_csv_list(args.drop),
+            )
+        if categories:
+            schema = [
+                replace(c, kind="categorical", categories=categories[c.name])
+                if c.name in categories and c.kind in ("numeric", "categorical") else c
+                for c in schema
+            ]
+        return load_csv(args.data, schema)
 
 
-def _named(option, exc):
-    """An OSError at a path, as an error naming the option or argument
-    that gave the path."""
-    return FraudkitError(f"{option}: {exc.strerror}: {exc.filename!r}")
+@contextmanager
+def _naming(option, path=None):
+    """Raise an OSError (with path given, one at path; any other as it is)
+    as an error naming the option or argument that gave its path."""
+    try:
+        yield
+    except OSError as exc:
+        if path is not None and exc.filename != path:
+            raise
+        raise FraudkitError(f"{option}: {exc.strerror}: {exc.filename!r}") from None
 
 
 def _output_dir(out, option):
-    try:
+    with _naming(option):
         Path(out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _named(option, exc) from None
     return Path(out)
 
 
@@ -133,12 +139,8 @@ def cmd_gen_synth(args):
     """Options not given keep SyntheticSpec's defaults."""
     given = {f.name: getattr(args, f.name, None) for f in fields(SyntheticSpec)}
     ds = gen_synthetic(SyntheticSpec(**{k: v for k, v in given.items() if v is not None}))
-    try:
+    with _naming("out", args.out):
         write_csv(ds, args.out)
-    except OSError as exc:
-        if exc.filename != args.out:
-            raise
-        raise _named("out", exc) from None
     print(f"wrote {ds.n_rows} rows ({ds.n_pos} fraud) to {args.out}", file=sys.stderr)
     return 0
 
@@ -163,7 +165,8 @@ def cmd_train(args):
 def cmd_evaluate(args):
     """Score a bundle on a dataset whose feature columns match it by name,
     encoding categorical columns with the bundle's stored mappings."""
-    model, scaler, threshold, features, categories = load_bundle(args.model)
+    with _naming("model", args.model):
+        model, scaler, threshold, features, categories = load_bundle(args.model)
     ds = _load_dataset(args, categories)
     names = ds.feature_names
     if sorted(names) != sorted(features):

@@ -15,7 +15,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from fraudkit.metrics import evaluate_predictions, format_metric
 from fraudkit.models import classify, make_model, save_bundle
 from fraudkit.nn.network import TrainingError
 from fraudkit.preprocess import StandardScaler, split
-from fraudkit.resample import NearMiss, SamplerConfig, nearmiss_resample, round_half_away
+from fraudkit.resample import SamplerConfig, draw, passes, round_half_away
 from fraudkit.rng import derive_seed
 from fraudkit.svg import bar_chart
 from fraudkit.synth import SyntheticSpec, gen_synthetic
@@ -87,10 +87,8 @@ class ExperimentPlan:
                     raise ValueError(f"{name}: {what} {v!r} is listed twice")
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("plan needs a dataset path or a synthetic spec")
-        if self.dataset_path is not None and not Path(self.dataset_path).exists():
-            raise ConfigError(
-                f"[dataset] path must name an existing file, got {self.dataset_path!r}"
-            )
+        if self.dataset_path is not None and not Path(self.dataset_path).is_file():
+            raise ConfigError(f"[dataset] path must name a regular file, got {self.dataset_path!r}")
 
     @property
     def dataset_name(self):
@@ -159,6 +157,7 @@ def prepare(plan, ds=None):
 
     The training rows are gathered once, for both the fit and the
     transform: beyond its output the call holds at most that one copy.
+    Every partition is read-only, as a Dataset's arrays are.
     """
     if ds is None:
         ds = load_dataset(plan)
@@ -169,18 +168,12 @@ def prepare(plan, ds=None):
     X_train = X[idx.train]
     scaler = StandardScaler().fit(X_train)
     X_train = scaler.transform(X_train)
-    return Prepared(
-        name=plan.dataset_name,
-        X_train=X_train,
-        y_train=y[idx.train],
-        X_val=scaler.transform(X[idx.validation]),
-        y_val=y[idx.validation],
-        X_test=scaler.transform(X[idx.test]),
-        y_test=y[idx.test],
-        scaler=scaler,
-        features=ds.feature_names,
-        categories={c.name: c.categories for c in ds.schema if c.kind == "categorical"},
-    )
+    parts = (X_train, y[idx.train], scaler.transform(X[idx.validation]), y[idx.validation],
+             scaler.transform(X[idx.test]), y[idx.test])
+    for part in parts:
+        part.flags.writeable = False
+    categories = {c.name: c.categories for c in ds.schema if c.kind == "categorical"}
+    return Prepared(plan.dataset_name, *parts, scaler, ds.feature_names, categories)
 
 
 def _plan_hash(plan):
@@ -201,34 +194,33 @@ def _cell_names(sampler_cfg, ratio):
 
 
 def _cell_sampler(plan, model_spec, sampler_cfg, ratio):
-    """The sampler a grid cell runs (None for method none), seeded for
-    that cell. `ratio` is only a display label (e.g. the pre-cap sweep
-    ratio); the sampler always uses the ratio carried by its config."""
+    """The sampler a grid cell runs (None for method none) seeded for that
+    cell, or the ValueError building it raises. `ratio` is only a display
+    label (e.g. the pre-cap sweep ratio); the sampler uses its config's."""
     seed = _cell_seed(plan, model_spec.name, *_cell_names(sampler_cfg, ratio))
-    return replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
-
-
-def _resample(prepared, sampler):
-    """(X_fit, y_fit) that a sampler (or None) makes of the training rows."""
-    if sampler is None:
-        return prepared.X_train, prepared.y_train
-    return sampler.fit_resample(prepared.X_train, prepared.y_train)
+    try:
+        return replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
+    except ValueError as exc:
+        return exc
 
 
 def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=None, sample=None):
     """Train one grid cell and evaluate it on validation and test.
 
+    sample is what resample.draw gave the cell's sampler, read-only (X_fit,
+    y_fit) or its error; without one the cell draws it through that call.
     Precondition violations (unsuitable model shape, unreachable sampler
-    target) become skipped cells, and numeric breakdowns (a TrainingError
-    or FloatingPointError) and allocations that fail (a MemoryError)
-    failed cells, never grid aborts. An ok cell
-    saves its bundle to model_path when one is given. sample, when
-    given, is what the cell's sampler returned, (X_fit, y_fit), or the
-    error it raised; cells that share it time only their own work.
-    Returns (cells, history-or-None).
+    target, a write into the sample) become skipped cells, and numeric
+    breakdowns (a TrainingError or FloatingPointError) and failed
+    allocations (a MemoryError) failed cells, never grid aborts. A cell's
+    seconds cover its fit and scoring, never the draw. An ok cell saves its
+    bundle to model_path when one is given. Returns (cells, history-or-None).
     """
     sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
     seed = _cell_seed(plan, model_spec.name, sampler_name, ratio_label)
+    if sample is None:
+        (sample,) = draw([_cell_sampler(plan, model_spec, sampler_cfg, ratio)],
+                         prepared.X_train, prepared.y_train)
     started = time.perf_counter()
 
     def ended(status):
@@ -240,20 +232,11 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
         ], None
 
     try:
-        if sample is None:
-            sample = _resample(prepared, _cell_sampler(plan, model_spec, sampler_cfg, ratio))
         if isinstance(sample, Exception):
             raise sample
         X_fit, y_fit = sample
-        model = make_model(
-            model_spec.kind,
-            lr=plan.train.lr,
-            epochs_max=plan.train.epochs_max,
-            batch_size=plan.train.batch_size,
-            patience=plan.train.patience,
-            seed=derive_seed(seed, "model"),
-            **model_spec.params,
-        )
+        model = make_model(model_spec.kind, **asdict(plan.train), seed=derive_seed(seed, "model"),
+                           **model_spec.params)
         if hasattr(model, "history_"):
             model.fit(X_fit, y_fit, prepared.X_val, prepared.y_val)
         else:
@@ -314,52 +297,19 @@ def _init_worker(prepared, plan, model_dir):
     _worker_state = (prepared, plan, model_dir)
 
 
-def _work(points, state=None):
-    """Run grid points; state is (prepared, plan, model_dir), by default
-    the one this worker was started with.
-
-    Several points are NearMiss points with one k (_share_groups): each
-    distinct sampler among them is drawn once, all in one distance pass.
-    A sample is read-only, so a model that writes into its training rows
-    fails instead of changing the next cell's rows. A sampler's
-    ValueError goes to its own cells. Returns each point's (cells, history).
-    """
+def _work(task, state=None):
+    """Run a task's grid points, given as (point, sampler) pairs, drawing
+    their samples in one resample.draw call; state is (prepared, plan,
+    model_dir), by default the one this worker was started with. Returns
+    each point's (cells, history)."""
     prepared, plan, model_dir = state or _worker_state
-    samples = [None] * len(points)
-    if len(points) > 1:
-        samplers = [_cell_sampler(plan, *point) for point in points]
-        distinct = {repr(s): s for s in samplers}
-        try:
-            drawn = nearmiss_resample(list(distinct.values()), prepared.X_train, prepared.y_train)
-        except (ValueError, FloatingPointError, MemoryError) as exc:
-            drawn = [exc] * len(distinct)  # each cell reports it
-        drawn = dict(zip(distinct, drawn))
-        for sample in drawn.values():
-            for array in () if isinstance(sample, Exception) else sample:
-                array.flags.writeable = False
-        samples = [drawn[repr(s)] for s in samplers]
+    samples = draw([sampler for _, sampler in task], prepared.X_train, prepared.y_train)
     results = []
-    for (model_spec, sampler_cfg, ratio), sample in zip(points, samples):
+    for ((model_spec, sampler_cfg, ratio), _), sample in zip(task, samples):
         sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
         path = model_dir / f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}.model"
         results.append(run_cell(prepared, plan, model_spec, sampler_cfg, ratio, path, sample))
     return results
-
-
-def _share_groups(plan, points):
-    """Point indices, grouped into tasks. NearMiss takes no seed and its
-    versions share one distance pass, so all NearMiss points with one k
-    are one task, across models, versions and ratios. Every other point
-    is a task alone: its sampler is seeded per cell."""
-    groups = {}
-    for i, (model_spec, sampler_cfg, ratio) in enumerate(points):
-        try:
-            sampler = _cell_sampler(plan, model_spec, sampler_cfg, ratio)
-        except ValueError:
-            sampler = None  # run_cell reports it
-        key = ("nearmiss", sampler.k) if isinstance(sampler, NearMiss) else i
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
 
 
 def _expected_cost(point, n_pos, n_neg):
@@ -384,19 +334,15 @@ def run_experiment(plan, prepared=None, points=None):
     the default is every model against every sampler config. Each ok
     cell saves its bundle in <output_dir>/models/.
 
-    NearMiss points with one k run as one task that draws each of their
-    samplers once, in one distance pass: NearMiss takes no seed, so every
-    model gets the same NearMiss rows. The seconds of such cells exclude
-    the shared pass. Other points, those without a sampler included, are
-    one task each.
-
-    With plan.jobs > 1 the tasks run in up to jobs forked worker
-    processes (no more than the CPUs this process may use), longest
-    expected first. Every cell derives its seeds from the plan and the
-    workers inherit the parent's data and BLAS settings, so the cells
-    and bundles are those of jobs = 1. Each worker runs its own BLAS
-    threads, so jobs times the BLAS thread count can oversubscribe the
-    CPUs. Where fork is not available the tasks run in this process.
+    Each point's sampler is built once, here, and the tasks are the
+    groups of resample.passes: the `nearmiss` points with one k are one
+    task, drawn in one distance pass (that sampler takes no seed, so every
+    model gets the same rows); any other point is a task alone.
+    Tasks run longest expected first, with plan.jobs > 1 in up to jobs
+    forked workers (at most base.fork_cpus()). Seeds derive from the plan
+    and the workers inherit the parent's data and BLAS settings, so the
+    cells and bundles are those of jobs = 1. Each worker runs its own BLAS
+    threads, so jobs times the BLAS thread count can oversubscribe the CPUs.
     """
     plan.validate()
     if prepared is None:
@@ -405,29 +351,29 @@ def run_experiment(plan, prepared=None, points=None):
         points = [(m, s, None) for m in plan.models for s in plan.samplers]
     state = (prepared, plan, Path(plan.output_dir) / "models")
     record = RunRecord(plan_hash=_plan_hash(plan))
-    groups = _share_groups(plan, points)
+    samplers = [_cell_sampler(plan, *point) for point in points]
+    n_pos = int(np.sum(prepared.y_train == 1))
+    n_neg = len(prepared.y_train) - n_pos
+    groups = sorted(
+        passes(samplers), key=lambda g: -sum(_expected_cost(points[i], n_pos, n_neg) for i in g)
+    )
+    tasks = [[(points[i], samplers[i]) for i in group] for group in groups]
 
-    workers = min(plan.jobs, base.usable_cpus(), len(groups))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        n_pos = int(np.sum(prepared.y_train == 1))
-        n_neg = len(prepared.y_train) - n_pos
-        groups.sort(key=lambda g: -sum(_expected_cost(points[i], n_pos, n_neg) for i in g))
+    workers = min(plan.jobs, base.fork_cpus(), len(tasks))
+    if workers > 1:
         pool = concurrent.futures.ProcessPoolExecutor(
             workers, multiprocessing.get_context("fork"), _init_worker, state
         )
         try:
-            futures = [pool.submit(_work, [points[i] for i in g]) for g in groups]
+            futures = [pool.submit(_work, task) for task in tasks]
             outputs = [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        outputs = [_work([points[i] for i in g], state) for g in groups]
-    results = [None] * len(points)
-    for group, output in zip(groups, outputs):
-        for i, result in zip(group, output):
-            results[i] = result
-
-    for (model_spec, _, _), (cells, history) in zip(points, results):
+        outputs = [_work(task, state) for task in tasks]
+    results = {i: r for group, output in zip(groups, outputs) for i, r in zip(group, output)}
+    for i, (model_spec, _, _) in enumerate(points):
+        cells, history = results[i]
         record.cells.extend(cells)
         if history is not None:
             record.histories[f"{model_spec.name}/{cells[0].sampler}/{cells[0].ratio}"] = history

@@ -227,7 +227,7 @@ def _header(path, lines):
 def _spans(path, fh, start):
     """The byte ranges load_csv reads path's data in, where fh is path
     open unbuffered and the data starts at byte start."""
-    cpus = base.usable_cpus() if hasattr(os, "fork") else 1
+    cpus = base.fork_cpus()
     if cpus < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return [(start, None)]
     with open(path, "rb") as data:
@@ -615,8 +615,7 @@ def write_csv(ds, path):
         csv.writer(header).writerow(ds.feature_names + [ds.label_name])
         fh.write(header.getvalue().encode("utf-8"))
         blocks = range(0, ds.n_rows, max(1, _WRITE_BLOCK_VALUES // max(1, ds.n_features)))
-        cpus = base.usable_cpus() if hasattr(os, "fork") else 1
-        workers = max(1, min(cpus, len(blocks)))  # one empty range for no rows
+        workers = max(1, min(base.fork_cpus(), len(blocks)))  # one empty range for no rows
         ends = [i * len(blocks) // workers for i in range(workers + 1)]
         _write_ranges(ds, fh, path, [blocks[a:b] for a, b in zip(ends, ends[1:])])
 

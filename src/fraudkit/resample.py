@@ -14,7 +14,7 @@ order, as after a full sort) and is merged into a running k nearest rows
 per minority column. With one BLAS thread the blocks hold the full
 matrix's distances bit for bit, so every selection is the one the full
 matrix gives. NearMiss versions with one k draw their samples from one
-walk over the blocks (nearmiss_resample).
+walk over the blocks (nearmiss_resample), as draw's passes group them.
 """
 
 import math
@@ -241,6 +241,49 @@ def _caught(f, *args):
         return f(*args)
     except ValueError as exc:
         return exc
+
+
+def passes(samplers):
+    """Indices of samplers, grouped by the pass that draws them: NearMiss
+    samplers with one k share one distance pass; any other is a pass alone."""
+    groups = {}
+    for i, s in enumerate(samplers):
+        groups.setdefault(("nearmiss", s.k) if isinstance(s, NearMiss) else i, []).append(i)
+    return list(groups.values())
+
+
+def draw(samplers, X, y):
+    """Each sampler's sample (X_fit, y_fit) of (X, y), or the error it
+    raises, in order: (X, y) itself for None (no sampler), and an exception
+    in a sampler's place as it is. Each distinct sampler (by repr) is drawn
+    once, in the passes of passes(). Samples are read-only views, so a
+    caller that writes into one fails instead of changing rows others share.
+    """
+    distinct = list({repr(s): s for s in samplers}.values())
+    drawn = {}
+    for group in passes(distinct):
+        batch = [distinct[i] for i in group]
+        try:
+            if isinstance(batch[0], NearMiss):
+                samples = nearmiss_resample(batch, X, y)
+            elif isinstance(batch[0], Exception):
+                samples = batch
+            else:
+                samples = [(X, y) if batch[0] is None else batch[0].fit_resample(X, y)]
+        except (ValueError, FloatingPointError, MemoryError) as exc:
+            samples = [exc] * len(batch)
+        drawn.update(zip(map(repr, batch), map(_read_only, samples)))
+    return [drawn[repr(s)] for s in samplers]
+
+
+def _read_only(sample):
+    """sample with its arrays as read-only views; an exception as it is."""
+    if isinstance(sample, Exception):
+        return sample
+    views = tuple(array.view() for array in sample)
+    for view in views:
+        view.flags.writeable = False
+    return views
 
 
 class Smote(BaseEstimator):

@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
+from fraudkit import experiments
 from fraudkit.synth import SyntheticSpec, gen_synthetic
+
+
+@pytest.fixture
+def scribbling_models(monkeypatch):
+    """Make every model the grid builds write into its training rows before it fits."""
+    real_make_model = experiments.make_model
+
+    def make_model(kind, **params):
+        model = real_make_model(kind, **params)
+        fit = model.fit
+
+        def fit_in_place(X, y, *args):
+            X[0, 0] = 123.0
+            return fit(X, y, *args)
+
+        model.fit = fit_in_place
+        return model
+
+    monkeypatch.setattr(experiments, "make_model", make_model)
 
 
 @pytest.fixture

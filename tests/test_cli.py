@@ -139,17 +139,34 @@ class TestBasics:
         assert run_cli(["profile", "/nonexistent.csv"]) == 1
 
     @pytest.mark.parametrize("argv,named", [
-        (["profile", "{dir}"], "[Errno 21] Is a directory"),
-        (["evaluate", "{bundle}", "{dir}"], "[Errno 21] Is a directory"),
+        (["profile", "{dir}"], "data: Is a directory"),
+        (["evaluate", "{bundle}", "{dir}"], "data: Is a directory"),
+        (["evaluate", "{dir}", "{bundle}"], "model: Is a directory"),
         (["gen-synth", "{dir}"], "out: Is a directory"),
-    ], ids=["profile", "evaluate", "gen-synth"])
+    ], ids=["profile", "evaluate", "evaluate-model", "gen-synth"])
     def test_directory_as_data_is_validation_error(self, tmp_path, capsys, argv, named):
         bundle = tmp_path / "ok.model"
         bundle.write_text(six_feature_bundle())
         directory = tmp_path / "data"
         directory.mkdir()
         assert run_cli([a.format(dir=directory, bundle=bundle) for a in argv]) == 1
-        assert f"error: {named}: '{directory}'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {named}: '{directory}'\n"
+
+    def test_missing_bundle_names_model(self, tmp_path, capsys):
+        missing = tmp_path / "missing.model"
+        assert run_cli(["evaluate", str(missing), str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().err == f"error: model: No such file or directory: '{missing}'\n"
+
+    def test_plan_data_path_that_is_a_directory_names_its_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(f"[plan]\noutput_dir = {out}\n\n[dataset]\ntype = csv\n"
+                        f"path = {tmp_path}\nlabel = Class\n\n[models]\nkinds = dtree\n")
+        assert run_cli(["run", str(plan)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [dataset] path must name a regular file, got {str(tmp_path)!r}\n"
+        )
+        assert not (out / "resolved.cfg").exists()
 
     def test_gen_synth_output_in_a_missing_directory_names_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -212,15 +229,18 @@ class TestBasics:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_plan_on_a_pipe_names_no_schema_option(self, tmp_path, capsys):
-        # A plan's data path has no --schema to offer.
+        # A plan's data path has no --schema to offer; the plan is refused
+        # before its resolved.cfg is written.
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         plan = tmp_path / "plan.cfg"
         plan.write_text(f"[plan]\noutput_dir = {tmp_path / 'out'}\n\n[dataset]\ntype = csv\n"
                         f"path = {fifo}\nlabel = Class\n\n[models]\nkinds = dtree\n")
         assert run_cli(["run", str(plan)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {fifo}: a pipe can be read only once\n" in err and "--schema" not in err
+        assert capsys.readouterr().err == (
+            f"error: [dataset] path must name a regular file, got {str(fifo)!r}\n"
+        )
+        assert not (tmp_path / "out" / "resolved.cfg").exists()
 
 
 class TestProfileExplore:

@@ -144,6 +144,16 @@ class TestRunGrid:
         test_cell = next(c for c in record.cells if c.partition == "test")
         assert test_cell.report == direct
 
+    def test_none_cell_cannot_write_the_training_rows(self, tmp_path, scribbling_models):
+        # A model that writes into its rows would change every later cell's.
+        plan = small_plan(tmp_path, models=[ModelSpec("dtree"), ModelSpec("logreg")],
+                          samplers=[SamplerConfig("none"), SamplerConfig("rus")])
+        prepared = prepare(plan)
+        before = prepared.X_train.copy()
+        statuses = {c.status for c in run_experiment(plan, prepared).cells}
+        assert statuses == {"skipped: assignment destination is read-only"}
+        assert np.array_equal(prepared.X_train, before)
+
     def test_deterministic_cells(self, tmp_path):
         rows = []
         for _ in range(2):

@@ -1,6 +1,6 @@
 """Grid cells in forked worker processes: same bytes at every jobs count,
-longest tasks first, one task and one distance pass per NearMiss k, and
-no worker left behind."""
+longest tasks first, one task and one distance pass per NearMiss k, every
+sample drawn once and read-only, and no worker left behind."""
 
 import concurrent.futures
 import csv
@@ -9,8 +9,10 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fraudkit
@@ -51,7 +53,8 @@ def grid_bytes(out, jobs, **plan_args):
 
 class PoolSpy(concurrent.futures.ProcessPoolExecutor):
     """The process pool, recording its worker counts and submitted tasks,
-    each as the list of its points' (model, sampler) names."""
+    each as the list of its points' (model, sampler) names. A task is a
+    list of (point, sampler) pairs."""
 
     workers = []
     submitted = []
@@ -60,11 +63,11 @@ class PoolSpy(concurrent.futures.ProcessPoolExecutor):
         PoolSpy.workers.append(max_workers)
         super().__init__(max_workers, *args, **kwargs)
 
-    def submit(self, fn, points, *args, **kwargs):
+    def submit(self, fn, task, *args, **kwargs):
         PoolSpy.submitted.append(
-            [(m.name, experiments._cell_names(cfg, ratio)[0]) for m, cfg, ratio in points]
+            [(m.name, experiments._cell_names(cfg, ratio)[0]) for (m, cfg, ratio), _ in task]
         )
-        return super().submit(fn, points, *args, **kwargs)
+        return super().submit(fn, task, *args, **kwargs)
 
 
 @pytest.fixture
@@ -166,13 +169,13 @@ def test_points_without_a_sampler_run_one_per_task(tmp_path, pool_spy):
 
 def test_shared_nearmiss_is_sampled_once(tmp_path, monkeypatch):
     calls = []
-    real_nearmiss_resample = experiments.nearmiss_resample
+    real_nearmiss_resample = resample.nearmiss_resample
 
     def nearmiss_resample(samplers, X, y):
         calls.append(list(map(repr, samplers)))
         return real_nearmiss_resample(samplers, X, y)
 
-    monkeypatch.setattr(experiments, "nearmiss_resample", nearmiss_resample)
+    monkeypatch.setattr(resample, "nearmiss_resample", nearmiss_resample)
     plan = ExperimentPlan(
         **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("forest", {"n_trees": 3})],
            "samplers": [SamplerConfig("nearmiss", nearmiss_version=1)]},
@@ -246,30 +249,56 @@ def test_every_model_kind_fits_on_a_shared_read_only_sample(tmp_path):
     assert [c.status for c in run_experiment(plan).cells] == ["ok"] * 2 * len(MODEL_KINDS)
 
 
-def test_a_shared_sample_is_read_only(tmp_path, monkeypatch):
-    real_make_model = experiments.make_model
-
-    def make_model(kind, **params):
-        model = real_make_model(kind, **params)
-        fit = model.fit
-
-        def fit_in_place(X, y, *args):
-            X[0, 0] = 0.0  # a model that scribbles on its training rows
-            return fit(X, y, *args)
-
-        model.fit = fit_in_place
-        return model
-
-    monkeypatch.setattr(experiments, "make_model", make_model)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_shared_sample_is_read_only(tmp_path, monkeypatch, scribbling_models, jobs):
+    monkeypatch.setattr(base, "usable_cpus", lambda: 2)
     plan = ExperimentPlan(
         **{**MIXED, "models": [ModelSpec("dtree"), ModelSpec("logreg")],
-           "samplers": [SamplerConfig("nearmiss", nearmiss_version=2), SamplerConfig("rus")]},
-        output_dir=str(tmp_path / "out"),
+           "samplers": [SamplerConfig("nearmiss", nearmiss_version=2), SamplerConfig("rus"),
+                        SamplerConfig("smote"), SamplerConfig("none")]},
+        jobs=jobs, output_dir=str(tmp_path / "out"),
     )
-    statuses = {(c.model, c.sampler): c.status for c in run_experiment(plan).cells}
-    for model in ("dtree", "logreg"):
-        assert statuses[model, "nearmiss2"] == "skipped: assignment destination is read-only"
-        assert statuses[model, "rus"] == "ok"
+    prepared = experiments.prepare(plan)
+    before = prepared.X_train.copy()
+    cells = run_experiment(plan, prepared).cells
+    assert len(cells) == 16
+    assert {c.status for c in cells} == {"skipped: assignment destination is read-only"}
+    assert np.array_equal(prepared.X_train, before)
+
+
+# The points of a grid with every sampler method and NearMiss version, at
+# two ratios for NearMiss v1 and rus.
+EVERY_SAMPLER = dict(
+    models=[ModelSpec("logreg"), ModelSpec("dtree")],
+    samplers=[SamplerConfig("none"), SamplerConfig("rus"), SamplerConfig("rus", ratio=2.0),
+              SamplerConfig("smote"),
+              *(SamplerConfig("nearmiss", nearmiss_version=v) for v in (1, 2, 3)),
+              SamplerConfig("nearmiss", nearmiss_version=1, ratio=2.0)],
+    train=TrainConfig(epochs_max=3),
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_cell_is_the_cell_alone(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(base, "usable_cpus", lambda: 2)
+    plan = ExperimentPlan(**{**MIXED, **EVERY_SAMPLER}, jobs=jobs,
+                          output_dir=str(tmp_path / "out"))
+    prepared = experiments.prepare(plan)
+    built = []
+    real_cell_sampler = experiments._cell_sampler
+
+    def cell_sampler(plan, model_spec, sampler_cfg, ratio):
+        built.append((model_spec.name, experiments._cell_names(sampler_cfg, ratio)))
+        return real_cell_sampler(plan, model_spec, sampler_cfg, ratio)
+
+    monkeypatch.setattr(experiments, "_cell_sampler", cell_sampler)
+    record = run_experiment(plan, prepared)
+    points = [(m.name, experiments._cell_names(s, None)) for m in plan.models for s in plan.samplers]
+    assert built == points
+    alone = [c for m in plan.models for s in plan.samplers
+             for c in experiments.run_cell(prepared, plan, m, s)[0]]
+    assert [replace(c, seconds=0) for c in record.cells] == [replace(c, seconds=0) for c in alone]
+    assert sum(c.status == "ok" for c in record.cells) == 28  # v3's shortlist falls short
 
 
 def test_workers_capped_at_usable_cpus(tmp_path, pool_spy, monkeypatch):
@@ -281,7 +310,7 @@ def test_workers_capped_at_usable_cpus(tmp_path, pool_spy, monkeypatch):
 
 
 def test_serial_without_fork(tmp_path, pool_spy, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     record = run_experiment(ExperimentPlan(**MIXED, jobs=2, output_dir=str(tmp_path / "out")))
     assert pool_spy.workers == []
     assert sum(c.status == "ok" for c in record.cells) == 12
