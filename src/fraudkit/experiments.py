@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from fraudkit import base
-from fraudkit.base import ConfigError
+from fraudkit.base import ConfigError, check_kind
 from fraudkit.ingest import infer_schema, load_csv
 from fraudkit.metrics import evaluate_predictions, format_metric
-from fraudkit.models import classify, make_model, save_bundle
+from fraudkit.models import MODEL_KINDS, classify, make_model, save_bundle
 from fraudkit.nn.network import TrainingError
 from fraudkit.preprocess import StandardScaler, split
-from fraudkit.resample import SamplerConfig, draw, passes, round_half_away
+from fraudkit.resample import SAMPLER_METHODS, SamplerConfig, draw, passes, round_half_away
 from fraudkit.rng import derive_seed
 from fraudkit.svg import bar_chart
 from fraudkit.synth import SyntheticSpec, gen_synthetic
@@ -77,6 +77,10 @@ class ExperimentPlan:
     def validate(self):
         if not self.models or not self.samplers or not self.ratios:
             raise ValueError("plan grids must be non-empty")
+        for m in self.models:
+            check_kind(m.kind, MODEL_KINDS, "models: model kind")
+        for s in self.samplers:
+            check_kind(s.method, SAMPLER_METHODS, "samplers: method")
         # A repeat would run its cells twice and save both to one bundle file.
         for name, what, values in (
             ("models", "model kind", [m.kind for m in self.models]),
@@ -195,13 +199,10 @@ def _cell_names(sampler_cfg, ratio):
 
 def _cell_sampler(plan, model_spec, sampler_cfg, ratio):
     """The sampler a grid cell runs (None for method none) seeded for that
-    cell, or the ValueError building it raises. `ratio` is only a display
-    label (e.g. the pre-cap sweep ratio); the sampler uses its config's."""
-    seed = _cell_seed(plan, model_spec.name, *_cell_names(sampler_cfg, ratio))
-    try:
-        return replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
-    except ValueError as exc:
-        return exc
+    cell. `ratio` is only a display label (e.g. the pre-cap sweep ratio);
+    the sampler uses its config's."""
+    seed = _cell_seed(plan, model_spec.kind, *_cell_names(sampler_cfg, ratio))
+    return replace(sampler_cfg, seed=derive_seed(seed, "sampler")).build()
 
 
 def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=None, sample=None):
@@ -217,7 +218,7 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
     bundle to model_path when one is given. Returns (cells, history-or-None).
     """
     sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
-    seed = _cell_seed(plan, model_spec.name, sampler_name, ratio_label)
+    seed = _cell_seed(plan, model_spec.kind, sampler_name, ratio_label)
     if sample is None:
         (sample,) = draw([_cell_sampler(plan, model_spec, sampler_cfg, ratio)],
                          prepared.X_train, prepared.y_train)
@@ -226,7 +227,7 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
     def ended(status):
         elapsed = time.perf_counter() - started
         return [
-            Cell(prepared.name, model_spec.name, sampler_name, ratio_label, part, None,
+            Cell(prepared.name, model_spec.kind, sampler_name, ratio_label, part, None,
                  status, elapsed)
             for part in ("validation", "test")
         ], None
@@ -248,7 +249,7 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
         ):
             report = evaluate_predictions(y_eval, classify(model, X_eval, plan.threshold))
             cells.append(
-                Cell(prepared.name, model_spec.name, sampler_name, ratio_label, part,
+                Cell(prepared.name, model_spec.kind, sampler_name, ratio_label, part,
                      report, "ok", time.perf_counter() - started)
             )
     except ValueError as exc:
@@ -307,7 +308,7 @@ def _work(task, state=None):
     results = []
     for ((model_spec, sampler_cfg, ratio), _), sample in zip(task, samples):
         sampler_name, ratio_label = _cell_names(sampler_cfg, ratio)
-        path = model_dir / f"{prepared.name}__{model_spec.name}__{sampler_name}__{ratio_label}.model"
+        path = model_dir / f"{prepared.name}__{model_spec.kind}__{sampler_name}__{ratio_label}.model"
         results.append(run_cell(prepared, plan, model_spec, sampler_cfg, ratio, path, sample))
     return results
 
@@ -376,7 +377,7 @@ def run_experiment(plan, prepared=None, points=None):
         cells, history = results[i]
         record.cells.extend(cells)
         if history is not None:
-            record.histories[f"{model_spec.name}/{cells[0].sampler}/{cells[0].ratio}"] = history
+            record.histories[f"{model_spec.kind}/{cells[0].sampler}/{cells[0].ratio}"] = history
     return record
 
 

@@ -165,9 +165,11 @@ def encode_categoricals(values, categories=None):
 # records loaded about a tenth slower through csv.reader.
 _READ_BLOCK_ROWS = 1024
 
-# Characters that send a block to csv.reader: a quote may open a quoted
-# cell, and loadtxt strips the ASCII separators FS, GS, RS and US as
-# whitespace where float() rejects them.
+# Characters that send a block to csv.reader. A quote may open a quoted
+# cell, and np.loadtxt closes a quote left open at the end of its input, so
+# a record that runs past a block's end would read as clean rows there. And
+# loadtxt strips the ASCII separators FS, GS, RS and US as whitespace where
+# float() rejects them.
 _CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 
 # The lines csv.reader reads as no record.

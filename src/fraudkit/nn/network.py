@@ -281,9 +281,11 @@ def network_from_dict(payload):
     """The network network_to_dict wrote. Its input_shape must be positive
     ints, its layers a list of objects of known kinds, and each layer's
     parameters the ones it declares, with that shape and as many finite
-    numbers (not bools), checked before any is allocated; nothing is drawn."""
-    if check_object(payload, "network").get("format_version") != FORMAT_VERSION:
-        raise FraudkitError(f"unsupported model format version {payload.get('format_version')!r}")
+    numbers (not bools), checked before any is allocated; nothing is drawn.
+    Its format_version must be the int FORMAT_VERSION: true is not 1."""
+    version = check_object(payload, "network").get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
     input_shape, specs = payload["input_shape"], payload["layers"]
     if type(input_shape) is not list or any(type(d) is not int or d < 1 for d in input_shape):
         raise ValueError(f"input_shape {input_shape!r} is not a list of positive ints")

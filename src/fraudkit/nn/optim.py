@@ -4,11 +4,12 @@ import numpy as np
 
 
 class Adam:
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma and Ba's Adam, with their published beta1, beta2 and eps."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr=0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {}
         self._v = {}

@@ -254,10 +254,10 @@ def passes(samplers):
 
 def draw(samplers, X, y):
     """Each sampler's sample (X_fit, y_fit) of (X, y), or the error it
-    raises, in order: (X, y) itself for None (no sampler), and an exception
-    in a sampler's place as it is. Each distinct sampler (by repr) is drawn
-    once, in the passes of passes(). Samples are read-only views, so a
-    caller that writes into one fails instead of changing rows others share.
+    raises, in order: (X, y) itself for None (no sampler). Each distinct
+    sampler (by repr) is drawn once, in the passes of passes(). Samples are
+    read-only views, so a caller that writes into one fails instead of
+    changing rows others share.
     """
     distinct = list({repr(s): s for s in samplers}.values())
     drawn = {}
@@ -266,8 +266,6 @@ def draw(samplers, X, y):
         try:
             if isinstance(batch[0], NearMiss):
                 samples = nearmiss_resample(batch, X, y)
-            elif isinstance(batch[0], Exception):
-                samples = batch
             else:
                 samples = [(X, y) if batch[0] is None else batch[0].fit_resample(X, y)]
         except (ValueError, FloatingPointError, MemoryError) as exc:

@@ -185,14 +185,14 @@ def _midpoint(a, b):
     return mid if a <= mid < b else a
 
 
-def _grow(X, R, y, weight, max_depth, min_leaf, max_features, rng):
+def _grow(X, R, y, max_depth, min_leaf, weight=None, rng=None):
     """Grow a tree on X, its dense ranks R and float labels y into its
     preorder lists, depth-first, left child first, from an explicit stack,
-    so depth is no limit. It grows from the rows of nonzero weight: weight
-    is each row's integer weight (a forest tree's draw counts), or None
-    where every row counts once. A node searches max_features features
-    drawn at random, or every feature where max_features is at least their
-    number.
+    so depth is no limit. A plain tree (weight and rng None) counts every
+    row once and searches every feature at each node. A forest tree grows
+    from the rows of nonzero weight, each row's integer weight its draw
+    count, and a node searches max(1, isqrt(features)) features that rng
+    draws, or every feature where that is all of them.
 
     A node holds only its rows, in ascending order, and a split keeps that
     order, sending left the rows whose rank in the split's feature is at
@@ -203,6 +203,7 @@ def _grow(X, R, y, weight, max_depth, min_leaf, max_features, rng):
     draws come in the same order.
     """
     n_features = X.shape[1]
+    n_search = n_features if rng is None else max(1, math.isqrt(n_features))
     rows = np.arange(len(y))
     if weight is not None:  # y becomes each row's positive count
         rows, y = np.flatnonzero(weight), y * weight
@@ -225,10 +226,10 @@ def _grow(X, R, y, weight, max_depth, min_leaf, max_features, rng):
             or (max_depth is not None and depth >= max_depth)
             or prob in (0.0, 1.0)
         ):
-            if max_features >= n_features:
+            if n_search >= n_features:
                 features = np.arange(n_features)
             else:
-                features = np.sort(rng.choice(n_features, size=max_features, replace=False))
+                features = np.sort(rng.choice(n_features, size=n_search, replace=False))
             feature, threshold, rank = _best_split(
                 X, R, y, weight, rows, n, pos, features, min_leaf
             )
@@ -256,50 +257,38 @@ def _predict(tree, X):
     return out
 
 
-def _check_params(max_depth, min_leaf, max_features):
-    """max_depth, min_leaf and max_features if max_depth is None or an int
-    of at least 0, min_leaf a positive int, and max_features None, "sqrt"
-    or a positive int; else ValueError naming the one that is not."""
+def _check_params(max_depth, min_leaf):
+    """max_depth and min_leaf if max_depth is None or an int of at least 0
+    and min_leaf a positive int; else ValueError naming the one that is not."""
     if max_depth is not None and (type(max_depth) is not int or max_depth < 0):
         raise ValueError(f"max_depth {max_depth!r} is not None or an int >= 0")
-    if max_features is not None and max_features != "sqrt":
-        check_positive_int(max_features, "max_features")
-    return max_depth, check_positive_int(min_leaf, "min_leaf"), max_features
+    return max_depth, check_positive_int(min_leaf, "min_leaf")
 
 
-def _fit_inputs(X, y, min_leaf, max_features):
-    """The checked X, its dense ranks, y as floats, and how many features a
-    node searches: every feature for max_features None, the integer square
-    root of their number (at least 1) for "sqrt", else max_features."""
+def _fit_inputs(X, y, min_leaf):
+    """The checked X, its dense ranks and y as floats."""
     X, y = check_X_y(X, y)
     if len(y) < min_leaf:
         raise ValueError(f"need at least min_leaf={min_leaf} rows")
     if len(y) >= 1 << 32:  # rows and ranks are packed in 32 bits each
         raise ValueError(f"a tree fits fewer than 2**32 rows, not {len(y)}")
-    if max_features is None:
-        max_features = X.shape[1]
-    elif max_features == "sqrt":
-        max_features = max(1, math.isqrt(X.shape[1]))
-    return X, _dense_ranks(X), y.astype(np.float64), max_features
+    return X, _dense_ranks(X), y.astype(np.float64)
 
 
 class DecisionTreeClassifier(BaseEstimator):
-    """Greedy binary CART on Gini impurity; leaves hold positive fractions."""
+    """Greedy binary CART on Gini impurity, searching every feature at each
+    split; leaves hold positive fractions."""
 
-    def __init__(self, max_depth=None, min_leaf=1, max_features=None, seed=0):
-        self.max_depth, self.min_leaf, self.max_features = _check_params(
-            max_depth, min_leaf, max_features
-        )
-        self.seed = seed
+    def __init__(self, max_depth=None, min_leaf=1):
+        self.max_depth, self.min_leaf = _check_params(max_depth, min_leaf)
         self.tree_ = None  # the preorder lists of TREE_KEYS once fitted
 
     # A node view of tree_'s root, for perfbench's tree-shape walk.
     root_ = property(lambda self: _Node(self.tree_, 0))
 
     def fit(self, X, y):
-        X, R, y, max_features = _fit_inputs(X, y, self.min_leaf, self.max_features)
-        rng = generator(self.seed)
-        self.tree_ = _grow(X, R, y, None, self.max_depth, self.min_leaf, max_features, rng)
+        X, R, y = _fit_inputs(X, y, self.min_leaf)
+        self.tree_ = _grow(X, R, y, self.max_depth, self.min_leaf)
         return self
 
     def predict_proba(self, X):
@@ -309,42 +298,25 @@ class DecisionTreeClassifier(BaseEstimator):
 
 
 class RandomForestClassifier(BaseEstimator):
-    """Bagged CART trees with per-split random feature subsets; trees_ holds
-    each tree's preorder lists.
+    """Breiman's random forest: each CART tree grows on a bootstrap sample
+    and searches max(1, isqrt(features)) random features at each split;
+    trees_ holds each tree's preorder lists."""
 
-    With n_trees=1, bootstrap=False and max_features=None the forest
-    reduces exactly to a single DecisionTreeClassifier.
-    """
-
-    def __init__(
-        self,
-        n_trees=50,
-        max_depth=None,
-        min_leaf=1,
-        max_features="sqrt",
-        bootstrap=True,
-        seed=0,
-    ):
+    def __init__(self, n_trees=50, max_depth=None, min_leaf=1, seed=0):
         self.n_trees = check_positive_int(n_trees, "n_trees")
-        self.max_depth, self.min_leaf, self.max_features = _check_params(
-            max_depth, min_leaf, max_features
-        )
-        self.bootstrap = bootstrap
+        self.max_depth, self.min_leaf = _check_params(max_depth, min_leaf)
         self.seed = seed
         self.trees_ = None
 
     def fit(self, X, y):
-        X, R, y, max_features = _fit_inputs(X, y, self.min_leaf, self.max_features)
+        X, R, y = _fit_inputs(X, y, self.min_leaf)
         self.trees_ = []
         for t in range(self.n_trees):
-            weight = None
-            if self.bootstrap:  # the draw counts weight the distinct rows drawn
-                rng = generator(derive_seed(self.seed, f"bootstrap/{t}"))
-                draw = rng.integers(0, len(y), size=len(y))
-                weight = np.bincount(draw, minlength=len(y)).astype(np.float64)
+            rng = generator(derive_seed(self.seed, f"bootstrap/{t}"))
+            draw = rng.integers(0, len(y), size=len(y))  # its counts weight the rows drawn
+            weight = np.bincount(draw, minlength=len(y)).astype(np.float64)
             rng = generator(derive_seed(self.seed, f"tree/{t}"))
-            tree = _grow(X, R, y, weight, self.max_depth, self.min_leaf, max_features, rng)
-            self.trees_.append(tree)
+            self.trees_.append(_grow(X, R, y, self.max_depth, self.min_leaf, weight, rng))
         return self
 
     def predict_proba(self, X):

@@ -250,6 +250,21 @@ class TestPlanHash:
             SamplerConfig("rus"), SamplerConfig("rus", ratio=2.0),
         ]).validate()
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"models": [ModelSpec("logreg"), ModelSpec("bogus")]},
+         "models: model kind 'bogus' is not one of cnn2d, cnn1d, lstm, logreg, dtree, forest"),
+        ({"samplers": [SamplerConfig("rus"), SamplerConfig("bogus")]},
+         "samplers: method 'bogus' is not one of none, rus, nearmiss, smote"),
+    ], ids=["model-kind", "sampler-method"])
+    def test_unknown_kind_or_method_fails_before_any_cell(self, tmp_path, grid, message):
+        # A plan built in code used to run, every such cell skipped.
+        plan = small_plan(tmp_path, **grid)
+        for call in (plan.validate, lambda: run_experiment(plan)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
+
     def test_validate_needs_source(self, tmp_path):
         plan = small_plan(tmp_path, synthetic=None)
         with pytest.raises(ValueError):

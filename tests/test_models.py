@@ -20,7 +20,6 @@ from fraudkit.models import (
     save_bundle,
 )
 from fraudkit.preprocess import StandardScaler
-from fraudkit.rng import derive_seed
 from fraudkit.trees import DecisionTreeClassifier, RandomForestClassifier, _gini_part
 
 
@@ -200,14 +199,6 @@ class TestDecisionTree:
 
 
 class TestForest:
-    def test_reduces_to_single_tree(self, blobs):
-        X, y = blobs.features, blobs.labels
-        forest = RandomForestClassifier(
-            n_trees=1, bootstrap=False, max_features=None, seed=0
-        ).fit(X, y)
-        tree = DecisionTreeClassifier(seed=derive_seed(0, "tree/0")).fit(X, y)
-        assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
-
     def test_deterministic(self, blobs):
         X, y = blobs.features, blobs.labels
         a = RandomForestClassifier(n_trees=5, seed=4).fit(X, y).predict_proba(X)
@@ -263,16 +254,15 @@ class TestPredictClassify:
 # Every argument run_cell or a plan hands make_model, none at its default,
 # plus one that no model takes.
 FACTORY_ARGS = dict(hidden=7, inner_act="tanh", lr=0.01, epochs_max=3, batch_size=16, patience=2,
-                    seed=9, n_trees=4, max_depth=5, min_leaf=2, max_features=3, bootstrap=False,
-                    unknown=1)
+                    seed=9, n_trees=4, max_depth=5, min_leaf=2, unknown=1)
 NETWORK_ARGS = ("hidden", "inner_act", "lr", "epochs_max", "batch_size", "patience", "seed")
 
 
 class TestFactoryAndSerialization:
     @pytest.mark.parametrize("kind,taken", [
         *((kind, NETWORK_ARGS) for kind in ("cnn2d", "cnn1d", "lstm", "logreg")),
-        ("dtree", ("max_depth", "min_leaf", "max_features", "seed")),
-        ("forest", ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap", "seed")),
+        ("dtree", ("max_depth", "min_leaf")),
+        ("forest", ("n_trees", "max_depth", "min_leaf", "seed")),
     ])
     def test_make_model_passes_what_the_constructor_takes(self, kind, taken):
         params = make_model(kind, **FACTORY_ARGS).get_params()

@@ -382,11 +382,14 @@ class TestNetwork:
         monkeypatch.setattr(network, "generator", lambda seed: pytest.fail("a load drew weights"))
         assert network_to_dict(network_from_dict(payload)) == payload
 
-    def test_unsupported_format_version(self):
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
+    def test_unsupported_format_version(self, version):
+        # An int, as a bundle's own format_version: true and 1.0 are not 1.
         payload = network_to_dict(Network([Dense(1)], (2,)).initialize(0))
-        payload["format_version"] = 99
-        with pytest.raises(Exception, match="format version"):
+        payload["format_version"] = version
+        with pytest.raises(ValueError) as info:
             network_from_dict(payload)
+        assert str(info.value) == f"unsupported model format version {version!r}"
 
 
 class TestFlatParameters:

@@ -186,9 +186,8 @@ def repeated_rows(seed, n=240, n_distinct=30, n_features=6):
     return X, (rng.random(n) < 0.2 + 0.2 * (X[:, 0] > 0)).astype(np.int64)
 
 
-# (min_leaf, max_depth, bootstrap) settings that the forest tests cycle through.
-FOREST_SETTINGS = [(1, None, True), (2, None, True), (3, 2, True), (1, 2, False),
-                   (2, None, False), (3, None, True)]
+# (min_leaf, max_depth) settings that the forest tests cycle through.
+FOREST_SETTINGS = [(1, None), (2, None), (3, 2), (1, 2), (2, 3), (3, None)]
 
 
 def _outcome(fn, *args):
@@ -336,8 +335,8 @@ def sampler_outputs():
 @pytest.mark.parametrize("sampler", ["none", "nearmiss1", "nearmiss2", "nearmiss3", "smote", "rus"])
 def test_trees_match_reference_on_sampler_outputs(sampler_outputs, sampler):
     X, y = sampler_outputs[sampler]
-    tree = DecisionTreeClassifier(seed=4).fit(X, y)
-    assert json.dumps(tree_lists(tree)) == json.dumps(ref_tree_lists(X, y, seed=4))
+    tree = DecisionTreeClassifier().fit(X, y)
+    assert json.dumps(tree_lists(tree)) == json.dumps(ref_tree_lists(X, y))
     forest = RandomForestClassifier(n_trees=3, seed=6).fit(X, y)
     got = model_to_dict(forest)["flat_trees"]
     assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, n_trees=3, seed=6))
@@ -349,27 +348,26 @@ def test_tree_matches_reference_on_rounded_grids():
         n = int(rng.integers(2, 60))
         X = np.round(rng.normal(size=(n, int(rng.integers(1, 5)))), int(rng.integers(0, 2)))
         y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
-        params = dict(max_depth=[None, 1, 3][case % 3], min_leaf=int(rng.integers(1, 4)),
-                      max_features=[None, 1, 2][case % 3], seed=case)
+        params = dict(max_depth=[None, 1, 3][case % 3], min_leaf=int(rng.integers(1, 4)))
         if n < params["min_leaf"]:
             continue
         got = tree_lists(DecisionTreeClassifier(**params).fit(X, y))
         assert json.dumps(got) == json.dumps(ref_tree_lists(X, y, **params)), case
 
 
-@pytest.mark.parametrize("max_features", [1, 3, 6, 50])
+@pytest.mark.parametrize("n_features", [1, 3, 9, 36])
 @pytest.mark.parametrize("data", ["rounded", "repeated"])
-def test_forest_trees_match_reference_across_parameters(data, max_features):
+def test_forest_trees_match_reference_across_parameters(data, n_features):
     # Weighted bootstrap trees against trees grown on the repeated rows: min_leaf
-    # then counts a row once per draw, and max_features >= 6 searches every feature.
+    # then counts a row once per draw. A node searches isqrt(n_features)
+    # features, 1, 1, 3 and 6 of them, which at n_features = 1 is every feature.
     if data == "rounded":
         rng = np.random.default_rng(21)
-        X = np.round(rng.normal(size=(240, 6)), 1)
+        X = np.round(rng.normal(size=(240, n_features)), 1)
         y = (rng.random(240) < 0.3).astype(np.int64)
     else:
-        X, y = repeated_rows(22)
-    for case, (min_leaf, max_depth, bootstrap) in enumerate(FOREST_SETTINGS):
-        params = dict(n_trees=3, max_depth=max_depth, min_leaf=min_leaf,
-                      max_features=max_features, bootstrap=bootstrap, seed=case)
+        X, y = repeated_rows(22, n_features=n_features)
+    for case, (min_leaf, max_depth) in enumerate(FOREST_SETTINGS):
+        params = dict(n_trees=3, max_depth=max_depth, min_leaf=min_leaf, seed=case)
         got = model_to_dict(RandomForestClassifier(**params).fit(X, y))["flat_trees"]
         assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, **params)), params

@@ -16,7 +16,6 @@ from fraudkit import trees
 from fraudkit.base import FraudkitError
 from fraudkit.models import load_bundle, model_to_dict, save_bundle
 from fraudkit.preprocess import StandardScaler
-from fraudkit.rng import derive_seed, generator
 from fraudkit.trees import (
     DecisionTreeClassifier,
     RandomForestClassifier,
@@ -36,8 +35,8 @@ TREE_BUNDLES = Path(__file__).parent / "tree_bundles"
 
 # SEARCH_BLOCK as a function of a set's rows n: one feature per block; one
 # feature row per block at the root, so deeper nodes take several; and
-# blocks of 4 features at the root, which split 6 features 4 + 2 and a
-# forest node's 5 drawn features 4 + 1.
+# blocks of 4 features at the root, which split 6 features 4 + 2, and a
+# forest node's 6 features drawn from 36 the same way.
 BLOCKS = {"one": lambda n: 1, "row": lambda n: n, "uneven": lambda n: 4 * n}
 
 
@@ -75,29 +74,29 @@ def test_split_scores_equal_the_gini_formula_bit_for_bit():
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_tree_and_forest_match_reference_at_block_sizes(monkeypatch, block):
-    for X, y in [tie_heavy(3), extreme_rows(13)]:
+    for X, y in [tie_heavy(3), extreme_rows(13), tie_heavy(3, n_features=36)]:
         monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
-        tree = DecisionTreeClassifier(min_leaf=2, seed=4).fit(X, y)
-        want = ref_tree_lists(X, y, min_leaf=2, seed=4)
+        tree = DecisionTreeClassifier(min_leaf=2).fit(X, y)
+        want = ref_tree_lists(X, y, min_leaf=2)
         assert json.dumps(tree_lists(tree)) == json.dumps(want)
-        forest = RandomForestClassifier(n_trees=3, max_features=5, seed=6).fit(X, y)
-        for t, lists in enumerate(model_to_dict(forest)["flat_trees"]):
-            boot = generator(derive_seed(6, f"bootstrap/{t}")).integers(0, len(y), size=len(y))
-            want = ref_tree_lists(X[boot], y[boot], max_features=5,
-                                  seed=derive_seed(6, f"tree/{t}"))
-            assert json.dumps(lists) == json.dumps(want), t
+        forest = RandomForestClassifier(n_trees=3, seed=6).fit(X, y)
+        got = model_to_dict(forest)["flat_trees"]
+        assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, n_trees=3, seed=6))
 
 
-@pytest.mark.parametrize("max_features", [1, 3, 6])
+# A forest node searches isqrt(d) features: 1 of 3, 3 of 9, 6 of 36, and
+# at d = 1 every feature.
+@pytest.mark.parametrize("n_features", [1, 3, 9, 36])
 @pytest.mark.parametrize("block", BLOCKS)
 def test_forest_matches_reference_across_parameters_at_block_sizes(monkeypatch, block,
-                                                                   max_features):
-    sets = [tie_heavy(8, n=200), repeated_rows(9, n=200), extreme_rows(10)]
+                                                                   n_features):
+    sets = [tie_heavy(8, n=200, n_features=n_features),
+            repeated_rows(9, n=200, n_features=n_features),
+            extreme_rows(10, n_features=n_features)]
     for data, (X, y) in enumerate(sets):
         monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](len(y)))
-        for case, (min_leaf, max_depth, bootstrap) in enumerate(FOREST_SETTINGS[data % 2::2]):
-            params = dict(n_trees=2, max_depth=max_depth, min_leaf=min_leaf,
-                          max_features=max_features, bootstrap=bootstrap, seed=case)
+        for case, (min_leaf, max_depth) in enumerate(FOREST_SETTINGS[data % 2::2]):
+            params = dict(n_trees=2, max_depth=max_depth, min_leaf=min_leaf, seed=case)
             got = model_to_dict(RandomForestClassifier(**params).fit(X, y))["flat_trees"]
             assert json.dumps(got) == json.dumps(ref_forest_lists(X, y, **params)), (data, params)
 
@@ -109,8 +108,7 @@ def test_tree_matches_reference_on_rounded_grids_at_block_sizes(monkeypatch, blo
         n = int(rng.integers(2, 60))
         X = np.round(rng.normal(size=(n, int(rng.integers(1, 7)))), int(rng.integers(0, 2)))
         y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
-        params = dict(max_depth=[None, 2][case % 2], min_leaf=int(rng.integers(1, 4)),
-                      max_features=[None, 1, 3][case % 3], seed=case)
+        params = dict(max_depth=[None, 2][case % 2], min_leaf=int(rng.integers(1, 4)))
         if n < params["min_leaf"]:
             continue
         monkeypatch.setattr(trees, "SEARCH_BLOCK", BLOCKS[block](n))
@@ -127,7 +125,7 @@ def test_deep_tree_predicts_and_round_trips_a_bundle(tmp_path):
     X, y = deep_set()
     tree = DecisionTreeClassifier().fit(X, y)
     assert np.array_equal(tree.predict_proba(X), y.astype(np.float64))
-    forest = RandomForestClassifier(n_trees=2, max_features=1, seed=1).fit(X, y)
+    forest = RandomForestClassifier(n_trees=2, seed=1).fit(X, y)
     scaler = StandardScaler().fit(X)
     for model in (tree, forest):
         path = tmp_path / f"{type(model).__name__}.model"
@@ -137,26 +135,14 @@ def test_deep_tree_predicts_and_round_trips_a_bundle(tmp_path):
 
 
 @pytest.mark.parametrize("cls, params, message", [
-    (DecisionTreeClassifier, {"max_features": 0}, "max_features 0 is not a positive int"),
-    (DecisionTreeClassifier, {"max_features": -1}, "max_features -1 is not a positive int"),
-    (RandomForestClassifier, {"max_features": 2.5}, "max_features 2.5 is not a positive int"),
-    (RandomForestClassifier, {"max_features": "log2"}, "max_features 'log2' is not a positive"),
     (RandomForestClassifier, {"n_trees": 2.0}, "n_trees 2.0 is not a positive int"),
     (DecisionTreeClassifier, {"max_depth": -1}, "max_depth -1 is not None or an int >= 0"),
     (RandomForestClassifier, {"max_depth": 2.0}, "max_depth 2.0 is not None or an int >= 0"),
     (DecisionTreeClassifier, {"min_leaf": 0}, "min_leaf 0 is not a positive int"),
-], ids=["tree-max-features-0", "tree-max-features--1", "forest-max-features-2.5",
-        "forest-max-features-log2", "forest-n-trees-2.0", "tree-max-depth--1",
-        "forest-max-depth-2.0", "tree-min-leaf-0"])
+], ids=["forest-n-trees-2.0", "tree-max-depth--1", "forest-max-depth-2.0", "tree-min-leaf-0"])
 def test_bad_hyperparameter_fails_loudly(cls, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         cls(**params).fit(*deep_set(8))
-
-
-def test_tree_takes_sqrt_max_features_as_the_forest_does():
-    X, y = tie_heavy(5, n=200, n_features=9)
-    got = tree_lists(DecisionTreeClassifier(max_features="sqrt", seed=3).fit(X, y))
-    assert json.dumps(got) == json.dumps(ref_tree_lists(X, y, max_features=3, seed=3))
 
 
 def test_bundles_written_before_the_lists_score_as_stored():
