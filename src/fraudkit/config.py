@@ -4,9 +4,10 @@ A plan is an INI file (parsed with configparser) whose sections and keys
 are the rows of PLAN_TABLE below: each row gives a key's section, name,
 type and check, and a key not given takes the value of a plan that sets
 nothing (_defaults). The unknown-key check, parsing, the value checks
-and the resolved.cfg echo all read those rows. Any other section or key,
-any value that does not parse and any value, given or default, that
-fails its check is a ConfigError naming [section] key. Command-line
+and the resolved.cfg echo all read those rows, and check_plan holds a
+plan built in code to the same checks. Any other section or key, any
+value that does not parse and any value, given or default, that fails
+its check is a ConfigError naming [section] key. Command-line
 --set section.key=value overrides win over file values. Every run echoes
 its fully resolved config; rerunning from the echo reproduces outputs
 byte-identically. [samplers] nearmiss_version takes a comma list, as
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from fraudkit.base import ConfigError
-from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig, sweep_ratios_ok
+from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig
 from fraudkit.models import MODEL_KINDS
 from fraudkit.resample import SAMPLER_METHODS, SamplerConfig
 from fraudkit.synth import SyntheticSpec
@@ -119,7 +120,8 @@ PLAN_TABLE = (
     Key("samplers", "nearmiss_version", _integers, _members((1, 2, 3), "NearMiss version")),
     Key("samplers", "k_neighbors", int, _at_least(0)),
     Key("sweep", "ratios", _numbers, _holds(
-        lambda v: v and sweep_ratios_ok(v), "non-empty, finite, >= 1 and strictly ascending")),
+        lambda v: v and all(1 <= r < math.inf for r in v) and all(a < b for a, b in zip(v, v[1:])),
+        "non-empty, finite, >= 1 and strictly ascending")),
     Key("train", "lr", float, _FINITE_POSITIVE),
     Key("train", "epochs_max", int, _at_least(1)),
     Key("train", "batch_size", int, _at_least(1)),
@@ -189,11 +191,39 @@ def load_plan(path, overrides=()):
             ) from None
         if value is None:
             continue
-        problem = row.check and row.check(value)
-        if problem:
-            raise ConfigError(f"[{row.section}] {row.name}{problem}")
+        _check(row, value)
         values[row.section][row.name] = value
     return _plan_from_values(values)
+
+
+def _check(row, value):
+    """Raise the ConfigError that row's check finds in value; None (unset) passes."""
+    problem = value is not None and row.check and row.check(value)
+    if problem:
+        raise ConfigError(f"[{row.section}] {row.name}{problem}")
+
+
+def check_plan(plan):
+    """Apply PLAN_TABLE's checks, with load_plan's messages, to a built plan:
+    [models] kinds to the kinds, other keys to each model or sampler config
+    that holds them, and the samplers of one ratio as one file section."""
+    keys = {row.name for row in PLAN_TABLE if row.section == "models"} - {"kinds"}
+    for name in (name for m in plan.models for name in m.params if name not in keys):
+        raise ConfigError(f"unknown plan key [models] {name}")
+    checked = {section: [held] for section, held in _plan_values(plan).items()}
+    checked["models"] = [{"kinds": [m.kind for m in plan.models]}, *(m.params for m in plan.models)]
+    checked["samplers"] = [{"ratio": s.ratio, "k_neighbors": s.k_neighbors} for s in plan.samplers]
+    sections = {}
+    for s in plan.samplers:
+        section = sections.setdefault(s.ratio, {"methods": []})
+        if s.method != "nearmiss" or "nearmiss_version" not in section:
+            section["methods"].append(s.method)
+        if s.method == "nearmiss":
+            section.setdefault("nearmiss_version", []).append(s.nearmiss_version)
+    checked["samplers"] += list(sections.values()) or [{"methods": []}]
+    for row in PLAN_TABLE:
+        for held in checked[row.section]:
+            _check(row, held.get(row.name))
 
 
 def _defaults(source_type):
@@ -232,6 +262,7 @@ def _plan_from_values(values):
 
 def _plan_values(plan):
     """The plan as {section: {key: value}}; keys outside the table are ignored."""
+    first = (plan.samplers or [SamplerConfig()])[0]
     if plan.synthetic is not None:
         dataset = {"type": "synthetic", **vars(plan.synthetic)}
     else:
@@ -243,10 +274,10 @@ def _plan_values(plan):
         "dataset": dataset,
         "models": {"kinds": [m.kind for m in plan.models], **params},
         "samplers": {
-            **vars(plan.samplers[0]),
+            **vars(first),
             "methods": list(dict.fromkeys(s.method for s in plan.samplers)),
             "nearmiss_version": [s.nearmiss_version for s in plan.samplers
-                                 if s.method == "nearmiss"] or [plan.samplers[0].nearmiss_version],
+                                 if s.method == "nearmiss"] or [first.nearmiss_version],
         },
         "sweep": {"ratios": plan.ratios},
         "train": vars(plan.train),

@@ -12,7 +12,6 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-import math
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -21,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from fraudkit import base
-from fraudkit.base import ConfigError, check_kind
+from fraudkit.base import ConfigError
 from fraudkit.ingest import infer_schema, load_csv
 from fraudkit.metrics import evaluate_predictions, format_metric
-from fraudkit.models import MODEL_KINDS, classify, make_model, save_bundle
+from fraudkit.models import classify, make_model, save_bundle
 from fraudkit.nn.network import TrainingError
 from fraudkit.preprocess import StandardScaler, split
-from fraudkit.resample import SAMPLER_METHODS, SamplerConfig, draw, passes, round_half_away
+from fraudkit.resample import SamplerConfig, draw, passes, round_half_away
 from fraudkit.rng import derive_seed
 from fraudkit.svg import bar_chart
 from fraudkit.synth import SyntheticSpec, gen_synthetic
@@ -75,20 +74,11 @@ class ExperimentPlan:
     output_dir: str = "out"
 
     def validate(self):
-        if not self.models or not self.samplers or not self.ratios:
-            raise ValueError("plan grids must be non-empty")
-        for m in self.models:
-            check_kind(m.kind, MODEL_KINDS, "models: model kind")
-        for s in self.samplers:
-            check_kind(s.method, SAMPLER_METHODS, "samplers: method")
-        # A repeat would run its cells twice and save both to one bundle file.
-        for name, what, values in (
-            ("models", "model kind", [m.kind for m in self.models]),
-            ("samplers", "sampler cell", [_cell_names(s, None) for s in self.samplers]),
-        ):
-            for n, v in enumerate(values):
-                if v in values[:n]:
-                    raise ValueError(f"{name}: {what} {v!r} is listed twice")
+        """config.check_plan's rules, then those no PLAN_TABLE row states: a
+        source is given, and a csv path names a regular file."""
+        from fraudkit.config import check_plan
+
+        check_plan(self)
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("plan needs a dataset path or a synthetic spec")
         if self.dataset_path is not None and not Path(self.dataset_path).is_file():
@@ -265,27 +255,16 @@ def run_cell(prepared, plan, model_spec, sampler_cfg, ratio=None, model_path=Non
     return cells, history
 
 
-def sweep_ratios_ok(ratios):
-    """Sweep ratios must be finite, at least 1 and strictly ascending."""
-    in_range = all(1 <= r < math.inf for r in ratios)
-    return in_range and all(a < b for a, b in zip(ratios, ratios[1:]))
-
-
 def imbalance_points(plan, prepared):
     """Grid points of the imbalance sweep: the plan's first model on the
     training partition random-under-sampled to each of plan.ratios.
     A ratio beyond the majority count is capped; its cells keep the
-    requested ratio as their label."""
-    ratios = list(plan.ratios)
-    if not sweep_ratios_ok(ratios):
-        raise ValueError("ratios must be finite, >= 1 and strictly ascending")
+    requested ratio as their label. plan.validate() checks the ratios."""
+    plan.validate()
     n_pos = int(np.sum(prepared.y_train == 1))
     n_neg = int(np.sum(prepared.y_train == 0))
-    points = []
-    for r in ratios:
-        capped = r if round_half_away(r * n_pos) <= n_neg else n_neg / n_pos
-        points.append((plan.models[0], SamplerConfig(method="rus", ratio=capped), r))
-    return points
+    capped = [r if round_half_away(r * n_pos) <= n_neg else n_neg / n_pos for r in plan.ratios]
+    return [(plan.models[0], SamplerConfig("rus", ratio=c), r) for c, r in zip(capped, plan.ratios)]
 
 
 _worker_state = None  # (prepared, plan, model_dir) of a forked grid worker

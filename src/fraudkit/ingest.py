@@ -22,7 +22,7 @@ from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, combinations, compress, islice
 
 import numpy as np
 
@@ -719,9 +719,14 @@ def profile(ds):
 
 def infer_schema(path, label, categorical=(), drop=()):
     """Build a schema from a file header: named label, listed drops and
-    categoricals, everything else numeric. A listed column that is not in
-    the header is a SchemaError naming it, and so is a pipe: its header is
-    read here, and load_csv would have to open it a second time."""
+    categoricals, everything else numeric. A column that two of these name,
+    or that is not in the header, is a SchemaError naming it, as is a pipe:
+    its header is read here, and load_csv would have to open it again."""
+    lists = {"label": [label], "drop": drop, "categorical": categorical}
+    for a, b in combinations(lists, 2):
+        both = [name for name in lists[a] if name in lists[b]]
+        if both:
+            raise SchemaError(f"{path}: column {both[0]!r} is named in both {a} and {b}")
     if stat.S_ISFIFO(os.stat(path).st_mode):
         raise SchemaError(f"{path}: a pipe can be read only once")
     with open(path, "rb", buffering=0) as fh:

@@ -281,6 +281,11 @@ class TestProfileExplore:
             assert code == 1
             assert f"{tiny_csv}: {named} not in header" in captured.err
 
+    def test_label_named_as_a_drop_exits_one(self, tiny_csv, capsys):
+        assert run_cli(["profile", str(tiny_csv), "--drop", "Class"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tiny_csv}: column 'Class' is named in both label and drop" in err
+
     def test_output_dir_env(self, tiny_csv, tmp_path, monkeypatch, capsys):
         out = tmp_path / "envout"
         monkeypatch.setenv("FRAUDKIT_OUTPUT_DIR", str(out))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from fraudkit.config import (
     load_schema_config,
     plan_to_config_text,
 )
-from fraudkit.experiments import ExperimentPlan
+from fraudkit.experiments import ExperimentPlan, ModelSpec, TrainConfig
+from fraudkit.models import MODEL_KINDS, make_model
+from fraudkit.resample import SamplerConfig
 from fraudkit.synth import SyntheticSpec
 
 PLAN_TEXT = """\
@@ -350,18 +354,87 @@ FUZZ_VALUES = st.one_of(
 )
 
 
+def _config_error(call):
+    """The text of the ConfigError call raises, or None."""
+    try:
+        call()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _hold(plan, row, value):
+    """Set row's key to value in a built plan, as code would: a [models] or
+    [samplers] key other than the lists on the second model or sampler
+    config only, and a synthetic key past SyntheticSpec's own checks."""
+    if row.section in ("plan", "train") or row.when:
+        owner = {"plan": plan, "csv": plan, "train": plan.train, "synthetic": plan.synthetic}
+        setattr(owner[row.when or row.section], {"path": "dataset_path"}.get(row.name, row.name),
+                value)
+    elif row.section == "sweep":
+        plan.ratios = value
+    elif row.name == "kinds":
+        plan.models = [ModelSpec(kind) for kind in value]
+    elif row.section == "models":
+        plan.models = [ModelSpec("logreg"), ModelSpec("lstm", {row.name: value})]
+    elif row.name == "methods":
+        plan.samplers = [SamplerConfig(method) for method in value]
+    elif row.name == "nearmiss_version":
+        plan.samplers = [SamplerConfig("none")] + [SamplerConfig("nearmiss", v) for v in value]
+    else:
+        plan.samplers = [SamplerConfig("none"), SamplerConfig("rus", **{row.name: value})]
+
+
 @settings(max_examples=400, deadline=None)
 @given(row=st.sampled_from(PLAN_TABLE), value=FUZZ_VALUES)
 def test_fuzzed_override_loads_or_names_its_key(tmp_path_factory, row, value):
+    """A fuzzed value loads or fails naming its key; set in a plan built in
+    code, it passes validate or fails it with the plan file's message."""
     directory = tmp_path_factory.mktemp("fuzz")
     data = directory / "data.csv"
     data.write_text("a,Class\n1.0,0\n")
     path = directory / "plan.cfg"
     path.write_text(f"[dataset]\ntype = {row.when or 'synthetic'}\npath = {data}\n")
+    message = _config_error(
+        lambda: load_plan(path, [f"{row.section}.{row.name}={value}"]).validate()
+    )
+    if message is not None:
+        assert message.startswith(f"[{row.section}] {row.name}")
     try:
-        load_plan(path, [f"{row.section}.{row.name}={value}"]).validate()
-    except ConfigError as exc:
-        assert str(exc).startswith(f"[{row.section}] {row.name}")
+        parsed = row.type(value.strip())
+    except (ValueError, OverflowError):
+        return
+    # A built plan holds no [dataset] type, and no empty list of NearMiss
+    # versions: those exist only in the text.
+    if row.name == "type" or (row.name == "nearmiss_version" and not parsed):
+        return
+    plan = load_plan(path)
+    _hold(plan, row, parsed)
+    assert _config_error(plan.validate) == message
+
+
+def test_every_field_a_built_plan_sets_has_a_row():
+    """Each value a plan built in code can set is checked by a PLAN_TABLE
+    row, so no field added later can bypass the rules plan files pass."""
+    def rows(section, when=None):
+        return {row.name for row in PLAN_TABLE if row.section == section and row.when == when}
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert names(TrainConfig) == rows("train")
+    assert names(SyntheticSpec) == rows("dataset", "synthetic")
+    assert names(SamplerConfig) - {"seed", "method"} | {"methods"} == rows("samplers")
+    assert rows("sweep") == {"ratios"}
+    # Beside the specs, grids and ratios, a plan holds [plan] keys and the
+    # csv source's [dataset] keys, its dataset_path being [dataset] path.
+    grids = {"synthetic", "train", "models", "samplers", "ratios", "dataset_path"}
+    assert names(ExperimentPlan) - grids | {"path"} == rows("plan") | rows("dataset", "csv")
+    # run_cell passes make_model the kind, the cell's seed and [train]'s keys;
+    # ModelSpec.params gives every other constructor parameter.
+    taken = {name for kind in MODEL_KINDS for name in type(make_model(kind))._param_names()}
+    assert taken - {"kind", "seed"} - names(TrainConfig) == rows("models") - {"kinds"}
+
 
 class TestSchemaConfig:
     def test_columns_and_policies(self, tmp_path):

@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from fraudkit.base import ConfigError
+from fraudkit.config import load_plan
 from fraudkit.experiments import (
     CSV_COLUMNS,
     ExperimentPlan,
@@ -233,13 +235,13 @@ class TestPlanHash:
 
     @pytest.mark.parametrize("grid, message", [
         ({"models": [ModelSpec("dtree"), ModelSpec("logreg"), ModelSpec("dtree", {"max_depth": 3})]},
-         "models: model kind 'dtree' is listed twice"),
+         r"\[models\] kinds: model kind 'dtree' is listed twice"),
         ({"samplers": [SamplerConfig("rus"), SamplerConfig("rus", seed=5)]},
-         r"samplers: sampler cell \('rus', 1.0\) is listed twice"),
+         r"\[samplers\] methods: method 'rus' is listed twice"),
         ({"samplers": [SamplerConfig("nearmiss", 2, ratio=2.0),
                        SamplerConfig("nearmiss", 2, k_neighbors=3, ratio=2.0)]},
-         r"samplers: sampler cell \('nearmiss2', 2.0\) is listed twice"),
-    ])
+         r"\[samplers\] nearmiss_version: NearMiss version 2 is listed twice"),
+    ], ids=["model-kind", "rus", "nearmiss2"])
     def test_validate_rejects_repeated_cells(self, tmp_path, grid, message):
         with pytest.raises(ValueError, match=message):
             small_plan(tmp_path, **grid).validate()
@@ -252,9 +254,10 @@ class TestPlanHash:
 
     @pytest.mark.parametrize("grid, message", [
         ({"models": [ModelSpec("logreg"), ModelSpec("bogus")]},
-         "models: model kind 'bogus' is not one of cnn2d, cnn1d, lstm, logreg, dtree, forest"),
+         "[models] kinds: unknown model kind 'bogus', expected one of cnn2d, cnn1d, lstm, logreg, "
+         "dtree, forest"),
         ({"samplers": [SamplerConfig("rus"), SamplerConfig("bogus")]},
-         "samplers: method 'bogus' is not one of none, rus, nearmiss, smote"),
+         "[samplers] methods: unknown method 'bogus', expected one of none, rus, nearmiss, smote"),
     ], ids=["model-kind", "sampler-method"])
     def test_unknown_kind_or_method_fails_before_any_cell(self, tmp_path, grid, message):
         # A plan built in code used to run, every such cell skipped.
@@ -264,6 +267,49 @@ class TestPlanHash:
                 call()
             assert str(info.value) == message
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, override, message", [
+        ({"train": TrainConfig(lr=-1.0)}, "train.lr=-1.0",
+         "[train] lr must be finite and > 0, got -1.0"),
+        ({"threshold": 2.0}, "plan.threshold=2.0", "[plan] threshold must be in [0, 1], got 2.0"),
+        ({"jobs": 0}, "plan.jobs=0", "[plan] jobs must be >= 1, got 0"),
+        ({"ratios": [5, 1]}, "sweep.ratios=5, 1",
+         "[sweep] ratios must be non-empty, finite, >= 1 and strictly ascending, got [5, 1]"),
+        ({"samplers": [SamplerConfig("nearmiss", 4)]}, "samplers.nearmiss_version=4",
+         "[samplers] nearmiss_version: unknown NearMiss version 4, expected one of 1, 2, 3"),
+        ({"samplers": [SamplerConfig("rus", ratio=-1.0)]}, "samplers.ratio=-1.0",
+         "[samplers] ratio must be finite and > 0, got -1.0"),
+        ({"samplers": [SamplerConfig("smote", k_neighbors=-2)]}, "samplers.k_neighbors=-2",
+         "[samplers] k_neighbors must be >= 0, got -2"),
+        ({"models": [ModelSpec("forest", {"n_trees": 0})]}, "models.n_trees=0",
+         "[models] n_trees must be >= 1, got 0"),
+        ({"models": [ModelSpec("dtree", {"max_depth": -1})]}, "models.max_depth=-1",
+         "[models] max_depth must be >= 0, got -1"),
+        ({"train": TrainConfig(batch_size=0)}, "train.batch_size=0",
+         "[train] batch_size must be >= 1, got 0"),
+        ({"models": [ModelSpec("logreg", {"seed": 1})]}, "models.seed=1",
+         "unknown plan key [models] seed"),
+        ({"models": [ModelSpec("logreg", {"lr": 0.1})]}, "models.lr=0.1",
+         "unknown plan key [models] lr"),
+        ({"models": [ModelSpec("dtree", {"max_dept": 3})]}, "models.max_dept=3",
+         "unknown plan key [models] max_dept"),
+    ], ids=["lr", "threshold", "jobs", "ratios", "nearmiss-version", "rus-ratio", "smote-k",
+            "n-trees", "max-depth", "batch-size", "seed-param", "lr-param", "param-typo"])
+    def test_value_a_plan_file_rejects_fails_before_any_cell(self, tmp_path, grid, override,
+                                                             message):
+        # A plan built in code used to run these: every cell ok, every cell
+        # skipped, a TypeError out of make_model, or the value ignored.
+        plan = small_plan(tmp_path, **grid)
+        for call in (plan.validate, lambda: run_experiment(plan)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
+        path = tmp_path / "plan.cfg"
+        path.write_text("[dataset]\ntype = synthetic\n")
+        with pytest.raises(ConfigError) as info:
+            load_plan(path, [override])
+        assert str(info.value) == message
 
     def test_validate_needs_source(self, tmp_path):
         plan = small_plan(tmp_path, synthetic=None)

@@ -107,6 +107,17 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(path, [ColumnSchema("a", "numeric"), ColumnSchema("Class", "label")])
 
+    @pytest.mark.parametrize("categorical, drop, named", [
+        ((), ("amount", "Class"), "'Class' is named in both label and drop"),
+        (("Class",), (), "'Class' is named in both label and categorical"),
+        (("country",), ("declined", "country"), "'country' is named in both drop and categorical"),
+    ])
+    def test_column_named_in_two_roles(self, tiny_csv, categorical, drop, named):
+        # A column is the label, dropped or categorical; naming it twice is a contradiction.
+        with pytest.raises(SchemaError) as err:
+            infer_schema(tiny_csv, "Class", categorical=categorical, drop=drop)
+        assert str(err.value) == f"{tiny_csv}: column {named}"
+
     def test_bad_label(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,Class\n1.0,2\n")
