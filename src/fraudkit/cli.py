@@ -107,9 +107,12 @@ def _plan_overrides(args):
 
 
 def _resolve_plan(args):
-    """Load and validate the plan, settle its output dir, echo resolved.cfg."""
+    """Load and validate the plan, and check a csv plan's header, before
+    anything is written; then settle its output dir and echo resolved.cfg."""
     plan = load_plan(args.config, _plan_overrides(args))
     plan.validate()
+    if plan.dataset_path is not None:
+        infer_schema(plan.dataset_path, plan.label, plan.categorical, plan.drop)
     out = _output_dir(plan.output_dir, "--output-dir" if args.output_dir else "plan.output_dir")
     plan.output_dir = str(out)
     (out / "resolved.cfg").write_text(plan_to_config_text(plan))

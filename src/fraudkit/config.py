@@ -40,8 +40,13 @@ def _integers(value):
     return [int(v) for v in _csv_list(value)]
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", _numbers: "a comma list of numbers",
-               _integers: "a comma list of integers"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               _numbers: "a comma list of numbers", _integers: "a comma list of integers"}
+
+# The Python types a value of a scalar row may have: a plan built in code
+# holds what its caller gave, where load_plan's values are parsed by row.
+# bool, though an int, is neither an integer nor a number here.
+_VALUE_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _holds(test, text):
@@ -197,8 +202,16 @@ def load_plan(path, overrides=()):
 
 
 def _check(row, value):
-    """Raise the ConfigError that row's check finds in value; None (unset) passes."""
-    problem = value is not None and row.check and row.check(value)
+    """Raise the ConfigError for a value of the wrong type for row, or
+    that row's check finds in value; None (unset) passes."""
+    if value is None:
+        return
+    types = _VALUE_TYPES.get(row.type)
+    if types and (isinstance(value, bool) or not isinstance(value, types)):
+        raise ConfigError(
+            f"[{row.section}] {row.name} must be {_TYPE_NAMES[row.type]}, got {value!r}"
+        )
+    problem = row.check and row.check(value)
     if problem:
         raise ConfigError(f"[{row.section}] {row.name}{problem}")
 

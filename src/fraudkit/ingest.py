@@ -28,7 +28,7 @@ import numpy as np
 
 from fraudkit import base
 from fraudkit.base import FraudkitError, check_array, check_labels
-from fraudkit.floatfmt import format_rows
+from fraudkit.floatfmt import RowFormatter
 
 KINDS = ("numeric", "categorical", "label", "drop")
 MISSING_POLICIES = ("forbid", "drop_column", "drop_row")
@@ -583,9 +583,9 @@ def _cell_error(path, line, col, cell):
 
 
 # Values formatted per write block: at least one row, and 512 rows of 30
-# features. format_rows's arrays peak at about 185 bytes a value, 2.8 MB
-# a block, and are freed at its return; smaller blocks pay numpy's
-# per-call overhead more often.
+# features. A RowFormatter's arrays take about 166 bytes a value, 2.5 MB
+# for a block, allocated once by each process that writes a range;
+# smaller blocks pay numpy's per-call overhead more often.
 _WRITE_BLOCK_VALUES = 512 * 30
 
 
@@ -596,10 +596,12 @@ def write_csv(ds, path):
     Each data row holds the shortest round-trip repr of every feature,
     then the integer label, and ends in CRLF: the bytes csv.writer's
     excel dialect writes for those cells, so load_csv(write_csv(ds)) is
-    bit-exact. floatfmt.format_rows computes those bytes for a block of
-    rows at once in numpy, calling repr only for subnormals and the
+    bit-exact. A floatfmt.RowFormatter computes those bytes for a block
+    of rows at once in numpy, calling repr only for subnormals and the
     values repr writes in exponent form. A block holds
-    _WRITE_BLOCK_VALUES // n_features rows, and at least one.
+    _WRITE_BLOCK_VALUES // n_features rows, and at least one; each range
+    formats all its blocks in the arrays of one formatter, so a write
+    faults its pages in once per process, not once per block.
 
     Rows are formatted on every CPU this process may run on, and the
     bytes do not depend on how many there are: the blocks are cut into
@@ -624,10 +626,13 @@ def write_csv(ds, path):
 
 def _write_blocks(ds, fh, blocks):
     """Write to the binary file fh the rows of the blocks that start at
-    the rows in blocks, a range whose step is the block's row count."""
+    the rows in blocks, a range whose step is the block's row count. One
+    RowFormatter, made here, formats every block of the range, so each
+    process that writes a range allocates its formatting arrays once."""
+    formatter = RowFormatter(min(blocks.step, ds.n_rows), ds.n_features)
     for start in blocks:
         block = slice(start, start + blocks.step)
-        fh.write(format_rows(ds.features[block], ds.labels[block]))
+        fh.write(formatter.format(ds.features[block], ds.labels[block]))
 
 
 def _write_ranges(ds, fh, path, ranges):

@@ -42,12 +42,12 @@ def gen_synthetic(spec):
 
     direction = rng.normal(size=spec.n_features)
     direction /= np.linalg.norm(direction)
-    # Each class's draw is copied into one matrix as it is made, so at most
-    # two copies are alive: a draw and the matrix, then the matrix and its
-    # shuffled rows.
+    # Each class is drawn straight into its rows of one matrix, so at most
+    # two copies are alive: the matrix and its shuffled rows.
     X = np.empty((spec.n_rows, spec.n_features))
-    X[:n_neg] = rng.normal(size=(n_neg, spec.n_features))
-    X[n_neg:] = rng.normal(size=(n_pos, spec.n_features)) + spec.separation * direction
+    rng.standard_normal(out=X[:n_neg])
+    rng.standard_normal(out=X[n_neg:])
+    X[n_neg:] += spec.separation * direction
     y = np.concatenate([np.zeros(n_neg, dtype=np.int64), np.ones(n_pos, dtype=np.int64)])
     order = rng.permutation(spec.n_rows)
 

@@ -323,4 +323,10 @@ class RandomForestClassifier(BaseEstimator):
         if not self.trees_:
             raise NotFittedError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        return np.mean([_predict(tree, X) for tree in self.trees_], axis=0)
+        # The trees' mean as np.mean takes it over a trees x rows stack,
+        # bit for bit: their sum in tree order, then one division.
+        total = _predict(self.trees_[0], X)
+        for tree in self.trees_[1:]:
+            total += _predict(tree, X)
+        total /= len(self.trees_)
+        return total

@@ -168,6 +168,19 @@ class TestBasics:
         )
         assert not (out / "resolved.cfg").exists()
 
+    def test_plan_refused_at_its_csv_header_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,Class\n1,2,0\n3,4,1\n5,6,0\n7,8,1\n")
+        plan = tmp_path / "c.cfg"
+        plan.write_text(f"[dataset]\ntype = csv\npath = {data}\nlabel = Class\ndrop = Class\n\n"
+                        "[models]\nkinds = dtree\n")
+        out = tmp_path / "o3"
+        assert run_cli(["run", str(plan), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: column 'Class' is named in both label and drop\n"
+        )
+        assert not out.exists()
+
     def test_gen_synth_output_in_a_missing_directory_names_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert run_cli(["gen-synth", str(out), "--n-rows", "50"]) == 1

@@ -413,6 +413,47 @@ def test_fuzzed_override_loads_or_names_its_key(tmp_path_factory, row, value):
     assert _config_error(plan.validate) == message
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"models": [ModelSpec("dtree", {"max_depth": "3"})]},
+     "[models] max_depth must be an integer, got '3'"),
+    ({"jobs": 1.5}, "[plan] jobs must be an integer, got 1.5"),
+    ({"seed": 1.5}, "[plan] seed must be an integer, got 1.5"),
+    ({"jobs": True}, "[plan] jobs must be an integer, got True"),
+])
+def test_built_plan_value_of_the_wrong_type_names_its_key(change, message):
+    plan = ExperimentPlan(synthetic=SyntheticSpec(), **change)
+    assert _config_error(plan.validate) == message
+
+
+# Values of another type than a scalar row's, as code might hold them: a
+# bool is neither an integer nor a number.
+WRONG_TYPES = {int: ["3", 1.5, True], float: ["0.5", True], str: [3, True]}
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in PLAN_TABLE if row.type in TYPE_NAMES and row.name != "type"],
+    ids=lambda row: f"{row.section}.{row.name}",
+)
+def test_every_scalar_row_refuses_another_type(tmp_path, row):
+    data = tmp_path / "data.csv"
+    data.write_text("a,Class\n1.0,0\n")
+    path = tmp_path / "plan.cfg"
+    path.write_text(f"[dataset]\ntype = {row.when or 'synthetic'}\npath = {data}\n")
+    for value in WRONG_TYPES[row.type]:
+        plan = load_plan(path)
+        _hold(plan, row, value)
+        assert _config_error(plan.validate) == (
+            f"[{row.section}] {row.name} must be {TYPE_NAMES[row.type]}, got {value!r}"
+        )
+
+
+def test_an_integer_is_a_number():
+    plan = ExperimentPlan(synthetic=SyntheticSpec(separation=4), threshold=1,
+                          train=TrainConfig(lr=1), samplers=[SamplerConfig("rus", ratio=2)])
+    plan.validate()
+
+
 def test_every_field_a_built_plan_sets_has_a_row():
     """Each value a plan built in code can set is checked by a PLAN_TABLE
     row, so no field added later can bypass the rules plan files pass."""

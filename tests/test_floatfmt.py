@@ -1,4 +1,4 @@
-"""format_rows against repr itself: every row's bytes, for values drawn by
+"""RowFormatter against repr itself: every row's bytes, for values drawn by
 Hypothesis, for random bit patterns and for the edges of repr's rules."""
 
 import sys
@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraudkit.floatfmt import format_rows
+from fraudkit.floatfmt import RowFormatter
+
+
+def format_rows(X, y):
+    """The bytes of one block, formatted in arrays of its own."""
+    return bytes(RowFormatter(*X.shape).format(X, y))
 
 
 def repr_rows(X, y):
@@ -82,3 +87,19 @@ def test_scales_cents_and_integers():
 def test_no_feature_columns(n_rows):
     X, y = np.empty((n_rows, 0)), np.arange(n_rows) % 2
     assert format_rows(X, y) == repr_rows(X, y) == b"0\r\n1\r\n0\r\n"[: 3 * n_rows]
+
+
+def test_reused_arrays_leak_nothing_between_blocks():
+    """One formatter's full, short and full blocks each match a fresh
+    format of that block: lengths, digits, signs and repr's fields of an
+    earlier block leave nothing behind."""
+    rng = np.random.default_rng(5)
+    scales = 10.0 ** rng.integers(-330, 30, size=(3, 64, 7))
+    blocks = rng.normal(size=(3, 64, 7)) * np.where(rng.random((3, 64, 7)) < 0.2, scales, 1.0)
+    blocks[0, ::5] = 0.0
+    labels = rng.integers(0, 2, size=(3, 64))
+    formatter = RowFormatter(64, 7)
+    for X, y in [(blocks[0], labels[0]), (blocks[1, :5], labels[1, :5]), (blocks[2], labels[2]),
+                 (blocks[0, :1], labels[0, :1]), (blocks[0], labels[0])]:
+        got = bytes(formatter.format(X, y))
+        assert got == format_rows(X, y) == repr_rows(X, y)

@@ -739,19 +739,26 @@ class TestWriteCsvRanges:
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_wide_blocks_are_bounded_by_values(tmp_path, monkeypatch, cpus):
-    # At 1,000 features a block is 15 rows, so 105 rows make 7 blocks.
-    shapes, real = [], ingest.format_rows
+    # At 1,000 features a block is 15 rows, so 105 rows make 7 blocks, and
+    # this process formats its range's blocks with one formatter.
+    made, shapes = [], []
 
-    def spy(features, labels):
-        assert features.size <= ingest._WRITE_BLOCK_VALUES  # a failure in a child fails the write
-        shapes.append(features.shape)  # a child appends to its own copy
-        return real(features, labels)
+    class Spy(ingest.RowFormatter):
+        def __init__(self, rows, cols):
+            made.append((rows, cols))  # a child appends to its own copy
+            super().__init__(rows, cols)
 
-    monkeypatch.setattr(ingest, "format_rows", spy)
+        def format(self, features, labels):
+            assert features.size <= ingest._WRITE_BLOCK_VALUES  # a failure in a child fails the write
+            shapes.append(features.shape)
+            return super().format(features, labels)
+
+    monkeypatch.setattr(ingest, "RowFormatter", Spy)
     use_cpus(monkeypatch, cpus)
     ds = varied_dataset(105, 1000)
     write_csv(ds, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes(ds)
+    assert made == [(15, 1000)]
     assert shapes == [(15, 1000)] * (7 // cpus)
 
 

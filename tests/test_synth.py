@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fraudkit.models import classify, make_model
+from fraudkit.resample import round_half_away
+from fraudkit.rng import generator
 from fraudkit.synth import SyntheticSpec, gen_synthetic
 
 
@@ -73,3 +75,29 @@ class TestGeneration:
         clf.fit(ds.features, ds.labels)
         acc = np.mean(classify(clf, ds.features) == ds.labels)
         assert acc < 0.6
+
+
+def two_step_draw(spec):
+    """gen_synthetic's features as it drew them before drawing in place:
+    each class drawn as a matrix of its own, then copied into X."""
+    rng = generator(spec.seed)
+    n_pos = round_half_away(spec.fraud_fraction * spec.n_rows)
+    n_neg = spec.n_rows - n_pos
+    direction = rng.normal(size=spec.n_features)
+    direction /= np.linalg.norm(direction)
+    X = np.empty((spec.n_rows, spec.n_features))
+    X[:n_neg] = rng.normal(size=(n_neg, spec.n_features))
+    X[n_neg:] = rng.normal(size=(n_pos, spec.n_features)) + spec.separation * direction
+    return X[rng.permutation(spec.n_rows)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize(
+    "n_rows, n_features, fraud_fraction",
+    [(2, 1, 0.5), (3, 1, 0.5), (10, 30, 0.2), (1000, 7, 0.05), (4001, 30, 0.001727)],
+)
+def test_in_place_draw_equals_the_two_step_draw(seed, n_rows, n_features, fraud_fraction):
+    spec = SyntheticSpec(n_rows=n_rows, n_features=n_features, fraud_fraction=fraud_fraction,
+                         separation=4.0, seed=seed)
+    got = gen_synthetic(spec).features
+    assert got.tobytes() == two_step_draw(spec).tobytes()

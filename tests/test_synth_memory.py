@@ -1,5 +1,5 @@
-"""gen_synthetic holds at most two copies of the feature matrix: a class's
-draw and the matrix, then the matrix and its shuffled rows."""
+"""gen_synthetic holds at most two copies of the feature matrix: the matrix
+and its shuffled rows."""
 
 from memprobe import peak_rise_mb
 

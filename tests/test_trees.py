@@ -218,3 +218,19 @@ def test_malformed_flat_tree_is_rejected(tmp_path, lists):
     path.write_text(json.dumps(payload))
     with pytest.raises(FraudkitError, match="not a model bundle"):
         load_bundle(path)
+
+
+@pytest.mark.parametrize(
+    "n_trees, n_rows", [(50, 284_807), (7, 1_000), (128, 5_000), (3, 10), (10, 19_000)]
+)
+def test_forest_mean_equals_np_mean_of_the_stack(monkeypatch, n_trees, n_rows):
+    """The forest sums its trees' outputs in place, and its mean is
+    np.mean's over a trees x rows stack, bit for bit."""
+    rng = np.random.default_rng(n_trees * n_rows)
+    outputs = rng.random((n_trees, n_rows))
+    outputs[:, ::7] = rng.integers(0, 2, size=outputs[:, ::7].shape)  # pure leaves
+    monkeypatch.setattr(trees, "_predict", lambda tree, X: outputs[tree].copy())
+    forest = RandomForestClassifier(n_trees=n_trees)
+    forest.trees_ = list(range(n_trees))
+    got = forest.predict_proba(np.empty((n_rows, 1)))
+    assert got.tobytes() == np.mean(outputs, axis=0).tobytes()
